@@ -47,6 +47,7 @@ from .reproduction import (
     hyperbola_locus,
     index_i0,
     index_isa,
+    scaled_i0,
     sensitivity_sweep,
     sex_brn,
     sex_integral,
@@ -110,6 +111,7 @@ __all__ = [
     "parse_scenario",
     "peak_transmission_prob",
     "sample_iad",
+    "scaled_i0",
     "sensitivity_sweep",
     "sex_brn",
     "sex_integral",

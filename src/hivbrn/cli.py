@@ -39,6 +39,8 @@ from .reproduction import (
     composite_r0,
     evaluate_brn,
     hyperbola_locus,
+    index_i0,
+    scaled_i0,
     sensitivity_sweep,
     sex_brn,
     sex_integral,
@@ -180,17 +182,14 @@ def cmd_phase(scenario: Scenario, args) -> str:
     factors = _parse_factors(args.factors)
     grid = _parse_grid(args.grid)
     all_factors = [1.0] + [f for f in factors if f != 1.0]
-    swept = dict(
-        sensitivity_sweep(pop, all_factors, "scale_function", scenario.quadrature)
-    )
     int_f = sex_integral(pop.female, pop.omega, scenario.quadrature)
     int_m = sex_integral(pop.male, pop.omega, scenario.quadrature)
+    i0 = index_i0(int_f, int_m)
     columns = ["series", "factor", "delta_m", "delta_f", "r_fm", "r_mf", "r0"]
     rows = []
-    for factor in all_factors:
-        for dm, df in hyperbola_locus(swept[factor], grid):
+    for factor, scaled in scaled_i0(pop, i0, all_factors):
+        for dm, df in hyperbola_locus(scaled, grid):
             rows.append(["hyperbola", factor, dm, df, None, None, None])
-    i0 = swept[1.0]
     rows.append(["fixed_point", 1.0, i0, i0, None, None, None])
     for dm in FEASIBLE_DELTA_M:
         for df in FEASIBLE_DELTA_F:

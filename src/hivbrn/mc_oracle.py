@@ -17,15 +17,16 @@ computed in any order or process and reduced by index.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
 from .behavior import activity_fraction
 from .errors import DomainError
-from .reproduction import SexProfile
+from .reproduction import SexProfile, inner_integral
 from .survival import SurvivalParams, survival_quantile
 from .natural_history import transmission_prob
 
@@ -42,6 +43,11 @@ __all__ = [
 CHUNK_SAMPLES = 4096
 
 ACT_PROCESSES = ("poisson_thinning", "expected_value")
+
+# (level, order) of the graded inner mesh that expected_value integrates each
+# course on: 8 panels of 24 nodes, relative error 5e-9 at the baseline and
+# 3e-7 at alpha1 = 1.02
+EV_MESH = (1, 24)
 
 
 @dataclass(frozen=True)
@@ -121,7 +127,7 @@ def simulate_life_course(
     if act_process not in ACT_PROCESSES:
         raise DomainError(f"unknown act_process {act_process!r}")
     if act_process == "expected_value":
-        return float(_inner_integral(np.array([float(iad)]), profile)[0])
+        return float(inner_integral(np.array([float(iad)]), profile, *EV_MESH)[0])
     times = simulate_act_times(iad, profile, rng)
     if times.size == 0:
         return 0.0
@@ -129,40 +135,6 @@ def simulate_life_course(
         times, float(iad), profile.viral, profile.transmission, profile.x_plateau
     )
     return float(np.count_nonzero(rng.random(times.size) < probs))
-
-
-@cache
-def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-# Panel edges as fractions of [0, iad], geometrically refined toward both
-# ends so the early-peak rise near x=0 and the terminal bump near x=iad stay
-# resolved up to iad ~ 40; worst-case relative error ~4e-8 at order 24.
-_INNER_EDGES = np.array(
-    [0.0, 0.005, 0.015, 0.04, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
-)
-_INNER_ORDER = 24
-
-
-def _inner_integral(iads: np.ndarray, profile: SexProfile) -> np.ndarray:
-    """Vectorized integral of G * ptr over [0, iad] for each iad."""
-    nodes, weights = _gl_rule(_INNER_ORDER)
-    edges = _INNER_EDGES
-    col = iads[:, None]
-    out = np.zeros_like(iads)
-    for flo, fhi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (fhi - flo) * col
-        x = 0.5 * (fhi + flo) * col + half * nodes[None, :]
-        g = activity_fraction(x, col, profile.activity)
-        p = transmission_prob(
-            x, col, profile.viral, profile.transmission, profile.x_plateau
-        )
-        out += np.sum(half * weights[None, :] * g * p, axis=1)
-    return out
 
 
 def _chunk_values(
@@ -173,9 +145,7 @@ def _chunk_values(
     All randomness for block ``chunk`` comes from its own counter-based
     substream, making the result independent of scheduling.
     """
-    lo = chunk * CHUNK_SAMPLES
-    hi = min(spec.samples, lo + CHUNK_SAMPLES)
-    size = hi - lo
+    size = min(spec.samples - chunk * CHUNK_SAMPLES, CHUNK_SAMPLES)
     rng = np.random.Generator(np.random.Philox(key=spec.seed, counter=[0, 0, 0, chunk]))
 
     surv = profile.survival
@@ -184,7 +154,7 @@ def _chunk_values(
     iad = surv.scale * (-np.log1p(-u)) ** (1.0 / surv.shape)
 
     if spec.act_process == "expected_value":
-        return _inner_integral(iad, profile)
+        return inner_integral(iad, profile, *EV_MESH)
 
     delta = profile.activity.annual_acts
     tau = profile.activity.terminal_lead
@@ -211,6 +181,11 @@ def _chunk_values(
     return counts / delta
 
 
+def _pool_size(workers: int, n_chunks: int) -> int:
+    """Processes to start; a pool forks them all up front, so cap them."""
+    return min(workers, n_chunks, os.cpu_count() or 1)
+
+
 def estimate_sex_integral(
     profile: SexProfile, spec: SimulationSpec, workers: int = 1
 ) -> EstimateResult:
@@ -227,7 +202,8 @@ def estimate_sex_integral(
         )
     n_chunks = -(-spec.samples // CHUNK_SAMPLES)
     work = partial(_chunk_values, profile, spec)
-    if workers > 1 and n_chunks > 1:
+    workers = _pool_size(workers, n_chunks)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(work, range(n_chunks)))
     else:
@@ -235,8 +211,7 @@ def estimate_sex_integral(
     values = parts[0] if len(parts) == 1 else np.concatenate(parts)
     n = spec.samples
     mean = float(values.sum() / n)
-    if n < 2:
-        std_error = None
-    else:
-        std_error = float(np.sqrt(((values - mean) ** 2).sum() / (n - 1) / n))
+    std_error = (
+        float(np.sqrt(((values - mean) ** 2).sum() / (n - 1) / n)) if n > 1 else None
+    )
     return EstimateResult(mean=mean, std_error=std_error, samples=n, seed=spec.seed)

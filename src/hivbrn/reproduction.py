@@ -25,6 +25,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
+from itertools import pairwise
 
 import numpy as np
 
@@ -54,6 +55,7 @@ __all__ = [
     "threshold_check",
     "hyperbola_locus",
     "sensitivity_sweep",
+    "scaled_i0",
     "balance_partner_rate",
     "MAX_TAIL_MASS",
     "CRITICAL_BAND",
@@ -65,14 +67,18 @@ MAX_TAIL_MASS = 1e-6
 # |ISA - I0| within this relative band counts as critical
 CRITICAL_BAND = 1e-9
 
+# geometric ratio between neighbouring graded quadrature panels
+GRADING = 0.15
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tensor Gauss-Legendre rule with panel-doubling refinement.
+    """Tensor Gauss-Legendre rule on geometrically graded panels.
 
-    ``order`` nodes per panel in each direction; refinement doubles the
-    panel count in both directions until two consecutive levels agree to
-    relative ``tol``, up to ``max_refine`` doublings.
+    ``order`` nodes per panel in each direction.  Each level adds one
+    graded layer at each end (toward ``x = 0``, ``x = y`` and ``y = tau1``)
+    and widens the uniform middle; levels rise until two consecutive ones
+    agree to relative ``tol``, up to ``max_refine`` levels past the first.
     """
 
     order: int = 24
@@ -104,6 +110,11 @@ class SexProfile:
         if self.activity.terminal_lead != self.viral.terminal_lead:
             raise DomainError(
                 "activity and viral-load trajectories must share tau1"
+            )
+        if not self.peak_prob < 1.0:
+            raise DomainError(
+                f"{self.label} per-act transmission probability reaches "
+                f"{self.peak_prob:.3g} at log10 viral load max(M1, M2); must be < 1"
             )
 
     @cached_property
@@ -177,66 +188,61 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _tensor_level(profile, omega, order, panels, ptr_scale):
-    """One refinement level: `panels` x `panels` tensor GL on the triangle.
+def _panel_edges(level: int, both_ends: bool) -> np.ndarray:
+    """Panel edges on [0, 1]: ``level + 2`` panels graded by ``GRADING``
+    toward 0, as many toward 1 if ``both_ends``, and a uniform middle of
+    ``level + 1`` panels."""
+    near0 = np.concatenate(([0.0], GRADING ** np.arange(level + 2, 0, -1)))
+    far = 1.0 - near0[::-1] if both_ends else np.ones(1)
+    middle = np.linspace(near0[-1], far[0], level + 2)[1:-1]
+    return np.concatenate((near0, middle, far))
 
-    Outer variable y runs over [tau1, omega] (the integrand vanishes for
-    y <= tau1); for each outer node the inner integral over x in [0, y]
-    uses the same panel count.
-    """
+
+def inner_integral(
+    iad: np.ndarray, profile: SexProfile, level: int, order: int
+) -> np.ndarray:
+    """``int_0^iad G(x, iad) * ptr(x, iad) dx`` for each age at death, by
+    ``order``-node Gauss-Legendre on the level-``level`` panels as fractions
+    of ``iad``; one kernel call per panel, of ``iad.size * order`` points."""
     nodes, weights = _gl_rule(order)
-    tau = profile.activity.terminal_lead
-    viral, link, act = profile.viral, profile.transmission, profile.activity
-    xp = profile.x_plateau
-    edges = np.linspace(tau, omega, panels + 1)
-    fractions = np.linspace(0.0, 1.0, panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        y = 0.5 * (hi + lo) + half * nodes          # (order,)
-        wy = half * weights
-        inner = np.zeros_like(y)
-        ycol = y[:, None]
-        for flo, fhi in zip(fractions[:-1], fractions[1:]):
-            ihalf = 0.5 * (fhi - flo) * ycol
-            x = 0.5 * (fhi + flo) * ycol + ihalf * nodes[None, :]
-            wx = ihalf * weights[None, :]
-            g = activity_fraction(x, ycol, act)
-            ptr = transmission_prob(x, ycol, viral, link, xp)
-            inner += np.sum(wx * g * ptr, axis=1)
-        total += float(np.sum(wy * survival_density(y, profile.survival) * inner))
-    return ptr_scale * total
+    col = iad[:, None]
+    out = np.zeros_like(iad)
+    for lo, hi in pairwise(_panel_edges(level, both_ends=True)):
+        x = (0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes) * col
+        g = activity_fraction(x, col, profile.activity)
+        ptr = transmission_prob(
+            x, col, profile.viral, profile.transmission, profile.x_plateau
+        )
+        out += 0.5 * (hi - lo) * iad * ((g * ptr) @ weights)
+    return out
 
 
 def sex_integral(
-    profile: SexProfile,
-    omega: float,
-    quad: QuadratureSpec | None = None,
-    ptr_scale: float = 1.0,
+    profile: SexProfile, omega: float, quad: QuadratureSpec | None = None
 ) -> float:
     """Expected infections per unit delta over one infective life course.
 
     Integrates ``s(y) * G(x, y) * ptr(x, y)`` over the triangle
-    0 <= x <= y <= omega, with the per-act probability scaled pointwise by
-    ``ptr_scale``.  Refines until consecutive levels agree to ``quad.tol``
-    relative; raises :class:`QuadratureFailure` if the budget runs out.
+    0 <= x <= y <= omega on graded meshes of rising level until two
+    consecutive levels agree to ``quad.tol`` relative; raises
+    :class:`QuadratureFailure` if the budget runs out.
     """
     quad = quad or QuadratureSpec()
     if not omega > 0:
         raise DomainError("omega must be > 0")
-    if not ptr_scale >= 0:
-        raise DomainError("ptr_scale must be >= 0")
-    if ptr_scale * profile.peak_prob >= 1.0:
-        raise DomainError(
-            f"scaled transmission probability reaches "
-            f"{ptr_scale * profile.peak_prob:.3g} >= 1"
-        )
-    if omega <= profile.activity.terminal_lead:
+    tau = profile.activity.terminal_lead
+    if omega <= tau:
         return 0.0
-    prev = None
-    err = math.inf
+    nodes, weights = _gl_rule(quad.order)
+    prev, err = None, math.inf
     for level in range(quad.max_refine + 1):
-        total = _tensor_level(profile, omega, quad.order, 2**level, ptr_scale)
+        # the integrand vanishes for y <= tau1: outer panels span [tau1, omega]
+        edges = tau + (omega - tau) * _panel_edges(level, both_ends=False)
+        half = 0.5 * np.diff(edges)[:, None]
+        y = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes).ravel()
+        inner = inner_integral(y, profile, level, quad.order)
+        wy = (half * weights).ravel()
+        total = float(wy @ (survival_density(y, profile.survival) * inner))
         if prev is not None:
             err = abs(total - prev) / max(abs(total), 1e-300)
             if err <= quad.tol:
@@ -244,7 +250,7 @@ def sex_integral(
         prev = total
     raise QuadratureFailure(
         f"relative error {err:.2e} above target {quad.tol:g} "
-        f"after {quad.max_refine} refinements"
+        f"after {quad.max_refine} graded levels"
     )
 
 
@@ -344,6 +350,23 @@ def hyperbola_locus(
     return [(float(dm), float(i0 * i0 / dm)) for dm in grid]
 
 
+def scaled_i0(
+    config: PopulationConfig, i0: float, scale_factors: "list[float]"
+) -> list[tuple[float, float]]:
+    """I0 with every per-act probability multiplied by each factor: exactly
+    ``i0 / factor``, refused where either sex's peak probability reaches 1."""
+    for factor in scale_factors:
+        if not factor > 0:
+            raise DomainError("scale factors must be > 0")
+        for prof in (config.female, config.male):
+            if factor * prof.peak_prob >= 1.0:
+                raise DomainError(
+                    f"{prof.label} transmission probability scaled by {factor:g} "
+                    f"reaches {factor * prof.peak_prob:.3g} >= 1"
+                )
+    return [(factor, i0 / factor) for factor in scale_factors]
+
+
 def sensitivity_sweep(
     config: PopulationConfig,
     scale_factors: "list[float]",
@@ -353,33 +376,34 @@ def sensitivity_sweep(
     """I0 under rescaled transmission probabilities.
 
     ``scale_function`` multiplies the per-act probability pointwise by each
-    factor (I0 is exactly factor**-1 times baseline); ``scale_endpoints``
-    rescales the two anchor probabilities and re-derives the link, which is
-    only approximately linear.
+    factor, which gives the base I0 over the factor (:func:`scaled_i0`);
+    ``scale_endpoints`` rescales the two anchor probabilities and re-derives
+    the link, which is only approximately linear.
     """
-    if mode not in ("scale_function", "scale_endpoints"):
+    if mode == "scale_function":
+        i0 = index_i0(
+            sex_integral(config.female, config.omega, quad),
+            sex_integral(config.male, config.omega, quad),
+        )
+        return scaled_i0(config, i0, scale_factors)
+    if mode != "scale_endpoints":
         raise DomainError(f"unknown sweep mode {mode!r}")
     out = []
     for factor in scale_factors:
         if not factor > 0:
             raise DomainError("scale factors must be > 0")
-        if mode == "scale_function":
-            int_f = sex_integral(config.female, config.omega, quad, ptr_scale=factor)
-            int_m = sex_integral(config.male, config.omega, quad, ptr_scale=factor)
-        else:
-            profiles = []
-            for prof in (config.female, config.male):
-                link = prof.transmission
-                scaled = TransmissionParams.from_anchors(
-                    factor * link.prob_at_peak,
-                    factor * link.prob_at_plateau,
-                    prof.viral.peak_log_vl,
-                    prof.viral.plateau_log_vl,
-                )
-                profiles.append(replace(prof, transmission=scaled))
-            int_f = sex_integral(profiles[0], config.omega, quad)
-            int_m = sex_integral(profiles[1], config.omega, quad)
-        out.append((factor, index_i0(int_f, int_m)))
+        integrals = []
+        for prof in (config.female, config.male):
+            link = prof.transmission
+            scaled = TransmissionParams.from_anchors(
+                factor * link.prob_at_peak,
+                factor * link.prob_at_plateau,
+                prof.viral.peak_log_vl,
+                prof.viral.plateau_log_vl,
+            )
+            prof = replace(prof, transmission=scaled)
+            integrals.append(sex_integral(prof, config.omega, quad))
+        out.append((factor, index_i0(*integrals)))
     return out
 
 

@@ -75,6 +75,15 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--config", "/no/such/file.ini")
         assert code == 2
 
+    def test_saturated_probability_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "hot.ini"
+        cfg.write_text("[female]\nM2 = 6\n")
+        code, out, err = run(capsys, "eval", "--config", str(cfg))
+        assert code == 2
+        assert "configuration error" in err
+        assert "scaled" not in err
+        assert out == ""
+
     def test_quadrature_failure_exits_3(self, capsys, tmp_path):
         cfg = tmp_path / "hard.ini"
         cfg.write_text("[quadrature]\norder = 4\ntol = 1e-16\nmax_refine = 1\n")

@@ -158,6 +158,15 @@ class TestEstimateSexIntegral:
         triple = estimate_sex_integral(male, spec, workers=3)
         assert single == double == triple
 
+    def test_pool_size_is_capped(self, monkeypatch):
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+        assert mc._pool_size(1, 100) == 1
+        assert mc._pool_size(3, 100) == 3
+        assert mc._pool_size(10_000, 3) == 3
+        assert mc._pool_size(10_000, 100) == 4
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+        assert mc._pool_size(8, 100) == 1
+
     def test_seed_changes_result(self, male):
         a = estimate_sex_integral(male, SimulationSpec(samples=5_000, seed=1))
         b = estimate_sex_integral(male, SimulationSpec(samples=5_000, seed=2))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hivbrn import (
     hyperbola_locus,
     index_i0,
     index_isa,
+    parse_scenario,
     sensitivity_sweep,
     sex_brn,
     sex_integral,
@@ -86,11 +88,10 @@ class TestSexIntegral:
         tiny = scaled_profile(female, 1e-12 / female.transmission.prob_at_plateau)
         assert sex_integral(tiny, population.omega) == pytest.approx(0.0, abs=1e-10)
 
-    def test_pointwise_scaling_is_linear(self, female, population, baseline_integrals):
-        base = baseline_integrals[0]
-        for c in (0.5, 2.0):
-            scaled = sex_integral(female, population.omega, ptr_scale=c)
-            assert scaled == pytest.approx(c * base, rel=1e-9)
+    def test_pointwise_scaling_is_linear(self, population, baseline_integrals):
+        base = index_i0(*baseline_integrals)
+        for c, scaled in sensitivity_sweep(population, [0.5, 2.0]):
+            assert scaled == pytest.approx(base / c, rel=1e-9)
 
     def test_monotone_in_anchor_probs(self, female, population):
         values = []
@@ -120,9 +121,82 @@ class TestSexIntegral:
                 female, population.omega, QuadratureSpec(order=4, tol=1e-16, max_refine=1)
             )
 
-    def test_scale_must_keep_prob_below_one(self, female, population):
+    def test_scale_must_keep_prob_below_one(self, population):
         with pytest.raises(DomainError):
-            sex_integral(female, population.omega, ptr_scale=200.0)
+            sensitivity_sweep(population, [200.0])
+
+
+def scalar_integrand(profile):
+    """``f(x, y) = G * ptr`` and the Weibull density ``s(y)`` in plain
+    ``math``, sharing no code with the kernels the quadrature calls; fast
+    enough for nested ``scipy.integrate.quad`` at epsrel 1e-11."""
+    v, link, act = profile.viral, profile.transmission, profile.activity
+    xp, tau, phi = profile.x_plateau, act.terminal_lead, act.residual_fraction
+    e = math.exp(v.warp_rate)
+    a, b = profile.survival.scale, profile.survival.shape
+
+    def f(x, y):
+        logistic = 1.0 / (1.0 + math.exp(v.warp_rate - x * (1.0 + e) / xp))
+        r = xp * (1.0 + 1.0 / e) * (logistic - 1.0 / (1.0 + e)) / v.peak_time
+        base = v.peak_log_vl * r ** (v.rise_shape - 1.0) * math.exp(
+            (1.0 - v.rise_shape) * (r - 1.0)
+        )
+        bump = math.exp(-v.terminal_width * (x - y + tau) ** 2)
+        lvl = base + (v.terminal_log_vl - base) * bump
+        ptr = -math.expm1(-math.exp(link.intercept + link.slope * 10.0**lvl))
+        g = (1.0 - x / y) / (1.0 + x * (tau - phi * y) / (y * phi * (y - tau)))
+        return g * ptr
+
+    def s(y):
+        return y ** (b - 1.0) * b / a**b * math.exp(-((y / a) ** b))
+
+    return f, s
+
+
+def nested_quad(profile, omega, epsrel=1e-11):
+    f, s = scalar_integrand(profile)
+
+    def inner(y):
+        return integrate.quad(
+            f, 0.0, y, args=(y,), epsabs=0.0, epsrel=epsrel, limit=400
+        )[0]
+
+    return integrate.quad(
+        lambda y: s(y) * inner(y),
+        profile.activity.terminal_lead,
+        omega,
+        epsabs=0.0,
+        epsrel=epsrel,
+        limit=400,
+    )[0]
+
+
+class TestWholeBox:
+    """The graded quadrature meets its tol away from the baseline too, with
+    the x**(alpha1 - 1) singularity near its sharpest."""
+
+    # fixed draws from the valid parameter box, the second with alpha1 < 1.1
+    DRAWS = (
+        "ia1 = 0.2806\nM1 = 5.347\nm = 3.264\ntau1 = 0.7551\nM2 = 4.595\n"
+        "alpha1 = 1.102\nalpha2 = 0.2955\nalpha3 = 1.031\nptr_hi = 0.004751\n"
+        "ptr_lo = 0.0005425\nphi = 0.7343\nmedian = 8.731\nbeta = 3.191\n",
+        "ia1 = 0.4672\nM1 = 5.222\nm = 2.729\ntau1 = 1.445\nM2 = 5.082\n"
+        "alpha1 = 1.038\nalpha2 = 0.1076\nalpha3 = 0.8331\nptr_hi = 0.01151\n"
+        "ptr_lo = 0.001072\nphi = 0.4866\nmedian = 8.688\nbeta = 2.238\n",
+    )
+
+    @staticmethod
+    def check(keys, tol):
+        pop = parse_scenario("[female]\n" + keys).population
+        got = sex_integral(pop.female, pop.omega, QuadratureSpec(tol=tol))
+        assert got == pytest.approx(nested_quad(pop.female, pop.omega), rel=10 * tol)
+
+    def test_baseline_at_alpha1_corner(self):
+        self.check("alpha1 = 1.02\n", 1e-9)
+
+    @pytest.mark.parametrize("keys", DRAWS, ids=["typical", "alpha1_below_1.1"])
+    def test_box_draws(self, keys):
+        self.check(keys, 1e-8)
 
 
 class TestSexBrn:
@@ -316,6 +390,11 @@ class TestConfigValidation:
         bad_activity = dataclasses.replace(female.activity, terminal_lead=2.0)
         with pytest.raises(DomainError):
             dataclasses.replace(female, activity=bad_activity)
+
+    def test_peak_probability_below_one(self, female):
+        hot = dataclasses.replace(female.viral, terminal_log_vl=6.0)
+        with pytest.raises(DomainError, match="female .*M1, M2"):
+            dataclasses.replace(female, viral=hot)
 
     def test_quadrature_spec_validation(self):
         with pytest.raises(DomainError):
