@@ -13,7 +13,6 @@ from .errors import (
     NoRootError,
     QuadratureFailure,
     ScenarioError,
-    SolverError,
 )
 from .mc_oracle import (
     EstimateResult,
@@ -86,7 +85,6 @@ __all__ = [
     "ScenarioError",
     "SexProfile",
     "SimulationSpec",
-    "SolverError",
     "SurvivalParams",
     "TransmissionParams",
     "Verdict",

@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -31,7 +32,6 @@ from .errors import (
     NoRootError,
     QuadratureFailure,
     ScenarioError,
-    SolverError,
 )
 from .mc_oracle import estimate_sex_integral
 from .natural_history import log_viral_load, transmission_prob
@@ -51,11 +51,12 @@ from .scenario import Scenario, load_scenario
 # plausible contact-rate ranges for the high-activity groups, acts/year
 FEASIBLE_DELTA_M = (26.0, 104.0)
 FEASIBLE_DELTA_F = (208.0, 468.0)
+# most rows a trajectory or a phase grid may ask for; checked before allocating
+MAX_ROWS = 1_000_000
 
 _NUMERIC_ERRORS = (
     DomainError,
     NoRootError,
-    SolverError,
     QuadratureFailure,
     InconsistentResult,
 )
@@ -108,20 +109,23 @@ def _parse_factors(raw: str) -> list[float]:
     if raw.strip() == "":
         return []
     try:
-        return [float(part) for part in raw.split(",")]
+        factors = [float(part) for part in raw.split(",")]
     except ValueError as exc:
         raise ScenarioError(f"invalid factor list {raw!r}") from exc
+    if not all(0 < f < math.inf for f in factors):
+        raise ScenarioError(f"factors must be finite and > 0, got {raw!r}")
+    return factors
 
 
 def _parse_grid(raw: str) -> np.ndarray:
     try:
         start, stop, count = raw.split(":")
-        grid = np.linspace(float(start), float(stop), int(count))
+        start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise ScenarioError(f"invalid grid {raw!r}; expected start:stop:count") from exc
-    if grid.size == 0 or np.any(grid <= 0):
-        raise ScenarioError("grid values must be positive and non-empty")
-    return grid
+    if not (0 < start < math.inf and 0 < stop < math.inf and 0 < count <= MAX_ROWS):
+        raise ScenarioError(f"grid needs finite ends > 0 and 1 <= count <= {MAX_ROWS}")
+    return np.linspace(start, stop, count)
 
 
 def cmd_eval(scenario: Scenario, args) -> str:
@@ -156,12 +160,14 @@ def cmd_eval(scenario: Scenario, args) -> str:
 def cmd_trajectory(scenario: Scenario, args) -> str:
     pop = scenario.population
     profile = pop.female if args.sex == "female" else pop.male
-    if args.step <= 0:
-        raise ScenarioError("--step must be > 0")
-    if args.iad < 0 or args.iad > pop.omega:
+    if not 0 < args.step < math.inf:
+        raise ScenarioError("--step must be finite and > 0")
+    if not 0 <= args.iad <= pop.omega:
         raise ScenarioError(f"--iad must lie in [0, omega={pop.omega:g}]")
-    steps = int(np.floor(args.iad / args.step + 1e-9))
-    ia = np.arange(steps + 1) * args.step
+    steps = np.floor(args.iad / args.step + 1e-9)
+    if steps >= MAX_ROWS:
+        raise ScenarioError(f"--iad / --step gives more than {MAX_ROWS} rows")
+    ia = np.arange(int(steps) + 1) * args.step
     lvl = log_viral_load(ia, args.iad, profile.viral, profile.x_plateau)
     ptr = transmission_prob(
         ia, args.iad, profile.viral, profile.transmission, profile.x_plateau

@@ -9,10 +9,6 @@ class NoRootError(ValueError):
     """The requested root does not exist for these parameters."""
 
 
-class SolverError(RuntimeError):
-    """An iterative solver exhausted its budget without converging."""
-
-
 class QuadratureFailure(RuntimeError):
     """The quadrature error target was not met at maximum refinement."""
 

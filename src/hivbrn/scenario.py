@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -164,12 +165,13 @@ def _convert(section: str, key: str, raw: str, line: int | None):
     try:
         if key in _INT_KEYS:
             return int(raw)
-        return float(raw)
-    except ValueError as exc:
-        kind = "an integer" if key in _INT_KEYS else "a number"
-        raise ScenarioError(
-            f"value {raw!r} for {key!r} in [{section}] is not {kind}", line
-        ) from exc
+        value = float(raw)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    kind = "an integer" if key in _INT_KEYS else "a finite number"
+    raise ScenarioError(f"value {raw!r} for {key!r} in [{section}] is not {kind}", line)
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hivbrn import evaluate_brn, parse_scenario
+import hivbrn
+from hivbrn import cli, evaluate_brn, parse_scenario
 from hivbrn.cli import main
 
 
@@ -135,6 +140,11 @@ class TestTrajectory:
     def test_validation(self, capsys):
         assert run(capsys, "trajectory", "--step", "0")[0] == 2
         assert run(capsys, "trajectory", "--iad", "99")[0] == 2
+        for flags in (("--iad", "nan"), ("--step", "nan"), ("--step", "inf")):
+            code, out, err = run(capsys, "trajectory", *flags)
+            assert code == 2
+            assert "configuration error" in err
+            assert out == ""
 
     def test_json_format(self, capsys):
         code, out, _ = run(
@@ -142,6 +152,16 @@ class TestTrajectory:
         )
         payload = json.loads(out)
         assert payload["series"][0]["G"] == 1.0
+
+    def test_row_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_ROWS", 100)
+        code, out, err = run(capsys, "trajectory", "--iad", "7", "--step", "0.07")
+        assert code == 2
+        assert "100 rows" in err
+        assert out == ""
+        code, out, _ = run(capsys, "trajectory", "--iad", "7", "--step", "0.0707")
+        assert code == 0
+        assert len(rows_of(out)) == 100
 
 
 class TestPhase:
@@ -188,6 +208,21 @@ class TestPhase:
     def test_bad_grid(self, capsys):
         assert run(capsys, "phase", "--grid", "0:100:3")[0] == 2
         assert run(capsys, "phase", "--grid", "banana")[0] == 2
+        assert run(capsys, "phase", "--grid", "nan:100:3")[0] == 2
+        assert run(capsys, "phase", "--grid", "10:inf:3")[0] == 2
+
+    def test_grid_count_limit(self, capsys, monkeypatch):
+        with pytest.raises(hivbrn.ScenarioError):
+            cli._parse_grid(f"1:2:{cli.MAX_ROWS + 1}")
+        monkeypatch.setattr(cli, "MAX_ROWS", 100)
+        assert run(capsys, "phase", "--grid", "10:150:101")[0] == 2
+        assert run(capsys, "phase", "--grid", "10:150:100")[0] == 0
+
+    def test_nonpositive_factor_exits_2(self, capsys):
+        code, out, err = run(capsys, "phase", "--factors", "0")
+        assert code == 2
+        assert "configuration error" in err
+        assert out == ""
 
 
 class TestSweep:
@@ -220,6 +255,7 @@ class TestSweep:
 
     def test_bad_factor_list_exits_2(self, capsys):
         assert run(capsys, "sweep", "--factors", "1,zebra")[0] == 2
+        assert run(capsys, "sweep", "--factors", "nan")[0] == 2
 
 
 class TestSimulate:
@@ -276,3 +312,18 @@ class TestScenarioEquivalence:
             payload["metadata"]["config_hash"]
             == parse_scenario(cfg.read_text()).config_hash()
         )
+
+
+def test_runtime_loads_no_scipy():
+    # a fresh interpreter: the tests themselves import scipy as an oracle
+    script = (
+        "import sys, hivbrn, hivbrn.cli\n"
+        "assert hivbrn.cli.main(['eval']) == 0\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hivbrn.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["result"]["verdict"] == "epidemic"

@@ -5,7 +5,6 @@ from scipy import optimize
 from hivbrn import (
     DomainError,
     NoRootError,
-    SolverError,
     TransmissionParams,
     ViralLoadParams,
     age_warp,
@@ -125,9 +124,25 @@ class TestSolvePlateauPoint:
         with pytest.raises(NoRootError):
             solve_plateau_point(fake)
 
-    def test_bracket_cap(self, viral):
-        with pytest.raises(SolverError):
-            solve_plateau_point(viral, bracket_start=0.5, bracket_cap=1.0)
+    def test_against_brentq_over_box(self, viral):
+        # the fixed Halley steps hold over the valid (M1, m, alpha1) box, down
+        # to the near-singular alpha1 = 1.02 corner where the root is farthest
+        from dataclasses import replace
+
+        for M1 in np.linspace(4.5, 5.5, 5):
+            for m in np.linspace(2.5, 3.5, 5):
+                for a1 in (1.02, 1.05, 1.1, 1.3, 1.6, 2.0):
+                    p = replace(
+                        viral, peak_log_vl=M1, plateau_log_vl=m, rise_shape=a1
+                    )
+                    oracle = optimize.brentq(
+                        lambda x: early_peak_curve(x, p) - m,
+                        p.peak_time,
+                        100.0 * p.peak_time,
+                        xtol=1e-300,
+                        rtol=1e-15,
+                    )
+                    assert solve_plateau_point(p) == pytest.approx(oracle, rel=1e-12)
 
 
 class TestAgeWarp:

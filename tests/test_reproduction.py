@@ -15,7 +15,6 @@ from hivbrn import (
     SexProfile,
     TransmissionParams,
     Verdict,
-    activity_fraction,
     balance_partner_rate,
     composite_r0,
     evaluate_brn,
@@ -26,9 +25,7 @@ from hivbrn import (
     sensitivity_sweep,
     sex_brn,
     sex_integral,
-    survival_density,
     threshold_check,
-    transmission_prob,
 )
 
 # Frozen cross-check values from scipy.integrate.quad nested over the same
@@ -61,21 +58,15 @@ class TestSexIntegral:
         assert int_m == pytest.approx(INT_M_REFERENCE, rel=1e-5)
 
     def test_against_live_scipy_oracle(self, female, population):
-        # independent route: scipy's adaptive quadrature, nested
+        # independent route: scipy's adaptive quadrature, nested over the
+        # plain-math integrand below
+        f, s = scalar_integrand(female)
+
         def inner(y):
-            val, _ = integrate.quad(
-                lambda x: activity_fraction(x, y, female.activity)
-                * transmission_prob(
-                    x, y, female.viral, female.transmission, female.x_plateau
-                ),
-                0.0,
-                y,
-                limit=200,
-            )
-            return val
+            return integrate.quad(f, 0.0, y, args=(y,), limit=200)[0]
 
         oracle, _ = integrate.quad(
-            lambda y: survival_density(y, female.survival) * inner(y),
+            lambda y: s(y) * inner(y),
             female.activity.terminal_lead,
             population.omega,
             limit=200,

@@ -87,6 +87,14 @@ class TestRejection:
         assert "delta" in str(err.value)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("key", ["delta", "alpha2"])
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_non_finite_value_with_line(self, key, raw):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(f"[female]\nphi = 0.6\n{key} = {raw}\n")
+        assert key in str(err.value)
+        assert err.value.line == 3
+
     def test_bad_integer(self):
         with pytest.raises(ScenarioError) as err:
             parse_scenario("[quadrature]\norder = 24.5\n")
