@@ -40,6 +40,17 @@ class ActivityParams:
             raise DomainError("terminal_lead (tau1) must be > 0")
 
 
+def checked_life_course(ia, iad) -> tuple[np.ndarray, np.ndarray]:
+    """``ia`` and ``iad`` as float arrays; DomainError unless 0 <= ia <= iad."""
+    ia_a = np.asarray(ia, dtype=float)
+    iad_a = np.asarray(iad, dtype=float)
+    if np.any(ia_a < 0) or np.any(iad_a < 0):
+        raise DomainError("infective ages must be >= 0")
+    if np.any(ia_a > iad_a):
+        raise DomainError("ia must not exceed iad")
+    return ia_a, iad_a
+
+
 def activity_fraction(ia, iad, p: ActivityParams):
     """Fraction of baseline activity remaining at infective age ``ia``.
 
@@ -51,25 +62,21 @@ def activity_fraction(ia, iad, p: ActivityParams):
     at ia = iad; for iad <= terminal_lead it is identically 0.  Accepts
     scalars or broadcastable arrays.
     """
-    scalar = np.isscalar(ia) and np.isscalar(iad)
-    ia_a = np.asarray(ia, dtype=float)
-    iad_a = np.asarray(iad, dtype=float)
-    if np.any(ia_a < 0) or np.any(iad_a < 0):
-        raise DomainError("infective ages must be >= 0")
-    if np.any(ia_a > iad_a):
-        raise DomainError("ia must not exceed iad")
+    out = activity_fraction_core(*checked_life_course(ia, iad), p)
+    return float(out) if np.isscalar(ia) and np.isscalar(iad) else out
+
+
+def activity_fraction_core(ia: np.ndarray, iad: np.ndarray, p: ActivityParams):
+    """Unchecked :func:`activity_fraction` for 0 <= ia <= iad."""
     tau, phi = p.terminal_lead, p.residual_fraction
-    ia_b, iad_b = np.broadcast_arrays(ia_a, iad_a)
-    alive = iad_b > tau
+    alive = iad > tau
     # keep the masked-out branch free of 0/0 before np.where discards it
-    safe_iad = np.where(alive, iad_b, tau + 1.0)
-    num = 1.0 - ia_b / safe_iad
-    den = 1.0 + ia_b * (tau - phi * safe_iad) / (safe_iad * phi * (safe_iad - tau))
-    out = np.where(alive, num / den, 0.0)
-    return float(out) if scalar else out
+    safe_iad = np.where(alive, iad, tau + 1.0)
+    # depends on iad only: one value per row for a column of ages at death
+    coef = (tau - phi * safe_iad) / (safe_iad * phi * (safe_iad - tau))
+    return np.where(alive, (1.0 - ia / safe_iad) / (1.0 + ia * coef), 0.0)
 
 
 def coital_rate(ia, iad, p: ActivityParams):
     """Annualized number of coital acts: ``annual_acts * activity_fraction``."""
-    out = p.annual_acts * np.asarray(activity_fraction(ia, iad, p))
-    return float(out) if np.isscalar(ia) and np.isscalar(iad) else out
+    return p.annual_acts * activity_fraction(ia, iad, p)

@@ -24,11 +24,11 @@ from functools import partial
 
 import numpy as np
 
-from .behavior import activity_fraction
+from .behavior import activity_fraction, activity_fraction_core
 from .errors import DomainError
 from .reproduction import SexProfile, inner_integral
 from .survival import SurvivalParams, survival_quantile
-from .natural_history import transmission_prob
+from .natural_history import transmission_prob, transmission_prob_core
 
 __all__ = [
     "SimulationSpec",
@@ -172,8 +172,9 @@ def _chunk_values(
     t = rng.random(total) * iad_rep
     u_act = rng.random(total) * p_max
     u_thin = rng.random(total)
-    g = activity_fraction(t, iad_rep, profile.activity)
-    p = transmission_prob(
+    # 0 <= t <= iad_rep by construction: the unchecked cores apply
+    g = activity_fraction_core(t, iad_rep, profile.activity)
+    p = transmission_prob_core(
         t, iad_rep, profile.viral, profile.transmission, profile.x_plateau
     )
     infected = (u_thin < g) & (u_act < p)

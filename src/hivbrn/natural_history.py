@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .behavior import checked_life_course
 from .errors import DomainError, NoRootError
 
 __all__ = [
@@ -40,6 +41,8 @@ __all__ = [
     "transmission_prob",
     "peak_transmission_prob",
 ]
+
+LN10 = math.log(10.0)
 
 
 @dataclass(frozen=True)
@@ -127,9 +130,11 @@ class TransmissionParams:
         return cls(prob_at_peak, prob_at_plateau, intercept, slope)
 
 
-def _check_nonneg(name, value):
-    if np.any(np.asarray(value) < 0):
+def _nonneg(name, value) -> np.ndarray:
+    out = np.asarray(value, dtype=float)
+    if np.any(out < 0):
         raise DomainError(f"{name} must be >= 0")
+    return out
 
 
 def _scalar_or_array(out, *inputs):
@@ -146,13 +151,17 @@ def early_peak_curve(x, p: ViralLoadParams):
     The value at x=0 is the continuous limit 0 (rise_shape > 1).  Accepts
     scalars or arrays.
     """
-    x_a = np.asarray(x, dtype=float)
-    _check_nonneg("x", x_a)
-    r = x_a / p.peak_time
-    out = p.peak_log_vl * r ** (p.rise_shape - 1.0) * np.exp(
-        (1.0 - p.rise_shape) * (r - 1.0)
-    )
-    return _scalar_or_array(out, x)
+    return _scalar_or_array(early_peak_core(_nonneg("x", x), p), x)
+
+
+def early_peak_core(x: np.ndarray, p: ViralLoadParams) -> np.ndarray:
+    """Unchecked :func:`early_peak_curve` for x >= 0, as one exponential
+    ``exp((rise_shape-1) * (log r - r + 1))``: finite for any rise_shape,
+    and exactly 0 at x = 0 through ``log 0 = -inf``."""
+    r = x / p.peak_time
+    with np.errstate(divide="ignore"):
+        log_r = np.log(r)
+    return p.peak_log_vl * np.exp((p.rise_shape - 1.0) * (log_r - r + 1.0))
 
 
 def solve_plateau_point(p: ViralLoadParams) -> float:
@@ -184,13 +193,15 @@ def age_warp(ia, warp_rate: float, x_plateau: float):
     as the argument of :func:`early_peak_curve` so the early peak is followed
     by a flat plateau rather than decay to zero.
     """
-    ia_a = np.asarray(ia, dtype=float)
-    _check_nonneg("ia", ia_a)
+    return _scalar_or_array(age_warp_core(_nonneg("ia", ia), warp_rate, x_plateau), ia)
+
+
+def age_warp_core(ia: np.ndarray, warp_rate: float, x_plateau: float) -> np.ndarray:
+    """Unchecked :func:`age_warp` for ia >= 0."""
     e = np.exp(warp_rate)
     gain = x_plateau * (1.0 + np.exp(-warp_rate))
-    logistic = 1.0 / (1.0 + np.exp(warp_rate - ia_a * (1.0 + e) / x_plateau))
-    out = gain * (logistic - 1.0 / (1.0 + e))
-    return _scalar_or_array(out, ia)
+    logistic = 1.0 / (1.0 + np.exp(warp_rate - ia * (1.0 + e) / x_plateau))
+    return gain * (logistic - 1.0 / (1.0 + e))
 
 
 def terminal_peak_factor(ia, iad, terminal_width: float, terminal_lead: float):
@@ -201,13 +212,6 @@ def terminal_peak_factor(ia, iad, terminal_width: float, terminal_lead: float):
     return _scalar_or_array(out, ia, iad)
 
 
-def _check_life_course(ia_a, iad_a):
-    if np.any(ia_a < 0) or np.any(iad_a < 0):
-        raise DomainError("infective ages must be >= 0")
-    if np.any(ia_a > iad_a):
-        raise DomainError("ia must not exceed iad")
-
-
 def log_viral_load(ia, iad, p: ViralLoadParams, x_plateau: float):
     """log10 viral load at infective age ``ia`` for a course of length ``iad``.
 
@@ -216,13 +220,15 @@ def log_viral_load(ia, iad, p: ViralLoadParams, x_plateau: float):
     ``base = early_peak_curve(age_warp(ia))``.  At ia = iad - terminal_lead
     the value is ``terminal_log_vl`` exactly.
     """
-    ia_a = np.asarray(ia, dtype=float)
-    iad_a = np.asarray(iad, dtype=float)
-    _check_life_course(ia_a, iad_a)
-    base = early_peak_curve(age_warp(ia_a, p.warp_rate, x_plateau), p)
-    bump = terminal_peak_factor(ia_a, iad_a, p.terminal_width, p.terminal_lead)
-    out = base + (p.terminal_log_vl - base) * bump
+    out = log_viral_load_core(*checked_life_course(ia, iad), p, x_plateau)
     return _scalar_or_array(out, ia, iad)
+
+
+def log_viral_load_core(ia, iad, p: ViralLoadParams, x_plateau: float) -> np.ndarray:
+    """Unchecked :func:`log_viral_load` for 0 <= ia <= iad."""
+    base = early_peak_core(age_warp_core(ia, p.warp_rate, x_plateau), p)
+    bump = terminal_peak_factor(ia, iad, p.terminal_width, p.terminal_lead)
+    return base + (p.terminal_log_vl - base) * bump
 
 
 def derive_link(
@@ -259,9 +265,22 @@ def transmission_prob(
     ``1 - exp(-exp(intercept + slope * 10**log_viral_load(ia, iad)))``;
     strictly inside (0, 1) and non-decreasing in the viral load.
     """
-    lvl = log_viral_load(ia, iad, viral, x_plateau)
-    out = -np.expm1(-np.exp(link.intercept + link.slope * 10.0 ** np.asarray(lvl)))
+    ia_a, iad_a = checked_life_course(ia, iad)
+    out = transmission_prob_core(ia_a, iad_a, viral, link, x_plateau)
     return _scalar_or_array(out, ia, iad)
+
+
+def transmission_prob_core(
+    ia, iad, viral: ViralLoadParams, link: TransmissionParams, x_plateau: float
+) -> np.ndarray:
+    """Unchecked :func:`transmission_prob` for 0 <= ia <= iad."""
+    return link_core(log_viral_load_core(ia, iad, viral, x_plateau), link)
+
+
+def link_core(lvl, link: TransmissionParams):
+    """Per-act probability at log10 viral load ``lvl``; ``10**lvl`` is taken
+    as ``exp(LN10 * lvl)``, which vectorizes where ``pow`` does not."""
+    return -np.expm1(-np.exp(link.intercept + link.slope * np.exp(LN10 * lvl)))
 
 
 def peak_transmission_prob(
@@ -272,5 +291,4 @@ def peak_transmission_prob(
     The log viral load never exceeds max(peak_log_vl, terminal_log_vl) and
     the link is non-decreasing, so the bound is attained there.
     """
-    top = max(viral.peak_log_vl, viral.terminal_log_vl)
-    return float(-np.expm1(-np.exp(link.intercept + link.slope * 10.0**top)))
+    return float(link_core(max(viral.peak_log_vl, viral.terminal_log_vl), link))

@@ -29,7 +29,8 @@ from itertools import pairwise
 
 import numpy as np
 
-from .behavior import ActivityParams, activity_fraction
+# activity_fraction and transmission_prob stay attributes for bench/tracing.py
+from .behavior import ActivityParams, activity_fraction, activity_fraction_core
 from .errors import DomainError, InconsistentResult, QuadratureFailure
 from .natural_history import (
     TransmissionParams,
@@ -37,6 +38,7 @@ from .natural_history import (
     peak_transmission_prob,
     solve_plateau_point,
     transmission_prob,
+    transmission_prob_core,
 )
 from .survival import SurvivalParams, survival_density, tail_mass
 
@@ -203,14 +205,15 @@ def inner_integral(
 ) -> np.ndarray:
     """``int_0^iad G(x, iad) * ptr(x, iad) dx`` for each age at death, by
     ``order``-node Gauss-Legendre on the level-``level`` panels as fractions
-    of ``iad``; one kernel call per panel, of ``iad.size * order`` points."""
+    of ``iad``; one kernel call per panel, of ``iad.size * order`` points.
+    The nodes satisfy 0 <= x <= iad, so the unchecked cores are called."""
     nodes, weights = _gl_rule(order)
     col = iad[:, None]
     out = np.zeros_like(iad)
     for lo, hi in pairwise(_panel_edges(level, both_ends=True)):
         x = (0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes) * col
-        g = activity_fraction(x, col, profile.activity)
-        ptr = transmission_prob(
+        g = activity_fraction_core(x, col, profile.activity)
+        ptr = transmission_prob_core(
             x, col, profile.viral, profile.transmission, profile.x_plateau
         )
         out += 0.5 * (hi - lo) * iad * ((g * ptr) @ weights)

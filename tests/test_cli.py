@@ -89,6 +89,13 @@ class TestEval:
         assert "scaled" not in err
         assert out == ""
 
+    def test_steep_early_peak(self, capsys, tmp_path):
+        cfg = tmp_path / "steep.ini"
+        cfg.write_text("[female]\nalpha1 = 1000\n")
+        code, out, err = run(capsys, "eval", "--config", str(cfg))
+        assert code == 0, err
+        assert json.loads(out)["result"]["r0"] == pytest.approx(0.906, abs=1e-3)
+
     def test_quadrature_failure_exits_3(self, capsys, tmp_path):
         cfg = tmp_path / "hard.ini"
         cfg.write_text("[quadrature]\norder = 4\ntol = 1e-16\nmax_refine = 1\n")

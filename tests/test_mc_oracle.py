@@ -228,6 +228,25 @@ class TestEstimateSexIntegral:
         with pytest.raises(DomainError):
             SimulationSpec(samples=10, seed=1, act_process="bogus")
 
+    # recorded from the committed Philox stream at 20,000 samples, seed
+    # 20260810: thinning counts are exact, so any change to the stream or to
+    # the kernels' accept/reject decisions shows here
+    PINNED_THINNING = {
+        "female": (0.011878658536585365, 8.885423447990762e-05),
+        "male": (0.012790853658536586, 9.307210986814311e-05),
+    }
+    PINNED_EXPECTED = {"female": 0.011926729673236965, "male": 0.012732757565172441}
+
+    @pytest.mark.parametrize("sex", ["female", "male"])
+    def test_pinned_stream(self, population, sex):
+        profile = getattr(population, sex)
+        thinning = estimate_sex_integral(profile, SimulationSpec(20_000, 20260810))
+        assert (thinning.mean, thinning.std_error) == self.PINNED_THINNING[sex]
+        smooth = estimate_sex_integral(
+            profile, SimulationSpec(20_000, 20260810, "expected_value")
+        )
+        assert smooth.mean == pytest.approx(self.PINNED_EXPECTED[sex], rel=1e-12)
+
     def test_thinning_needs_positive_delta(self, male):
         zero = dataclasses.replace(
             male, activity=dataclasses.replace(male.activity, annual_acts=0.0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -46,6 +48,13 @@ class TestEarlyPeakCurve:
 
     def test_zero_limit(self, viral):
         assert early_peak_curve(0.0, viral) == 0.0
+
+    def test_steep_rise_stays_finite(self, viral):
+        # r**(alpha1 - 1) and exp((1 - alpha1) * (r - 1)) each overflow here
+        steep = dataclasses.replace(viral, rise_shape=1000.0)
+        assert early_peak_curve(0.0, steep) == 0.0
+        assert early_peak_curve(steep.peak_time, steep) == steep.peak_log_vl
+        assert np.all(np.isfinite(early_peak_curve(np.linspace(0.0, 20.0, 101), steep)))
 
     def test_maximum_at_peak_time(self, viral):
         # derivative changes sign across the peak and nowhere else nearby

@@ -27,6 +27,14 @@ from hivbrn import (
     sex_integral,
     threshold_check,
 )
+from hivbrn.behavior import activity_fraction, activity_fraction_core
+from hivbrn.natural_history import (
+    age_warp,
+    early_peak_curve,
+    log_viral_load,
+    transmission_prob,
+    transmission_prob_core,
+)
 
 # Frozen cross-check values from scipy.integrate.quad nested over the same
 # integrand at epsrel=1e-11 (the live oracle below re-derives the female one
@@ -188,6 +196,49 @@ class TestWholeBox:
     @pytest.mark.parametrize("keys", DRAWS, ids=["typical", "alpha1_below_1.1"])
     def test_box_draws(self, keys):
         self.check(keys, 1e-8)
+
+
+class TestCores:
+    """The unchecked cores that the quadrature and the Monte Carlo call
+    agree with the plain-``math`` integrand, and the public wrappers around
+    them still guard the domain."""
+
+    @pytest.mark.parametrize(
+        "keys", ("", *TestWholeBox.DRAWS), ids=["baseline", "typical", "alpha1_below_1.1"]
+    )
+    def test_against_scalar_integrand(self, keys):
+        prof = parse_scenario("[female]\n" + keys).population.female
+        f, _ = scalar_integrand(prof)
+        g = np.random.default_rng(20261018)
+        y = g.uniform(prof.activity.terminal_lead, 40.0, 200)
+        x = g.random(200) * y
+        x[:10] = 0.0
+        x[10:20] = y[10:20]
+        got = activity_fraction_core(x, y, prof.activity) * transmission_prob_core(
+            x, y, prof.viral, prof.transmission, prof.x_plateau
+        )
+        want = np.array([f(xi, yi) for xi, yi in zip(x, y)])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "ia, iad", [(-0.5, 5.0), (6.0, 5.0)], ids=["negative", "past_death"]
+    )
+    def test_wrappers_check_domain(self, female, ia, iad):
+        v, xp = female.viral, female.x_plateau
+        wrappers = [
+            lambda a, d: activity_fraction(a, d, female.activity),
+            lambda a, d: log_viral_load(a, d, v, xp),
+            lambda a, d: transmission_prob(a, d, v, female.transmission, xp),
+        ]
+        if ia < 0:
+            wrappers += [
+                lambda a, _: early_peak_curve(a, v),
+                lambda a, _: age_warp(a, v.warp_rate, xp),
+            ]
+        for wrapper in wrappers:
+            for args in ((ia, iad), (np.array([1.0, ia]), iad)):
+                with pytest.raises(DomainError):
+                    wrapper(*args)
 
 
 class TestSexBrn:
