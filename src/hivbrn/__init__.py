@@ -10,7 +10,6 @@ from .behavior import ActivityParams, activity_fraction, coital_rate
 from .errors import (
     DomainError,
     InconsistentResult,
-    NoRootError,
     QuadratureFailure,
     ScenarioError,
 )
@@ -18,7 +17,6 @@ from .mc_oracle import (
     EstimateResult,
     SimulationSpec,
     estimate_sex_integral,
-    sample_iad,
     simulate_act_times,
     simulate_life_course,
 )
@@ -77,7 +75,6 @@ __all__ = [
     "DomainError",
     "EstimateResult",
     "InconsistentResult",
-    "NoRootError",
     "PopulationConfig",
     "QuadratureFailure",
     "QuadratureSpec",
@@ -108,7 +105,6 @@ __all__ = [
     "log_viral_load",
     "parse_scenario",
     "peak_transmission_prob",
-    "sample_iad",
     "scaled_i0",
     "sensitivity_sweep",
     "sex_brn",

@@ -29,7 +29,6 @@ from .behavior import activity_fraction
 from .errors import (
     DomainError,
     InconsistentResult,
-    NoRootError,
     QuadratureFailure,
     ScenarioError,
 )
@@ -56,7 +55,6 @@ MAX_ROWS = 1_000_000
 
 _NUMERIC_ERRORS = (
     DomainError,
-    NoRootError,
     QuadratureFailure,
     InconsistentResult,
 )

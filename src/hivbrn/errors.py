@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """An argument or parameter lies outside a function's domain."""
 
 
-class NoRootError(ValueError):
-    """The requested root does not exist for these parameters."""
-
-
 class QuadratureFailure(RuntimeError):
     """The quadrature error target was not met at maximum refinement."""
 

@@ -27,20 +27,23 @@ import numpy as np
 from .behavior import activity_fraction, activity_fraction_core
 from .errors import DomainError
 from .reproduction import SexProfile, inner_integral
-from .survival import SurvivalParams, survival_quantile
+from .survival import survival_quantile_core
 from .natural_history import transmission_prob, transmission_prob_core
 
 __all__ = [
     "SimulationSpec",
     "EstimateResult",
     "CHUNK_SAMPLES",
-    "sample_iad",
+    "MAX_SAMPLES",
     "simulate_act_times",
     "simulate_life_course",
     "estimate_sex_integral",
 ]
 
 CHUNK_SAMPLES = 4096
+
+# the reduction holds about 24 B per sample: this caps it near 240 MB
+MAX_SAMPLES = 10_000_000
 
 ACT_PROCESSES = ("poisson_thinning", "expected_value")
 
@@ -65,8 +68,8 @@ class SimulationSpec:
     act_process: str = "poisson_thinning"
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise DomainError("samples must be >= 1")
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise DomainError(f"samples must be in [1, {MAX_SAMPLES}]")
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must fit in 64 bits")
         if self.act_process not in ACT_PROCESSES:
@@ -89,11 +92,6 @@ class EstimateResult:
     seed: int
 
 
-def sample_iad(u, p: SurvivalParams):
-    """Inverse-transform draw of the infective age at death from u in (0,1)."""
-    return survival_quantile(u, p)
-
-
 def simulate_act_times(
     iad: float, profile: SexProfile, rng: np.random.Generator
 ) -> np.ndarray:
@@ -112,22 +110,11 @@ def simulate_act_times(
 
 
 def simulate_life_course(
-    iad: float,
-    profile: SexProfile,
-    rng: np.random.Generator,
-    act_process: str = "poisson_thinning",
+    iad: float, profile: SexProfile, rng: np.random.Generator
 ) -> float:
-    """Secondary infections over one life course of length ``iad``.
-
-    In ``poisson_thinning`` mode each simulated act transmits independently
-    with the per-act probability at its time; the integer count is returned.
-    In ``expected_value`` mode the count is replaced by its conditional
-    expectation, the inner integral of G * ptr over [0, iad].
-    """
-    if act_process not in ACT_PROCESSES:
-        raise DomainError(f"unknown act_process {act_process!r}")
-    if act_process == "expected_value":
-        return float(inner_integral(np.array([float(iad)]), profile, *EV_MESH)[0])
+    """Secondary infections over one life course of length ``iad``: each
+    simulated act transmits independently with the per-act probability at
+    its time; the integer count is returned."""
     times = simulate_act_times(iad, profile, rng)
     if times.size == 0:
         return 0.0
@@ -148,10 +135,8 @@ def _chunk_values(
     size = min(spec.samples - chunk * CHUNK_SAMPLES, CHUNK_SAMPLES)
     rng = np.random.Generator(np.random.Philox(key=spec.seed, counter=[0, 0, 0, chunk]))
 
-    surv = profile.survival
-    u = rng.random(size)
-    # closed-form quantile; u == 0 maps to iad == 0 (an empty course)
-    iad = surv.scale * (-np.log1p(-u)) ** (1.0 / surv.shape)
+    # u == 0 maps to iad == 0 (an empty course)
+    iad = survival_quantile_core(rng.random(size), profile.survival)
 
     if spec.act_process == "expected_value":
         return inner_integral(iad, profile, *EV_MESH)

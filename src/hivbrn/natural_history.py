@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .behavior import checked_life_course
-from .errors import DomainError, NoRootError
+from .errors import DomainError
 
 __all__ = [
     "ViralLoadParams",
@@ -168,15 +168,14 @@ def solve_plateau_point(p: ViralLoadParams) -> float:
     """Largest x at which :func:`early_peak_curve` equals ``plateau_log_vl``.
 
     With ``r = x / peak_time`` and ``d = ln(peak_log_vl / plateau_log_vl) /
-    (rise_shape - 1)`` the root right of the peak solves ``r - ln r = 1 + d``,
+    (rise_shape - 1)``, positive by the checks in :class:`ViralLoadParams`,
+    the root right of the peak solves ``r - ln r = 1 + d``,
     i.e. ``x = -peak_time * W_{-1}(-exp(-1 - d))``.  In ``s = r - 1`` this is
     ``s - log1p(s) = d``; from the branch-point series (d < 1) or the
     logarithmic start, three Halley steps reach double precision for d from
     1e-15 to 1e12 (Corless et al., "On the Lambert W function", Adv. Comput.
     Math. 5, 1996).
     """
-    if not p.plateau_log_vl < p.peak_log_vl:
-        raise NoRootError("plateau_log_vl must lie below peak_log_vl")
     d = math.log(p.peak_log_vl / p.plateau_log_vl) / (p.rise_shape - 1.0)
     s = math.sqrt(2.0 * d) + 2.0 * d / 3.0 if d < 1.0 else d + math.log1p(d)
     for _ in range(3):
@@ -289,6 +288,8 @@ def peak_transmission_prob(
     """Supremum of the per-act probability over any life course.
 
     The log viral load never exceeds max(peak_log_vl, terminal_log_vl) and
-    the link is non-decreasing, so the bound is attained there.
+    the link is non-decreasing, so the bound is attained there; an
+    overflowing link saturates at 1.
     """
-    return float(link_core(max(viral.peak_log_vl, viral.terminal_log_vl), link))
+    with np.errstate(over="ignore"):
+        return float(link_core(max(viral.peak_log_vl, viral.terminal_log_vl), link))

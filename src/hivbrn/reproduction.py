@@ -25,7 +25,6 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
-from itertools import pairwise
 
 import numpy as np
 
@@ -61,6 +60,8 @@ __all__ = [
     "balance_partner_rate",
     "MAX_TAIL_MASS",
     "CRITICAL_BAND",
+    "MAX_ORDER",
+    "MAX_REFINE",
 ]
 
 # horizon must leave less survival mass beyond it than this
@@ -71,6 +72,11 @@ CRITICAL_BAND = 1e-9
 
 # geometric ratio between neighbouring graded quadrature panels
 GRADING = 0.15
+
+# leggauss(order) builds an order x order matrix, and each graded level adds
+# panels in both directions: caps that bound memory and time
+MAX_ORDER = 64
+MAX_REFINE = 16
 
 
 @dataclass(frozen=True)
@@ -88,12 +94,12 @@ class QuadratureSpec:
     max_refine: int = 8
 
     def __post_init__(self):
-        if self.order < 2:
-            raise DomainError("quadrature order must be >= 2")
+        if not 2 <= self.order <= MAX_ORDER:
+            raise DomainError(f"quadrature order must be in [2, {MAX_ORDER}]")
         if not self.tol > 0:
             raise DomainError("quadrature tol must be > 0")
-        if self.max_refine < 0:
-            raise DomainError("max_refine must be >= 0")
+        if not 0 <= self.max_refine <= MAX_REFINE:
+            raise DomainError(f"max_refine must be in [0, {MAX_REFINE}]")
 
 
 @dataclass(frozen=True)
@@ -183,21 +189,23 @@ class BrnResult:
 
 
 @cache
-def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def _panel_edges(level: int, both_ends: bool) -> np.ndarray:
-    """Panel edges on [0, 1]: ``level + 2`` panels graded by ``GRADING``
-    toward 0, as many toward 1 if ``both_ends``, and a uniform middle of
-    ``level + 1`` panels."""
+def _graded_rule(
+    level: int, order: int, both_ends: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-panel Gauss-Legendre nodes and weights on [0, 1], each of shape
+    (panels, order): ``level + 2`` panels graded by ``GRADING`` toward 0,
+    as many toward 1 if ``both_ends``, and a uniform middle of ``level + 1``."""
     near0 = np.concatenate(([0.0], GRADING ** np.arange(level + 2, 0, -1)))
     far = 1.0 - near0[::-1] if both_ends else np.ones(1)
     middle = np.linspace(near0[-1], far[0], level + 2)[1:-1]
-    return np.concatenate((near0, middle, far))
+    edges = np.concatenate((near0, middle, far))
+    t, w = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * t
+    weights = half * w
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def inner_integral(
@@ -207,17 +215,16 @@ def inner_integral(
     ``order``-node Gauss-Legendre on the level-``level`` panels as fractions
     of ``iad``; one kernel call per panel, of ``iad.size * order`` points.
     The nodes satisfy 0 <= x <= iad, so the unchecked cores are called."""
-    nodes, weights = _gl_rule(order)
     col = iad[:, None]
     out = np.zeros_like(iad)
-    for lo, hi in pairwise(_panel_edges(level, both_ends=True)):
-        x = (0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes) * col
+    for nodes, weights in zip(*_graded_rule(level, order, both_ends=True)):
+        x = nodes * col
         g = activity_fraction_core(x, col, profile.activity)
         ptr = transmission_prob_core(
             x, col, profile.viral, profile.transmission, profile.x_plateau
         )
-        out += 0.5 * (hi - lo) * iad * ((g * ptr) @ weights)
-    return out
+        out += (g * ptr) @ weights
+    return out * iad
 
 
 def sex_integral(
@@ -236,16 +243,14 @@ def sex_integral(
     tau = profile.activity.terminal_lead
     if omega <= tau:
         return 0.0
-    nodes, weights = _gl_rule(quad.order)
     prev, err = None, math.inf
     for level in range(quad.max_refine + 1):
         # the integrand vanishes for y <= tau1: outer panels span [tau1, omega]
-        edges = tau + (omega - tau) * _panel_edges(level, both_ends=False)
-        half = 0.5 * np.diff(edges)[:, None]
-        y = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes).ravel()
+        nodes, weights = _graded_rule(level, quad.order, both_ends=False)
+        y = (tau + (omega - tau) * nodes).ravel()
         inner = inner_integral(y, profile, level, quad.order)
-        wy = (half * weights).ravel()
-        total = float(wy @ (survival_density(y, profile.survival) * inner))
+        density = survival_density(y, profile.survival)
+        total = (omega - tau) * float(weights.ravel() @ (density * inner))
         if prev is not None:
             err = abs(total - prev) / max(abs(total), 1e-300)
             if err <= quad.tol:

@@ -4,7 +4,8 @@ A scenario has five optional sections, ``[female]``, ``[male]``,
 ``[population]``, ``[quadrature]`` and ``[simulation]``.  Every key is
 optional; missing keys fall back to the built-in baseline, so an empty file
 (or no file at all) reproduces the baseline analysis exactly.  Unknown
-sections or keys are rejected with the offending line number.
+sections (``[DEFAULT]`` included) or keys are rejected with the offending
+line number.
 
 Per-sex keys: ia1, M1, m, tau1, M2, alpha1, alpha2, alpha3 (viral-load
 trajectory), ptr_hi, ptr_lo (transmission anchors), delta, phi (activity),
@@ -19,7 +20,7 @@ import configparser
 import hashlib
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .behavior import ActivityParams
@@ -128,18 +129,12 @@ class Scenario:
 
     def replace_simulation(self, **changes) -> "Scenario":
         """New scenario with simulation fields overridden (seed, samples, ...)."""
-        merged = {
-            "samples": self.simulation.samples,
-            "seed": self.simulation.seed,
-            "act_process": self.simulation.act_process,
-        }
-        merged.update(changes)
         try:
-            sim = SimulationSpec(**merged)
+            sim = replace(self.simulation, **changes)
         except DomainError as exc:
             raise ScenarioError(str(exc)) from exc
         resolved = {k: dict(v) for k, v in self.resolved.items()}
-        resolved["simulation"].update(merged)
+        resolved["simulation"].update(changes)
         return Scenario(self.population, self.quadrature, sim, resolved)
 
 
@@ -176,8 +171,11 @@ def _convert(section: str, key: str, raw: str, line: int | None):
 
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text, merge with baseline defaults, and validate."""
+    # no header can name a section containing a newline, so [DEFAULT] is an
+    # ordinary, and unknown, section instead of defaults for every section
     parser = configparser.ConfigParser(
-        delimiters=("=",), interpolation=None, comment_prefixes=("#", ";")
+        delimiters=("=",), interpolation=None, comment_prefixes=("#", ";"),
+        default_section="\n",
     )
     parser.optionxform = str
     try:
@@ -204,25 +202,13 @@ def parse_scenario(text: str) -> Scenario:
     try:
         female = _build_profile("female", values["female"])
         male = _build_profile("male", values["male"])
-        population = PopulationConfig(
-            female=female,
-            male=male,
-            omega=values["population"]["omega"],
-            pop_female=values["population"]["pop_female"],
-            pop_male=values["population"]["pop_male"],
-        )
-        quadrature = QuadratureSpec(
-            order=values["quadrature"]["order"],
-            tol=values["quadrature"]["tol"],
-            max_refine=values["quadrature"]["max_refine"],
-        )
-        simulation = SimulationSpec(
-            samples=values["simulation"]["samples"],
-            seed=values["simulation"]["seed"],
-            act_process=values["simulation"]["act_process"],
-        )
+        population = PopulationConfig(female, male, **values["population"])
+        quadrature = QuadratureSpec(**values["quadrature"])
+        simulation = SimulationSpec(**values["simulation"])
     except DomainError as exc:
         raise ScenarioError(str(exc)) from exc
+    except OverflowError as exc:
+        raise ScenarioError("scenario values overflow double precision") from exc
     return Scenario(population, quadrature, simulation, values)
 
 

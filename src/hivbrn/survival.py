@@ -7,6 +7,7 @@ the median.  Density, CDF and quantile are closed forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,6 +21,7 @@ __all__ = [
     "survival_density",
     "survival_cdf",
     "survival_quantile",
+    "survival_quantile_core",
     "tail_mass",
 ]
 
@@ -28,7 +30,7 @@ def weibull_scale(median: float, shape: float) -> float:
     """Weibull scale from median and shape: ``median * ln(2)**(-1/shape)``."""
     if not (median > 0 and shape > 0):
         raise DomainError("median and shape must be > 0")
-    return float(median * np.log(2.0) ** (-1.0 / shape))
+    return median * math.log(2.0) ** (-1.0 / shape)
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,13 @@ def survival_quantile(u, p: SurvivalParams):
     u_a = np.asarray(u, dtype=float)
     if np.any(u_a <= 0) or np.any(u_a >= 1):
         raise DomainError("u must lie strictly inside (0, 1)")
-    out = p.scale * (-np.log1p(-u_a)) ** (1.0 / p.shape)
+    out = survival_quantile_core(u_a, p)
     return float(out) if np.isscalar(u) else out
+
+
+def survival_quantile_core(u, p: SurvivalParams):
+    """Unchecked :func:`survival_quantile` for u in [0, 1); u = 0 gives 0."""
+    return p.scale * (-np.log1p(-u)) ** (1.0 / p.shape)
 
 
 def tail_mass(horizon: float, p: SurvivalParams) -> float:

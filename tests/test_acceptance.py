@@ -17,7 +17,6 @@ from hivbrn import (
     estimate_sex_integral,
     evaluate_brn,
     index_i0,
-    sample_iad,
     sensitivity_sweep,
     sex_brn,
     sex_integral,
@@ -169,7 +168,7 @@ def test_criterion_8_oracle_equivalence(population, female, male):
             assert abs(est.mean - ref) < 3.0 * est.std_error
 
         u = np.random.default_rng(20260810).random(100_000)
-        draws = np.sort(sample_iad(u, male.survival))
+        draws = np.sort(survival_quantile(u, male.survival))
         grid = survival_cdf(draws, male.survival)
         n = draws.size
         ks = max(

@@ -11,6 +11,8 @@ import pytest
 import hivbrn
 from hivbrn import cli, evaluate_brn, parse_scenario
 from hivbrn.cli import main
+from hivbrn.mc_oracle import MAX_SAMPLES
+from hivbrn.reproduction import MAX_ORDER, MAX_REFINE
 
 
 def run(capsys, *argv):
@@ -95,6 +97,31 @@ class TestEval:
         code, out, err = run(capsys, "eval", "--config", str(cfg))
         assert code == 0, err
         assert json.loads(out)["result"]["r0"] == pytest.approx(0.906, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (f"[quadrature]\norder = {MAX_ORDER + 1}\n", "order must be in"),
+            (f"[quadrature]\nmax_refine = {MAX_REFINE + 1}\n", "max_refine must be in"),
+            (f"[simulation]\nsamples = {MAX_SAMPLES + 1}\n", "samples must be in"),
+            ("[population]\nomega = 1e300\n", "overflow"),
+            ("[female]\nmedian = 1e-300\n", "overflow"),
+            ("[female]\nM1 = 400\nM2 = 400\n", "overflow"),
+            ("[DEFAULT]\ndelta = 500\n", "line 1: unknown section [DEFAULT]"),
+            ("[female]\nphi = 0.5\n[DEFAULT]\ndelta = 500\n", "line 3: unknown section"),
+        ],
+        ids=["order", "max_refine", "samples", "omega", "median", "M1", "default",
+             "default_beside_female"],
+    )
+    def test_out_of_range_scenario_exits_2(self, capsys, tmp_path, text, message):
+        # limit + 1 is refused while the scenario is parsed, before any
+        # quadrature rule or sample array is built
+        cfg = tmp_path / "big.ini"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "eval", "--config", str(cfg))
+        assert code == 2
+        assert message in err
+        assert out == ""
 
     def test_quadrature_failure_exits_3(self, capsys, tmp_path):
         cfg = tmp_path / "hard.ini"
@@ -295,6 +322,12 @@ class TestSimulate:
 
     def test_zero_samples_exits_2(self, capsys):
         assert run(capsys, "simulate", "--samples", "0")[0] == 2
+
+    def test_sample_limit_exits_2(self, capsys):
+        code, out, err = run(capsys, "simulate", "--samples", str(MAX_SAMPLES + 1))
+        assert code == 2
+        assert "samples must be in" in err
+        assert out == ""
 
     def test_bad_workers_exits_2(self, capsys):
         assert run(capsys, "simulate", "--samples", "10", "--workers", "0")[0] == 2

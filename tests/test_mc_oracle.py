@@ -11,13 +11,14 @@ from hivbrn import (
     TransmissionParams,
     activity_fraction,
     estimate_sex_integral,
-    sample_iad,
     sex_integral,
     simulate_act_times,
     simulate_life_course,
     survival_cdf,
+    survival_quantile,
     transmission_prob,
 )
+from hivbrn.reproduction import inner_integral
 
 
 def rng(seed=123):
@@ -25,22 +26,24 @@ def rng(seed=123):
 
 
 class TestSampleIad:
+    # the Monte Carlo draws each infection-to-AIDS-death interval by
+    # inverting the Weibull survival curve at a uniform u
     def test_median(self, male):
-        assert sample_iad(0.5, male.survival) == pytest.approx(
+        assert survival_quantile(0.5, male.survival) == pytest.approx(
             male.survival.median, rel=1e-12
         )
 
     def test_small_u(self, male):
-        assert 0.0 < sample_iad(1e-15, male.survival) < 1e-4
+        assert 0.0 < survival_quantile(1e-15, male.survival) < 1e-4
 
     def test_domain(self, male):
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(DomainError):
-                sample_iad(bad, male.survival)
+                survival_quantile(bad, male.survival)
 
     def test_kolmogorov_smirnov(self, male):
         u = rng(20260810).random(100_000)
-        draws = np.sort(sample_iad(u, male.survival))
+        draws = np.sort(survival_quantile(u, male.survival))
         cdf = survival_cdf(draws, male.survival)
         n = draws.size
         ks = max(
@@ -129,7 +132,7 @@ class TestSimulateLifeCourse:
 
     def test_expected_value_mode_matches_quad(self, female):
         for iad in (0.5, 2.0, 7.0, 15.0, 35.0):
-            got = simulate_life_course(iad, female, rng(0), "expected_value")
+            got = inner_integral(np.array([iad]), female, *mc.EV_MESH)[0]
             ref, _ = integrate.quad(
                 lambda x: activity_fraction(x, iad, female.activity)
                 * transmission_prob(
@@ -140,10 +143,6 @@ class TestSimulateLifeCourse:
                 limit=200,
             )
             assert got == pytest.approx(ref, rel=1e-7, abs=1e-15)
-
-    def test_unknown_mode(self, female):
-        with pytest.raises(DomainError):
-            simulate_life_course(5.0, female, rng(0), "exact")
 
 
 class TestEstimateSexIntegral:
@@ -190,7 +189,7 @@ class TestEstimateSexIntegral:
         delta = male.activity.annual_acts
         counts = np.array(
             [
-                simulate_life_course(sample_iad(ui, male.survival), male, g)
+                simulate_life_course(survival_quantile(ui, male.survival), male, g)
                 for ui in u
             ]
         )
@@ -221,6 +220,8 @@ class TestEstimateSexIntegral:
     def test_spec_validation(self):
         with pytest.raises(DomainError):
             SimulationSpec(samples=0, seed=1)
+        with pytest.raises(DomainError):
+            SimulationSpec(samples=mc.MAX_SAMPLES + 1, seed=1)
         with pytest.raises(DomainError):
             SimulationSpec(samples=10, seed=-1)
         with pytest.raises(DomainError):

@@ -6,7 +6,6 @@ from scipy import optimize
 
 from hivbrn import (
     DomainError,
-    NoRootError,
     TransmissionParams,
     ViralLoadParams,
     age_warp,
@@ -120,18 +119,6 @@ class TestSolvePlateauPoint:
         root = solve_plateau_point(p)
         assert root > viral.peak_time
         assert root == pytest.approx(viral.peak_time, abs=1e-3)
-
-    def test_no_root_when_plateau_at_peak(self, viral):
-        from types import SimpleNamespace
-
-        fake = SimpleNamespace(
-            peak_time=viral.peak_time,
-            peak_log_vl=viral.peak_log_vl,
-            plateau_log_vl=viral.peak_log_vl,
-            rise_shape=viral.rise_shape,
-        )
-        with pytest.raises(NoRootError):
-            solve_plateau_point(fake)
 
     def test_against_brentq_over_box(self, viral):
         # the fixed Halley steps hold over the valid (M1, m, alpha1) box, down

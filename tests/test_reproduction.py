@@ -35,6 +35,7 @@ from hivbrn.natural_history import (
     transmission_prob,
     transmission_prob_core,
 )
+from hivbrn.reproduction import MAX_ORDER, MAX_REFINE
 
 # Frozen cross-check values from scipy.integrate.quad nested over the same
 # integrand at epsrel=1e-11 (the live oracle below re-derives the female one
@@ -442,9 +443,13 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             QuadratureSpec(order=1)
         with pytest.raises(DomainError):
+            QuadratureSpec(order=MAX_ORDER + 1)
+        with pytest.raises(DomainError):
             QuadratureSpec(tol=0.0)
         with pytest.raises(DomainError):
             QuadratureSpec(max_refine=-1)
+        with pytest.raises(DomainError):
+            QuadratureSpec(max_refine=MAX_REFINE + 1)
 
     def test_population_size_validation(self, population):
         with pytest.raises(DomainError):

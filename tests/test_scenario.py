@@ -1,7 +1,19 @@
-import pytest
+import string
+import tempfile
 
-from hivbrn import ScenarioError, load_scenario, parse_scenario
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from hivbrn import Scenario, ScenarioError, load_scenario, parse_scenario
 from hivbrn.scenario import default_values
+
+# Hypothesis caches the constants it reads from the sources in its home
+# directory, ./.hypothesis by default, while the tests are collected: keep
+# that cache out of the working tree
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory()
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 class TestDefaults:
@@ -127,3 +139,45 @@ class TestHash:
         a = parse_scenario("[female]\ndelta = 208\n")
         b = parse_scenario("[female]\ndelta = 209\n")
         assert a.config_hash() != b.config_hash()
+
+
+# fuzzed scenario text: known and unknown section and key names, extreme
+# and non-finite numbers, huge integers and junk
+_SECTIONS = sorted(default_values()) + ["DEFAULT", "canine"]
+_JUNK = string.printable + "\u00e9\u0661\u00a0"
+_VALUES = st.one_of(
+    st.sampled_from([
+        "0", "1", "-1", "0.5", "2.5", "5", "40", "400", "1e-300", "1e300",
+        "-1e300", "nan", "inf", "1e999", "expected_value", "",
+    ]),
+    st.integers(-(10**30), 10**30).map(str),
+    st.floats().map(repr),
+    st.text(_JUNK, max_size=6),
+)
+
+
+def _section(name: str):
+    keys = [*default_values().get(name, ["delta"]), "alpha9"]
+    body = st.dictionaries(st.sampled_from(keys), _VALUES, max_size=3)
+    return body.map(
+        lambda kv: "\n".join([f"[{name}]", *(f"{k} = {v}" for k, v in kv.items())])
+    )
+
+
+_SECTION = st.one_of([_section(name) for name in _SECTIONS])
+_TEXT = st.tuples(
+    st.lists(_SECTION, max_size=3, unique_by=lambda sec: sec.partition("\n")[0]),
+    st.one_of(st.just(""), st.text(_JUNK, max_size=10)),
+).map(lambda parts: "\n".join([*parts[0], parts[1]]))
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=150)
+@given(_TEXT)
+def test_fuzzed_text_parses_or_is_rejected(text):
+    # every text either resolves to a scenario or is a configuration error
+    # (CLI exit 2): no overflow, warning or other exception escapes
+    try:
+        scenario = parse_scenario(text)
+    except ScenarioError:
+        return
+    assert isinstance(scenario, Scenario)

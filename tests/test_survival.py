@@ -11,6 +11,7 @@ from hivbrn import (
     tail_mass,
     weibull_scale,
 )
+from hivbrn.survival import survival_quantile_core
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +113,12 @@ class TestQuantile:
 
     def test_small_u_goes_to_zero(self, male_survival):
         assert 0.0 < survival_quantile(1e-12, male_survival) < 1e-3
+        assert 0.0 < survival_quantile(1e-15, male_survival) < 1e-4
+
+    def test_core_maps_zero_to_zero(self, male_survival, female_survival):
+        # the Monte Carlo draws u in [0, 1); u = 0 is an empty course
+        for p in (male_survival, female_survival):
+            assert survival_quantile_core(0.0, p) == 0.0
 
     def test_round_trip(self, male_survival):
         u = np.arange(0.01, 1.0, 0.01)
@@ -119,7 +126,7 @@ class TestQuantile:
         assert np.allclose(back, u, atol=1e-10)
 
     def test_domain(self, male_survival):
-        for bad in (0.0, 1.0, -0.1, 1.1):
+        for bad in (0.0, 1.0, -0.1, 1.1, 2.0):
             with pytest.raises(DomainError):
                 survival_quantile(bad, male_survival)
 
