@@ -6,7 +6,7 @@ infective life course to answer the epidemic-threshold question, with an
 independent Monte Carlo branching simulation validating the quadrature.
 """
 
-from .behavior import ActivityParams, activity_fraction, coital_rate
+from .behavior import ActivityParams, activity_fraction
 from .errors import (
     DomainError,
     InconsistentResult,
@@ -17,8 +17,6 @@ from .mc_oracle import (
     EstimateResult,
     SimulationSpec,
     estimate_sex_integral,
-    simulate_act_times,
-    simulate_life_course,
 )
 from .natural_history import (
     TransmissionParams,
@@ -53,7 +51,6 @@ from .reproduction import (
 from .scenario import (
     Scenario,
     baseline_population,
-    baseline_profile,
     default_values,
     load_scenario,
     parse_scenario,
@@ -90,8 +87,6 @@ __all__ = [
     "age_warp",
     "balance_partner_rate",
     "baseline_population",
-    "baseline_profile",
-    "coital_rate",
     "composite_r0",
     "default_values",
     "derive_link",
@@ -109,8 +104,6 @@ __all__ = [
     "sensitivity_sweep",
     "sex_brn",
     "sex_integral",
-    "simulate_act_times",
-    "simulate_life_course",
     "solve_plateau_point",
     "survival_cdf",
     "survival_density",

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, checked_call
 
-__all__ = ["ActivityParams", "activity_fraction", "coital_rate"]
+__all__ = ["ActivityParams", "activity_fraction"]
 
 
 @dataclass(frozen=True)
@@ -40,17 +40,6 @@ class ActivityParams:
             raise DomainError("terminal_lead (tau1) must be > 0")
 
 
-def checked_life_course(ia, iad) -> tuple[np.ndarray, np.ndarray]:
-    """``ia`` and ``iad`` as float arrays; DomainError unless 0 <= ia <= iad."""
-    ia_a = np.asarray(ia, dtype=float)
-    iad_a = np.asarray(iad, dtype=float)
-    if np.any(ia_a < 0) or np.any(iad_a < 0):
-        raise DomainError("infective ages must be >= 0")
-    if np.any(ia_a > iad_a):
-        raise DomainError("ia must not exceed iad")
-    return ia_a, iad_a
-
-
 def activity_fraction(ia, iad, p: ActivityParams):
     """Fraction of baseline activity remaining at infective age ``ia``.
 
@@ -62,8 +51,7 @@ def activity_fraction(ia, iad, p: ActivityParams):
     at ia = iad; for iad <= terminal_lead it is identically 0.  Accepts
     scalars or broadcastable arrays.
     """
-    out = activity_fraction_core(*checked_life_course(ia, iad), p)
-    return float(out) if np.isscalar(ia) and np.isscalar(iad) else out
+    return checked_call(activity_fraction_core, p, ia=ia, iad=iad)
 
 
 def activity_fraction_core(ia: np.ndarray, iad: np.ndarray, p: ActivityParams):
@@ -76,7 +64,3 @@ def activity_fraction_core(ia: np.ndarray, iad: np.ndarray, p: ActivityParams):
     coef = (tau - phi * safe_iad) / (safe_iad * phi * (safe_iad - tau))
     return np.where(alive, (1.0 - ia / safe_iad) / (1.0 + ia * coef), 0.0)
 
-
-def coital_rate(ia, iad, p: ActivityParams):
-    """Annualized number of coital acts: ``annual_acts * activity_fraction``."""
-    return p.annual_acts * activity_fraction(ia, iad, p)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the kernels' domain check."""
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -25,3 +27,18 @@ class ScenarioError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def checked_call(core, *params, **arrays):
+    """``core(*arrays, *params)`` for keyword arrays converted to float; a
+    DomainError names an array below 0, or an ``ia`` above its ``iad``.
+    Returns a float when every array argument is a scalar."""
+    checked = {}
+    for name, value in arrays.items():
+        checked[name] = np.asarray(value, dtype=float)
+        if np.any(checked[name] < 0):
+            raise DomainError(f"{name} must be >= 0")
+    if "iad" in checked and np.any(checked["ia"] > checked["iad"]):
+        raise DomainError("ia must not exceed iad")
+    out = core(*checked.values(), *params)
+    return float(out) if all(np.isscalar(v) for v in arrays.values()) else out

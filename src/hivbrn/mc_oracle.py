@@ -24,6 +24,7 @@ from functools import partial
 
 import numpy as np
 
+# bench/tracing.py wraps activity_fraction and transmission_prob here
 from .behavior import activity_fraction, activity_fraction_core
 from .errors import DomainError
 from .reproduction import SexProfile, inner_integral
@@ -35,8 +36,6 @@ __all__ = [
     "EstimateResult",
     "CHUNK_SAMPLES",
     "MAX_SAMPLES",
-    "simulate_act_times",
-    "simulate_life_course",
     "estimate_sex_integral",
 ]
 
@@ -90,38 +89,6 @@ class EstimateResult:
     std_error: float | None
     samples: int
     seed: int
-
-
-def simulate_act_times(
-    iad: float, profile: SexProfile, rng: np.random.Generator
-) -> np.ndarray:
-    """Sorted act times of one life course, by thinning.
-
-    Candidate acts arrive homogeneously at the envelope rate ``delta`` over
-    [0, iad]; a candidate at time t is kept with probability G(t, iad) <= 1.
-    """
-    if iad < 0:
-        raise DomainError("iad must be >= 0")
-    delta = profile.activity.annual_acts
-    n = rng.poisson(delta * iad)
-    times = rng.random(n) * iad
-    keep = rng.random(n) < activity_fraction(times, float(iad), profile.activity)
-    return np.sort(times[keep])
-
-
-def simulate_life_course(
-    iad: float, profile: SexProfile, rng: np.random.Generator
-) -> float:
-    """Secondary infections over one life course of length ``iad``: each
-    simulated act transmits independently with the per-act probability at
-    its time; the integer count is returned."""
-    times = simulate_act_times(iad, profile, rng)
-    if times.size == 0:
-        return 0.0
-    probs = transmission_prob(
-        times, float(iad), profile.viral, profile.transmission, profile.x_plateau
-    )
-    return float(np.count_nonzero(rng.random(times.size) < probs))
 
 
 def _chunk_values(

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import checked_life_course
-from .errors import DomainError
+from .errors import DomainError, checked_call
 
 __all__ = [
     "ViralLoadParams",
@@ -130,19 +129,6 @@ class TransmissionParams:
         return cls(prob_at_peak, prob_at_plateau, intercept, slope)
 
 
-def _nonneg(name, value) -> np.ndarray:
-    out = np.asarray(value, dtype=float)
-    if np.any(out < 0):
-        raise DomainError(f"{name} must be >= 0")
-    return out
-
-
-def _scalar_or_array(out, *inputs):
-    if all(np.isscalar(v) or isinstance(v, float) for v in inputs):
-        return float(out)
-    return out
-
-
 def early_peak_curve(x, p: ViralLoadParams):
     """Gamma-shaped curve with maximum ``peak_log_vl`` exactly at ``peak_time``.
 
@@ -151,7 +137,7 @@ def early_peak_curve(x, p: ViralLoadParams):
     The value at x=0 is the continuous limit 0 (rise_shape > 1).  Accepts
     scalars or arrays.
     """
-    return _scalar_or_array(early_peak_core(_nonneg("x", x), p), x)
+    return checked_call(early_peak_core, p, x=x)
 
 
 def early_peak_core(x: np.ndarray, p: ViralLoadParams) -> np.ndarray:
@@ -192,7 +178,7 @@ def age_warp(ia, warp_rate: float, x_plateau: float):
     as the argument of :func:`early_peak_curve` so the early peak is followed
     by a flat plateau rather than decay to zero.
     """
-    return _scalar_or_array(age_warp_core(_nonneg("ia", ia), warp_rate, x_plateau), ia)
+    return checked_call(age_warp_core, warp_rate, x_plateau, ia=ia)
 
 
 def age_warp_core(ia: np.ndarray, warp_rate: float, x_plateau: float) -> np.ndarray:
@@ -204,11 +190,10 @@ def age_warp_core(ia: np.ndarray, warp_rate: float, x_plateau: float) -> np.ndar
 
 
 def terminal_peak_factor(ia, iad, terminal_width: float, terminal_lead: float):
-    """Gaussian blend weight, equal to 1 exactly at ia = iad - terminal_lead."""
-    ia_a = np.asarray(ia, dtype=float)
-    iad_a = np.asarray(iad, dtype=float)
-    out = np.exp(-terminal_width * (ia_a - iad_a + terminal_lead) ** 2)
-    return _scalar_or_array(out, ia, iad)
+    """Gaussian blend weight, equal to 1 exactly at ia = iad - terminal_lead;
+    defined for any real ages, so unchecked."""
+    out = np.exp(-terminal_width * (np.subtract(ia, iad) + terminal_lead) ** 2)
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def log_viral_load(ia, iad, p: ViralLoadParams, x_plateau: float):
@@ -219,8 +204,7 @@ def log_viral_load(ia, iad, p: ViralLoadParams, x_plateau: float):
     ``base = early_peak_curve(age_warp(ia))``.  At ia = iad - terminal_lead
     the value is ``terminal_log_vl`` exactly.
     """
-    out = log_viral_load_core(*checked_life_course(ia, iad), p, x_plateau)
-    return _scalar_or_array(out, ia, iad)
+    return checked_call(log_viral_load_core, p, x_plateau, ia=ia, iad=iad)
 
 
 def log_viral_load_core(ia, iad, p: ViralLoadParams, x_plateau: float) -> np.ndarray:
@@ -247,12 +231,13 @@ def derive_link(
         raise DomainError(
             "need 0 < prob_at_plateau (ptr_lo) <= prob_at_peak (ptr_hi) < 1"
         )
-    if not peak_log_vl > plateau_log_vl:
-        raise DomainError("need peak_log_vl (M1) > plateau_log_vl (m)")
+    vl_hi, vl_lo = 10.0**peak_log_vl, 10.0**plateau_log_vl
+    if not vl_hi > vl_lo:
+        raise DomainError("need 10**peak_log_vl (M1) > 10**plateau_log_vl (m)")
     a_hi = np.log(-np.log1p(-prob_at_peak))
     a_lo = np.log(-np.log1p(-prob_at_plateau))
-    slope = (a_hi - a_lo) / (10.0**peak_log_vl - 10.0**plateau_log_vl)
-    intercept = a_lo - slope * 10.0**plateau_log_vl
+    slope = (a_hi - a_lo) / (vl_hi - vl_lo)
+    intercept = a_lo - slope * vl_lo
     return float(intercept), float(slope)
 
 
@@ -264,9 +249,7 @@ def transmission_prob(
     ``1 - exp(-exp(intercept + slope * 10**log_viral_load(ia, iad)))``;
     strictly inside (0, 1) and non-decreasing in the viral load.
     """
-    ia_a, iad_a = checked_life_course(ia, iad)
-    out = transmission_prob_core(ia_a, iad_a, viral, link, x_plateau)
-    return _scalar_or_array(out, ia, iad)
+    return checked_call(transmission_prob_core, viral, link, x_plateau, ia=ia, iad=iad)
 
 
 def transmission_prob_core(

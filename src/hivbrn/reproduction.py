@@ -28,7 +28,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-# activity_fraction and transmission_prob stay attributes for bench/tracing.py
+# bench/tracing.py wraps activity_fraction, transmission_prob, survival_density here
 from .behavior import ActivityParams, activity_fraction, activity_fraction_core
 from .errors import DomainError, InconsistentResult, QuadratureFailure
 from .natural_history import (
@@ -138,7 +138,8 @@ class SexProfile:
 
 @dataclass(frozen=True)
 class PopulationConfig:
-    """Two sex profiles plus the integration horizon and optional head counts."""
+    """Two sex profiles plus the integration horizon and optional head counts;
+    with both counts set, ``pop_female * delta_f == pop_male * delta_m``."""
 
     female: SexProfile
     male: SexProfile
@@ -154,6 +155,16 @@ class PopulationConfig:
         for pop in (self.pop_female, self.pop_male):
             if pop is not None and not pop > 0:
                 raise DomainError("population sizes must be > 0")
+        if self.pop_female is not None and self.pop_male is not None:
+            delta_m = self.male.activity.annual_acts
+            balanced = balance_partner_rate(
+                self.pop_female, self.pop_male, self.female.activity.annual_acts
+            )
+            if not math.isclose(balanced, delta_m, rel_tol=1e-9):
+                raise DomainError(
+                    f"pop_female, pop_male and female delta give male delta = "
+                    f"{balanced:g} by act balance, not {delta_m:g}"
+                )
         for prof in (self.female, self.male):
             mass = tail_mass(self.omega, prof.survival)
             if mass >= MAX_TAIL_MASS:

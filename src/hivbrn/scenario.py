@@ -1,15 +1,16 @@
 """Scenario files: INI-style parameter sets with embedded baseline defaults.
 
-A scenario has five optional sections, ``[female]``, ``[male]``,
-``[population]``, ``[quadrature]`` and ``[simulation]``.  Every key is
-optional; missing keys fall back to the built-in baseline, so an empty file
-(or no file at all) reproduces the baseline analysis exactly.  Unknown
-sections (``[DEFAULT]`` included) or keys are rejected with the offending
-line number.
+:func:`default_values` is the schema: a scenario may set only its sections
+and keys, each parsed as the type of its baseline value (int, text, or a
+finite float for a float or None).  Missing keys fall back to the baseline,
+so an empty file (or no file at all) reproduces the baseline analysis
+exactly.  Unknown sections (``[DEFAULT]`` included) or keys are rejected
+with the offending line number.  ``#`` and ``;`` start comments.
 
 Per-sex keys: ia1, M1, m, tau1, M2, alpha1, alpha2, alpha3 (viral-load
 trajectory), ptr_hi, ptr_lo (transmission anchors), delta, phi (activity),
-median, beta (survival).  Population keys: omega, pop_female, pop_male.
+median, beta (survival).  Population keys: omega, pop_female, pop_male
+(when both head counts are set, the contact rates must be act-balanced).
 Quadrature keys: order, tol, max_refine.  Simulation keys: samples, seed,
 act_process.
 """
@@ -35,27 +36,12 @@ __all__ = [
     "parse_scenario",
     "load_scenario",
     "default_values",
-    "baseline_profile",
     "baseline_population",
 ]
 
-_SEX_KEYS = (
-    "ia1", "M1", "m", "tau1", "M2", "alpha1", "alpha2", "alpha3",
-    "ptr_hi", "ptr_lo", "delta", "phi", "median", "beta",
-)
-_SECTION_KEYS = {
-    "female": _SEX_KEYS,
-    "male": _SEX_KEYS,
-    "population": ("omega", "pop_female", "pop_male"),
-    "quadrature": ("order", "tol", "max_refine"),
-    "simulation": ("samples", "seed", "act_process"),
-}
-_INT_KEYS = {"order", "max_refine", "samples", "seed"}
-_STR_KEYS = {"act_process"}
-
 
 def default_values() -> dict[str, dict]:
-    """Fully resolved baseline scenario values, by section."""
+    """Fully resolved baseline scenario values, by section: the schema."""
     sex = dict(
         ia1=0.4, M1=5.0, m=3.0, tau1=1.0, M2=4.8,
         alpha1=1.3, alpha2=0.2, alpha3=0.7,
@@ -99,11 +85,6 @@ def _build_profile(label: str, v: dict) -> SexProfile:
         activity=activity,
         survival=SurvivalParams(median=v["median"], shape=v["beta"]),
     )
-
-
-def baseline_profile(label: str) -> SexProfile:
-    """The built-in baseline profile for one sex."""
-    return _build_profile(label, default_values()[label])
 
 
 def baseline_population() -> PopulationConfig:
@@ -154,18 +135,18 @@ def _line_of(text: str, section: str, key: str | None = None) -> int | None:
     return None
 
 
-def _convert(section: str, key: str, raw: str, line: int | None):
-    if key in _STR_KEYS:
+def _convert(section: str, key: str, raw: str, baseline, line: int | None):
+    if isinstance(baseline, str):
         return raw.strip()
     try:
-        if key in _INT_KEYS:
+        if isinstance(baseline, int):
             return int(raw)
         value = float(raw)
         if math.isfinite(value):
             return value
     except ValueError:
         pass
-    kind = "an integer" if key in _INT_KEYS else "a finite number"
+    kind = "an integer" if isinstance(baseline, int) else "a finite number"
     raise ScenarioError(f"value {raw!r} for {key!r} in [{section}] is not {kind}", line)
 
 
@@ -175,7 +156,7 @@ def parse_scenario(text: str) -> Scenario:
     # ordinary, and unknown, section instead of defaults for every section
     parser = configparser.ConfigParser(
         delimiters=("=",), interpolation=None, comment_prefixes=("#", ";"),
-        default_section="\n",
+        inline_comment_prefixes=("#", ";"), default_section="\n",
     )
     parser.optionxform = str
     try:
@@ -186,18 +167,18 @@ def parse_scenario(text: str) -> Scenario:
 
     values = default_values()
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in values:
             raise ScenarioError(
                 f"unknown section [{section}]", _line_of(text, section)
             )
-        allowed = _SECTION_KEYS[section]
         for key, raw in parser.items(section):
             line = _line_of(text, section, key)
-            if key not in allowed:
+            if key not in values[section]:
                 raise ScenarioError(
                     f"unknown key {key!r} in [{section}]", line
                 )
-            values[section][key] = _convert(section, key, raw, line)
+            baseline = values[section][key]
+            values[section][key] = _convert(section, key, raw, baseline, line)
 
     try:
         female = _build_profile("female", values["female"])

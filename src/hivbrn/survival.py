@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, checked_call
 
 __all__ = [
     "SurvivalParams",
@@ -56,21 +56,21 @@ class SurvivalParams:
 
 def survival_density(x, p: SurvivalParams):
     """Weibull density ``x**(b-1) * b / a**b * exp(-(x/a)**b)`` at x >= 0."""
-    x_a = np.asarray(x, dtype=float)
-    if np.any(x_a < 0):
-        raise DomainError("x must be >= 0")
+    return checked_call(_density_core, p, x=x)
+
+
+def _density_core(x, p: SurvivalParams):
     a, b = p.scale, p.shape
-    out = x_a ** (b - 1.0) * b / a**b * np.exp(-((x_a / a) ** b))
-    return float(out) if np.isscalar(x) else out
+    return x ** (b - 1.0) * b / a**b * np.exp(-((x / a) ** b))
 
 
 def survival_cdf(x, p: SurvivalParams):
     """Weibull CDF ``1 - exp(-(x/a)**b)`` at x >= 0."""
-    x_a = np.asarray(x, dtype=float)
-    if np.any(x_a < 0):
-        raise DomainError("x must be >= 0")
-    out = -np.expm1(-((x_a / p.scale) ** p.shape))
-    return float(out) if np.isscalar(x) else out
+    return checked_call(_cdf_core, p, x=x)
+
+
+def _cdf_core(x, p: SurvivalParams):
+    return -np.expm1(-((x / p.scale) ** p.shape))
 
 
 def survival_quantile(u, p: SurvivalParams):
@@ -78,8 +78,7 @@ def survival_quantile(u, p: SurvivalParams):
     u_a = np.asarray(u, dtype=float)
     if np.any(u_a <= 0) or np.any(u_a >= 1):
         raise DomainError("u must lie strictly inside (0, 1)")
-    out = survival_quantile_core(u_a, p)
-    return float(out) if np.isscalar(u) else out
+    return checked_call(survival_quantile_core, p, u=u)
 
 
 def survival_quantile_core(u, p: SurvivalParams):

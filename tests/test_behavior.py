@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hivbrn import ActivityParams, DomainError, activity_fraction, coital_rate
+from hivbrn import ActivityParams, DomainError, activity_fraction
 
 PHI = 0.61
 TAU = 1.0
@@ -60,18 +60,21 @@ class TestActivityFraction:
 
 
 class TestCoitalRate:
+    # the annualized act rate is annual_acts * activity_fraction
     def test_at_infection(self, params):
-        assert coital_rate(0.0, 7.0, params) == pytest.approx(208.0, abs=1e-10)
+        rate = params.annual_acts * activity_fraction(0.0, 7.0, params)
+        assert rate == pytest.approx(208.0, abs=1e-10)
 
     def test_at_terminal_peak(self, params):
-        assert coital_rate(6.0, 7.0, params) == pytest.approx(126.88, abs=1e-9)
+        rate = params.annual_acts * activity_fraction(6.0, 7.0, params)
+        assert rate == pytest.approx(126.88, abs=1e-9)
 
     def test_at_death(self, params):
-        assert coital_rate(7.0, 7.0, params) == 0.0
+        assert params.annual_acts * activity_fraction(7.0, 7.0, params) == 0.0
 
     def test_zero_rate_allowed(self):
         p = ActivityParams(annual_acts=0.0, residual_fraction=PHI, terminal_lead=TAU)
-        assert coital_rate(2.0, 7.0, p) == 0.0
+        assert p.annual_acts * activity_fraction(2.0, 7.0, p) == 0.0
 
 
 class TestValidation:

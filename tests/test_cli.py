@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,8 @@ from hivbrn import cli, evaluate_brn, parse_scenario
 from hivbrn.cli import main
 from hivbrn.mc_oracle import MAX_SAMPLES
 from hivbrn.reproduction import MAX_ORDER, MAX_REFINE
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -109,9 +112,11 @@ class TestEval:
             ("[female]\nM1 = 400\nM2 = 400\n", "overflow"),
             ("[DEFAULT]\ndelta = 500\n", "line 1: unknown section [DEFAULT]"),
             ("[female]\nphi = 0.5\n[DEFAULT]\ndelta = 500\n", "line 3: unknown section"),
+            ("[female]\nM1 = 1e-17\nm = 5e-18\n", "10**peak_log_vl (M1)"),
+            ("[population]\npop_female = 1\npop_male = 8\n", "act balance"),
         ],
         ids=["order", "max_refine", "samples", "omega", "median", "M1", "default",
-             "default_beside_female"],
+             "default_beside_female", "M1_equals_m_linear", "unbalanced"],
     )
     def test_out_of_range_scenario_exits_2(self, capsys, tmp_path, text, message):
         # limit + 1 is refused while the scenario is parsed, before any
@@ -121,6 +126,7 @@ class TestEval:
         code, out, err = run(capsys, "eval", "--config", str(cfg))
         assert code == 2
         assert message in err
+        assert "nan" not in err
         assert out == ""
 
     def test_quadrature_failure_exits_3(self, capsys, tmp_path):
@@ -343,6 +349,20 @@ class TestSimulate:
 
 
 class TestScenarioEquivalence:
+    @pytest.mark.parametrize(
+        "source", ["README.md", *sorted(p.name for p in ROOT.glob("scenarios/*.ini"))]
+    )
+    def test_shipped_scenario_evaluates(self, capsys, tmp_path, source):
+        # the README's scenario block and every file in scenarios/ run as given
+        if source == "README.md":
+            block = re.search(r"```ini\n(.*?)```", (ROOT / source).read_text(), re.S)
+            cfg = tmp_path / "readme.ini"
+            cfg.write_text(block.group(1))
+        else:
+            cfg = ROOT / "scenarios" / source
+        code, out, err = run(capsys, "eval", "--config", str(cfg))
+        assert code == 0, err
+
     def test_config_hash_matches_library(self, capsys, tmp_path):
         cfg = tmp_path / "s.ini"
         cfg.write_text("[female]\ndelta = 208\n")

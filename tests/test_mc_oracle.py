@@ -7,13 +7,12 @@ from scipy import integrate, stats
 import hivbrn.mc_oracle as mc
 from hivbrn import (
     DomainError,
+    SexProfile,
     SimulationSpec,
     TransmissionParams,
     activity_fraction,
     estimate_sex_integral,
     sex_integral,
-    simulate_act_times,
-    simulate_life_course,
     survival_cdf,
     survival_quantile,
     transmission_prob,
@@ -23,6 +22,40 @@ from hivbrn.reproduction import inner_integral
 
 def rng(seed=123):
     return np.random.default_rng(seed)
+
+
+# the literal thinning mechanism, one life course at a time: the reference
+# that the chunked estimator in hivbrn.mc_oracle is checked against
+def simulate_act_times(
+    iad: float, profile: SexProfile, rng: np.random.Generator
+) -> np.ndarray:
+    """Sorted act times of one life course, by thinning.
+
+    Candidate acts arrive homogeneously at the envelope rate ``delta`` over
+    [0, iad]; a candidate at time t is kept with probability G(t, iad) <= 1.
+    """
+    if iad < 0:
+        raise DomainError("iad must be >= 0")
+    delta = profile.activity.annual_acts
+    n = rng.poisson(delta * iad)
+    times = rng.random(n) * iad
+    keep = rng.random(n) < activity_fraction(times, float(iad), profile.activity)
+    return np.sort(times[keep])
+
+
+def simulate_life_course(
+    iad: float, profile: SexProfile, rng: np.random.Generator
+) -> float:
+    """Secondary infections over one life course of length ``iad``: each
+    simulated act transmits independently with the per-act probability at
+    its time; the integer count is returned."""
+    times = simulate_act_times(iad, profile, rng)
+    if times.size == 0:
+        return 0.0
+    probs = transmission_prob(
+        times, float(iad), profile.viral, profile.transmission, profile.x_plateau
+    )
+    return float(np.count_nonzero(rng.random(times.size) < probs))
 
 
 class TestSampleIad:
@@ -98,8 +131,8 @@ class TestSimulateLifeCourse:
         p_const = 0.004
         flat = TransmissionParams.from_anchors(p_const, p_const, 5.0, 3.0)
         prof = dataclasses.replace(female, transmission=flat)
-        monkeypatch.setattr(
-            mc,
+        monkeypatch.setitem(
+            globals(),
             "activity_fraction",
             lambda ia, iad, params: np.ones_like(np.asarray(ia, dtype=float)),
         )

@@ -290,6 +290,9 @@ class TestDeriveLink:
             derive_link(0.001, 0.008, 5.0, 3.0)
         with pytest.raises(DomainError):
             derive_link(0.008, 0.001, 3.0, 3.0)
+        # M1 > m, but 10**M1 == 10**m in double precision
+        with pytest.raises(DomainError, match="M1.*m"):
+            derive_link(0.008, 0.001, 1e-17, 5e-18)
         with pytest.raises(DomainError):
             derive_link(1.0, 0.001, 5.0, 3.0)
 

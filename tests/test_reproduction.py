@@ -32,9 +32,11 @@ from hivbrn.natural_history import (
     age_warp,
     early_peak_curve,
     log_viral_load,
+    terminal_peak_factor,
     transmission_prob,
     transmission_prob_core,
 )
+from hivbrn.survival import survival_cdf, survival_density, survival_quantile
 from hivbrn.reproduction import MAX_ORDER, MAX_REFINE
 
 # Frozen cross-check values from scipy.integrate.quad nested over the same
@@ -226,20 +228,32 @@ class TestCores:
     )
     def test_wrappers_check_domain(self, female, ia, iad):
         v, xp = female.viral, female.x_plateau
-        wrappers = [
+        life_course = [
             lambda a, d: activity_fraction(a, d, female.activity),
             lambda a, d: log_viral_load(a, d, v, xp),
             lambda a, d: transmission_prob(a, d, v, female.transmission, xp),
         ]
-        if ia < 0:
-            wrappers += [
-                lambda a, _: early_peak_curve(a, v),
-                lambda a, _: age_warp(a, v.warp_rate, xp),
-            ]
-        for wrapper in wrappers:
+        x_only = [
+            lambda a, _: early_peak_curve(a, v),
+            lambda a, _: age_warp(a, v.warp_rate, xp),
+            lambda a, _: survival_density(a, female.survival),
+            lambda a, _: survival_cdf(a, female.survival),
+        ]
+        for wrapper in life_course + (x_only if ia < 0 else []):
             for args in ((ia, iad), (np.array([1.0, ia]), iad)):
                 with pytest.raises(DomainError):
                     wrapper(*args)
+        # every public kernel returns a float for scalar input and an array
+        # of the input's shape for array input
+        kernels = life_course + x_only + [
+            lambda a, d: terminal_peak_factor(a, d, v.terminal_width, v.terminal_lead),
+            lambda a, _: survival_quantile(a, female.survival),
+        ]
+        ages = np.linspace(0.1, 0.9, 6).reshape(2, 3)
+        for kernel in kernels:
+            assert type(kernel(0.5, 5.0)) is float
+            out = kernel(ages, 5.0)
+            assert isinstance(out, np.ndarray) and out.shape == ages.shape
 
 
 class TestSexBrn:

@@ -52,7 +52,9 @@ class TestOverrides:
         assert scn.population.male.survival.median == 9.4
 
     def test_population_and_quadrature(self):
+        # head counts 1 : 8 need act-balanced rates, 1 * 208 = 8 * 26
         scn = parse_scenario(
+            "[female]\ndelta = 208\n[male]\ndelta = 26\n"
             "[population]\nomega = 50\npop_female = 1\npop_male = 8\n"
             "[quadrature]\norder = 16\ntol = 1e-8\nmax_refine = 6\n"
         )
