@@ -50,7 +50,7 @@ from .scenario import Scenario, load_scenario
 # plausible contact-rate ranges for the high-activity groups, acts/year
 FEASIBLE_DELTA_M = (26.0, 104.0)
 FEASIBLE_DELTA_F = (208.0, 468.0)
-# most rows a trajectory or a phase grid may ask for; checked before allocating
+# most rows a trajectory or a phase output may ask for; checked before allocating
 MAX_ROWS = 1_000_000
 
 _NUMERIC_ERRORS = (
@@ -186,6 +186,8 @@ def cmd_phase(scenario: Scenario, args) -> str:
     factors = _parse_factors(args.factors)
     grid = _parse_grid(args.grid)
     all_factors = [1.0] + [f for f in factors if f != 1.0]
+    if len(all_factors) * grid.size > MAX_ROWS:
+        raise ScenarioError(f"--factors and --grid give more than {MAX_ROWS} rows")
     int_f = sex_integral(pop.female, pop.omega, scenario.quadrature)
     int_m = sex_integral(pop.male, pop.omega, scenario.quadrature)
     i0 = index_i0(int_f, int_m)
@@ -267,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=("json", "csv", "table"), default=default_format
         )
-        p.add_argument("--seed", type=int, help="override the simulation seed")
 
     p = sub.add_parser("eval", help="threshold record for the scenario")
     common(p, "json")
@@ -306,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo estimate vs quadrature")
     common(p, "json")
     p.add_argument("--samples", type=int, help="override [simulation] samples")
+    p.add_argument("--seed", type=int, help="override [simulation] seed")
     p.add_argument("--sex", choices=("female", "male", "both"), default="both")
     p.add_argument("--workers", type=int, default=1, help="worker processes")
     p.set_defaults(func=cmd_simulate)
@@ -318,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = load_scenario(args.config)
         overrides = {}
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             overrides["seed"] = args.seed
         if getattr(args, "samples", None) is not None:
             overrides["samples"] = args.samples

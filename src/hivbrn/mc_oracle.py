@@ -18,7 +18,6 @@ computed in any order or process and reduced by index.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -46,10 +45,10 @@ MAX_SAMPLES = 10_000_000
 
 ACT_PROCESSES = ("poisson_thinning", "expected_value")
 
-# (level, order) of the graded inner mesh that expected_value integrates each
-# course on: 8 panels of 24 nodes, relative error 5e-9 at the baseline and
-# 3e-7 at alpha1 = 1.02
-EV_MESH = (1, 24)
+# level of the graded inner mesh that expected_value integrates each course
+# on: 8 panels of reproduction.ORDER nodes, relative error 5e-9 at the
+# baseline and 3e-7 at alpha1 = 1.02
+EV_LEVEL = 1
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ def _chunk_values(
     iad = survival_quantile_core(rng.random(size), profile.survival)
 
     if spec.act_process == "expected_value":
-        return inner_integral(iad, profile, *EV_MESH)
+        return inner_integral(iad, profile, EV_LEVEL)
 
     delta = profile.activity.annual_acts
     tau = profile.activity.terminal_lead
@@ -157,6 +156,8 @@ def estimate_sex_integral(
     work = partial(_chunk_values, profile, spec)
     workers = _pool_size(workers, n_chunks)
     if workers > 1:
+        # imported here so that `import hivbrn` does not load the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(work, range(n_chunks)))
     else:

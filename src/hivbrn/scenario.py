@@ -11,7 +11,7 @@ Per-sex keys: ia1, M1, m, tau1, M2, alpha1, alpha2, alpha3 (viral-load
 trajectory), ptr_hi, ptr_lo (transmission anchors), delta, phi (activity),
 median, beta (survival).  Population keys: omega, pop_female, pop_male
 (when both head counts are set, the contact rates must be act-balanced).
-Quadrature keys: order, tol, max_refine.  Simulation keys: samples, seed,
+Quadrature keys: tol, max_refine.  Simulation keys: samples, seed,
 act_process.
 """
 
@@ -52,7 +52,7 @@ def default_values() -> dict[str, dict]:
         "female": dict(sex, median=8.6),
         "male": dict(sex, median=9.4),
         "population": dict(omega=40.0, pop_female=None, pop_male=None),
-        "quadrature": dict(order=24, tol=1e-6, max_refine=8),
+        "quadrature": dict(tol=1e-6, max_refine=8),
         "simulation": dict(
             samples=100_000, seed=20260810, act_process="poisson_thinning"
         ),

@@ -1,6 +1,15 @@
+import tempfile
+
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from hivbrn import QuadratureSpec, baseline_population, sex_integral
+
+# Hypothesis caches the constants it reads from the sources in its home
+# directory, ./.hypothesis by default, while the tests are collected: keep
+# that cache out of the working tree
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory()
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ import hivbrn
 from hivbrn import cli, evaluate_brn, parse_scenario
 from hivbrn.cli import main
 from hivbrn.mc_oracle import MAX_SAMPLES
-from hivbrn.reproduction import MAX_ORDER, MAX_REFINE
+from hivbrn.reproduction import MAX_REFINE
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -104,7 +104,7 @@ class TestEval:
     @pytest.mark.parametrize(
         "text, message",
         [
-            (f"[quadrature]\norder = {MAX_ORDER + 1}\n", "order must be in"),
+            ("[quadrature]\norder = 24\n", "line 2: unknown key 'order' in [quadrature]"),
             (f"[quadrature]\nmax_refine = {MAX_REFINE + 1}\n", "max_refine must be in"),
             (f"[simulation]\nsamples = {MAX_SAMPLES + 1}\n", "samples must be in"),
             ("[population]\nomega = 1e300\n", "overflow"),
@@ -131,10 +131,17 @@ class TestEval:
 
     def test_quadrature_failure_exits_3(self, capsys, tmp_path):
         cfg = tmp_path / "hard.ini"
-        cfg.write_text("[quadrature]\norder = 4\ntol = 1e-16\nmax_refine = 1\n")
+        cfg.write_text("[quadrature]\ntol = 1e-16\nmax_refine = 1\n")
         code, _, err = run(capsys, "eval", "--config", str(cfg))
         assert code == 3
         assert "numerical failure" in err
+
+    def test_seed_is_a_simulate_flag(self, capsys):
+        # nothing eval computes depends on the seed, so it takes no --seed
+        with pytest.raises(SystemExit) as exit_:
+            main(["eval", "--seed", "5"])
+        assert exit_.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "result.json"
@@ -256,7 +263,24 @@ class TestPhase:
             cli._parse_grid(f"1:2:{cli.MAX_ROWS + 1}")
         monkeypatch.setattr(cli, "MAX_ROWS", 100)
         assert run(capsys, "phase", "--grid", "10:150:101")[0] == 2
-        assert run(capsys, "phase", "--grid", "10:150:100")[0] == 0
+        assert run(capsys, "phase", "--factors", "", "--grid", "10:150:100")[0] == 0
+        assert run(capsys, "phase", "--factors", "2", "--grid", "10:150:50")[0] == 0
+        assert run(capsys, "phase", "--factors", "2", "--grid", "10:150:51")[0] == 2
+
+    def test_hyperbola_row_limit(self, capsys, monkeypatch):
+        # three hyperbolae of 333,334 points are MAX_ROWS + 2 rows: refused
+        # before either sex integral is computed
+        def no_integral(*args):
+            raise AssertionError("integral computed for a refused grid")
+
+        monkeypatch.setattr(cli, "sex_integral", no_integral)
+        count = cli.MAX_ROWS // 3 + 1
+        code, out, err = run(
+            capsys, "phase", "--factors", "0.5,2", "--grid", f"10:150:{count}"
+        )
+        assert code == 2
+        assert f"more than {cli.MAX_ROWS} rows" in err
+        assert out == ""
 
     def test_nonpositive_factor_exits_2(self, capsys):
         code, out, err = run(capsys, "phase", "--factors", "0")
@@ -372,6 +396,16 @@ class TestScenarioEquivalence:
             payload["metadata"]["config_hash"]
             == parse_scenario(cfg.read_text()).config_hash()
         )
+
+
+def test_import_loads_no_process_pool():
+    # the pool machinery is imported only when --workers > 1 asks for it
+    script = "import sys, hivbrn; assert 'concurrent.futures' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(Path(hivbrn.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_runtime_loads_no_scipy():

@@ -165,7 +165,7 @@ class TestSimulateLifeCourse:
 
     def test_expected_value_mode_matches_quad(self, female):
         for iad in (0.5, 2.0, 7.0, 15.0, 35.0):
-            got = inner_integral(np.array([iad]), female, *mc.EV_MESH)[0]
+            got = inner_integral(np.array([iad]), female, mc.EV_LEVEL)[0]
             ref, _ = integrate.quad(
                 lambda x: activity_fraction(x, iad, female.activity)
                 * transmission_prob(

@@ -1,19 +1,11 @@
 import string
-import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from hivbrn import Scenario, ScenarioError, load_scenario, parse_scenario
 from hivbrn.scenario import default_values
-
-# Hypothesis caches the constants it reads from the sources in its home
-# directory, ./.hypothesis by default, while the tests are collected: keep
-# that cache out of the working tree
-_HYPOTHESIS_HOME = tempfile.TemporaryDirectory()
-set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 class TestDefaults:
@@ -56,11 +48,11 @@ class TestOverrides:
         scn = parse_scenario(
             "[female]\ndelta = 208\n[male]\ndelta = 26\n"
             "[population]\nomega = 50\npop_female = 1\npop_male = 8\n"
-            "[quadrature]\norder = 16\ntol = 1e-8\nmax_refine = 6\n"
+            "[quadrature]\ntol = 1e-8\nmax_refine = 6\n"
         )
         assert scn.population.omega == 50.0
         assert scn.population.pop_female == 1.0
-        assert scn.quadrature.order == 16
+        assert scn.quadrature.max_refine == 6
         assert scn.quadrature.tol == 1e-8
 
     def test_simulation_section(self):
@@ -111,8 +103,8 @@ class TestRejection:
 
     def test_bad_integer(self):
         with pytest.raises(ScenarioError) as err:
-            parse_scenario("[quadrature]\norder = 24.5\n")
-        assert "order" in str(err.value)
+            parse_scenario("[quadrature]\nmax_refine = 2.5\n")
+        assert "max_refine" in str(err.value)
 
     def test_duplicate_key(self):
         with pytest.raises(ScenarioError):
