@@ -52,6 +52,9 @@ FEASIBLE_DELTA_M = (26.0, 104.0)
 FEASIBLE_DELTA_F = (208.0, 468.0)
 # most rows a trajectory or a phase output may ask for; checked before allocating
 MAX_ROWS = 1_000_000
+# most --factors a phase or sweep may list; sweep's scale_endpoints mode
+# computes two integrals per factor
+MAX_FACTORS = 1000
 
 _NUMERIC_ERRORS = (
     DomainError,
@@ -70,7 +73,7 @@ def _metadata(scenario: Scenario, seed: int | None) -> dict:
 
 
 def _emit_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit_csv(columns: list[str], rows: list[list]) -> str:
@@ -112,6 +115,8 @@ def _parse_factors(raw: str) -> list[float]:
         raise ScenarioError(f"invalid factor list {raw!r}") from exc
     if not all(0 < f < math.inf for f in factors):
         raise ScenarioError(f"factors must be finite and > 0, got {raw!r}")
+    if len(factors) > MAX_FACTORS:
+        raise ScenarioError(f"--factors lists more than {MAX_FACTORS} factors")
     return factors
 
 
@@ -196,6 +201,8 @@ def cmd_phase(scenario: Scenario, args) -> str:
     for factor, scaled in scaled_i0(pop, i0, all_factors):
         for dm, df in hyperbola_locus(scaled, grid):
             rows.append(["hyperbola", factor, dm, df, None, None, None])
+    if not all(math.isfinite(row[3]) for row in rows):
+        raise ScenarioError("--grid and --factors give a delta_f beyond double range")
     rows.append(["fixed_point", 1.0, i0, i0, None, None, None])
     for dm in FEASIBLE_DELTA_M:
         for df in FEASIBLE_DELTA_F:
@@ -210,6 +217,8 @@ def cmd_sweep(scenario: Scenario, args) -> str:
     pairs = sensitivity_sweep(
         scenario.population, factors, args.mode, scenario.quadrature
     )
+    if not all(math.isfinite(i0) for _, i0 in pairs):
+        raise ScenarioError("--factors gives an i0 beyond double range")
     columns = ["factor", "i0", "mode"]
     rows = [[factor, i0, args.mode] for factor, i0 in pairs]
     return _emit_series(args, columns, rows, _metadata(scenario, None))
@@ -329,16 +338,19 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "workers", 1) < 1:
             raise ScenarioError("--workers must be >= 1")
         text = args.func(scenario, args)
+        if args.out:
+            try:
+                with open(args.out, "w") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                raise ScenarioError(f"cannot write {args.out}: {exc}") from exc
     except ScenarioError as exc:
         print(f"hivbrn: configuration error: {exc}", file=sys.stderr)
         return 2
     except _NUMERIC_ERRORS as exc:
         print(f"hivbrn: numerical failure: {exc}", file=sys.stderr)
         return 3
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0
 

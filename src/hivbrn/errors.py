@@ -2,6 +2,8 @@
 
 import numpy as np
 
+__all__ = ["DomainError", "QuadratureFailure", "InconsistentResult", "ScenarioError"]
+
 
 class DomainError(ValueError):
     """An argument or parameter lies outside a function's domain."""

@@ -33,8 +33,6 @@ from .natural_history import transmission_prob, transmission_prob_core
 __all__ = [
     "SimulationSpec",
     "EstimateResult",
-    "CHUNK_SAMPLES",
-    "MAX_SAMPLES",
     "estimate_sex_integral",
 ]
 

@@ -58,9 +58,6 @@ __all__ = [
     "sensitivity_sweep",
     "scaled_i0",
     "balance_partner_rate",
-    "MAX_TAIL_MASS",
-    "CRITICAL_BAND",
-    "MAX_REFINE",
 ]
 
 # horizon must leave less survival mass beyond it than this
@@ -282,7 +279,10 @@ def index_i0(integral_f: float, integral_m: float) -> float:
     """
     if integral_f <= 0 or integral_m <= 0:
         raise DomainError("both sex integrals must be > 0 for a threshold")
-    return (integral_f * integral_m) ** -0.5
+    product = integral_f * integral_m
+    if product == 0.0:
+        raise DomainError("the product of the sex integrals underflows to 0")
+    return product ** -0.5
 
 
 def index_isa(delta_m: float, delta_f: float) -> float:
@@ -361,7 +361,9 @@ def hyperbola_locus(
     grid = np.asarray(delta_m_grid, dtype=float)
     if np.any(grid <= 0):
         raise DomainError("delta_m grid values must be > 0")
-    return [(float(dm), float(i0 * i0 / dm)) for dm in grid]
+    i0 = float(i0)
+    # in Python floats an overflow gives inf without a RuntimeWarning
+    return [(dm, i0 * i0 / dm) for dm in grid.tolist()]
 
 
 def scaled_i0(

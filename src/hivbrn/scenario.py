@@ -198,7 +198,7 @@ def load_scenario(path: str | Path | None) -> Scenario:
     if path is None:
         return parse_scenario("")
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     return parse_scenario(text)

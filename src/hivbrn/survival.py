@@ -21,7 +21,6 @@ __all__ = [
     "survival_density",
     "survival_cdf",
     "survival_quantile",
-    "survival_quantile_core",
     "tail_mass",
 ]
 

@@ -85,6 +85,14 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--config", "/no/such/file.ini")
         assert code == 2
 
+    def test_non_utf8_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "utf16.ini"
+        cfg.write_bytes(b"\xff\xfe[female]\n")
+        code, out, err = run(capsys, "eval", "--config", str(cfg))
+        assert code == 2
+        assert f"cannot read scenario file {cfg}" in err
+        assert out == ""
+
     def test_saturated_probability_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "hot.ini"
         cfg.write_text("[female]\nM2 = 6\n")
@@ -149,6 +157,15 @@ class TestEval:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["result"]["verdict"] == "epidemic"
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, where):
+        target = tmp_path / "no" / "such" / "x.json" if where == "missing_dir" else tmp_path
+        code, out, err = run(capsys, "eval", "--out", str(target))
+        assert code == 2
+        assert err.startswith(f"hivbrn: configuration error: cannot write {target}: ")
+        assert err.count("\n") == 1
+        assert out == ""
 
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run(capsys, "eval")
@@ -282,6 +299,18 @@ class TestPhase:
         assert f"more than {cli.MAX_ROWS} rows" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--grid", "1e-320:1:2", "--factors", ""), ("--factors", "1e-320")],
+        ids=["grid", "factor"],
+    )
+    def test_overflowing_hyperbola_exits_2(self, capsys, flags):
+        # i0**2 / delta_m beyond double range: refused, not written as inf
+        code, out, err = run(capsys, "phase", *flags)
+        assert code == 2
+        assert "--grid and --factors give a delta_f beyond double range" in err
+        assert out == ""
+
     def test_nonpositive_factor_exits_2(self, capsys):
         code, out, err = run(capsys, "phase", "--factors", "0")
         assert code == 2
@@ -316,6 +345,38 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--factors", "200")
         assert code == 3
         assert "numerical failure" in err
+
+    def test_overflowing_i0_exits_2(self, capsys):
+        # i0 / 1e-320 is inf, which JSON cannot carry
+        code, out, err = run(capsys, "sweep", "--factors", "1e-320", "--format", "json")
+        assert code == 2
+        assert "--factors gives an i0 beyond double range" in err
+        assert out == ""
+
+    def test_underflowing_endpoint_integrals_exit_3(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--factors", "1e-300", "--mode", "scale_endpoints"
+        )
+        assert code == 3
+        assert "product of the sex integrals underflows" in err
+        assert out == ""
+
+    def test_factor_count_limit(self, capsys, monkeypatch):
+        # limit + 1 factors are refused before any integral is computed
+        def no_integral(*args):
+            raise AssertionError("integral computed for a refused factor list")
+
+        monkeypatch.setattr(cli, "MAX_FACTORS", 3)
+        code, out, _ = run(capsys, "sweep", "--factors", "0.5,1,2")
+        assert code == 0
+        assert len(rows_of(out)) == 3
+        monkeypatch.setattr(cli, "sex_integral", no_integral)
+        monkeypatch.setattr(cli, "sensitivity_sweep", no_integral)
+        for command in ("phase", "sweep"):
+            code, out, err = run(capsys, command, "--factors", "0.5,1,2,4")
+            assert code == 2
+            assert "more than 3 factors" in err
+            assert out == ""
 
     def test_bad_factor_list_exits_2(self, capsys):
         assert run(capsys, "sweep", "--factors", "1,zebra")[0] == 2

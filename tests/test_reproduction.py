@@ -316,6 +316,11 @@ class TestIndices:
         with pytest.raises(DomainError):
             index_i0(0.0, 0.01)
 
+    def test_i0_undefined_for_underflowing_product(self):
+        # each integral is > 0, but their product is 0 in double precision
+        with pytest.raises(DomainError, match="underflows"):
+            index_i0(1e-200, 1e-200)
+
     def test_isa(self):
         assert index_isa(82.0, 82.0) == 82.0
         assert index_isa(26.0, 256.1) == pytest.approx(81.6, abs=0.1)
@@ -412,6 +417,10 @@ class TestHyperbola:
     def test_rejects_nonpositive_grid(self):
         with pytest.raises(DomainError):
             hyperbola_locus(81.6, [26.0, 0.0])
+
+    def test_overflow_gives_inf_without_warning(self):
+        # RuntimeWarning is an error in this suite; the CLI refuses the inf
+        assert hyperbola_locus(81.6, [1e-320]) == [(1e-320, math.inf)]
 
 
 class TestSensitivity:
