@@ -64,6 +64,9 @@ class SimulationSpec:
     act_process: str = "poisson_thinning"
 
     def __post_init__(self):
+        for name in ("samples", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise DomainError(f"{name} must be an int")
         if not 1 <= self.samples <= MAX_SAMPLES:
             raise DomainError(f"samples must be in [1, {MAX_SAMPLES}]")
         if not 0 <= self.seed < 2**64:

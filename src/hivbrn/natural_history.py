@@ -7,10 +7,10 @@ trajectory: a sharp early peak of height ``peak_log_vl`` reached
 centred ``terminal_lead`` years before death.  The trajectory is composed
 from three closed-form pieces:
 
-* :func:`early_peak_curve` - a gamma-shaped rise/decay, maximal at
+* :func:`early_peak_core` - a gamma-shaped rise/decay, maximal at
   ``peak_time``;
-* :func:`age_warp` - a monotone map of infective age that saturates at the
-  curve's plateau crossing, freezing the early curve at the plateau level;
+* :func:`age_warp_core` - a monotone map of infective age that saturates at
+  the curve's plateau crossing, freezing the early curve at the plateau level;
 * :func:`terminal_peak_factor` - a Gaussian bump that blends the trajectory
   up to the terminal peak as death approaches.
 
@@ -31,12 +31,9 @@ from .errors import DomainError, checked_call
 __all__ = [
     "ViralLoadParams",
     "TransmissionParams",
-    "early_peak_curve",
     "solve_plateau_point",
-    "age_warp",
     "terminal_peak_factor",
     "log_viral_load",
-    "derive_link",
     "transmission_prob",
     "peak_transmission_prob",
 ]
@@ -122,28 +119,29 @@ class TransmissionParams:
         peak_log_vl: float,
         plateau_log_vl: float,
     ) -> "TransmissionParams":
-        """Build link parameters from the two anchor probabilities."""
-        intercept, slope = derive_link(
-            prob_at_peak, prob_at_plateau, peak_log_vl, plateau_log_vl
-        )
-        return cls(prob_at_peak, prob_at_plateau, intercept, slope)
-
-
-def early_peak_curve(x, p: ViralLoadParams):
-    """Gamma-shaped curve with maximum ``peak_log_vl`` exactly at ``peak_time``.
-
-    ``peak_log_vl * (x/peak_time)**(rise_shape-1) * exp((1-rise_shape)*(x/peak_time - 1))``
-
-    The value at x=0 is the continuous limit 0 (rise_shape > 1).  Accepts
-    scalars or arrays.
-    """
-    return checked_call(early_peak_core, p, x=x)
+        """Closed-form link through ``prob_at_peak`` at ``10**peak_log_vl`` and
+        ``prob_at_plateau`` at ``10**plateau_log_vl``; equal anchors give
+        slope = 0 (flat infectivity)."""
+        if not (0 < prob_at_plateau <= prob_at_peak < 1):
+            raise DomainError(
+                "need 0 < prob_at_plateau (ptr_lo) <= prob_at_peak (ptr_hi) < 1"
+            )
+        vl_hi, vl_lo = 10.0**peak_log_vl, 10.0**plateau_log_vl
+        if not vl_hi > vl_lo:
+            raise DomainError("need 10**peak_log_vl (M1) > 10**plateau_log_vl (m)")
+        a_hi = np.log(-np.log1p(-prob_at_peak))
+        a_lo = np.log(-np.log1p(-prob_at_plateau))
+        slope = (a_hi - a_lo) / (vl_hi - vl_lo)
+        intercept = a_lo - slope * vl_lo
+        return cls(prob_at_peak, prob_at_plateau, float(intercept), float(slope))
 
 
 def early_peak_core(x: np.ndarray, p: ViralLoadParams) -> np.ndarray:
-    """Unchecked :func:`early_peak_curve` for x >= 0, as one exponential
-    ``exp((rise_shape-1) * (log r - r + 1))``: finite for any rise_shape,
-    and exactly 0 at x = 0 through ``log 0 = -inf``."""
+    """Gamma-shaped curve, maximal ``peak_log_vl`` exactly at ``peak_time``, for
+    x >= 0: ``peak_log_vl * r**(rise_shape-1) * exp((1-rise_shape)*(r-1))``
+    with ``r = x/peak_time``, as one exponential
+    ``exp((rise_shape-1) * (log r - r + 1))``: finite for any rise_shape, and
+    exactly the limit 0 at x = 0 through ``log 0 = -inf``."""
     r = x / p.peak_time
     with np.errstate(divide="ignore"):
         log_r = np.log(r)
@@ -151,7 +149,7 @@ def early_peak_core(x: np.ndarray, p: ViralLoadParams) -> np.ndarray:
 
 
 def solve_plateau_point(p: ViralLoadParams) -> float:
-    """Largest x at which :func:`early_peak_curve` equals ``plateau_log_vl``.
+    """Largest x at which :func:`early_peak_core` equals ``plateau_log_vl``.
 
     With ``r = x / peak_time`` and ``d = ln(peak_log_vl / plateau_log_vl) /
     (rise_shape - 1)``, positive by the checks in :class:`ViralLoadParams`,
@@ -171,18 +169,10 @@ def solve_plateau_point(p: ViralLoadParams) -> float:
     return p.peak_time * (1.0 + s)
 
 
-def age_warp(ia, warp_rate: float, x_plateau: float):
-    """Monotone map of infective age onto [0, x_plateau).
-
-    Zero at ia=0, strictly increasing, saturating at the plateau point; used
-    as the argument of :func:`early_peak_curve` so the early peak is followed
-    by a flat plateau rather than decay to zero.
-    """
-    return checked_call(age_warp_core, warp_rate, x_plateau, ia=ia)
-
-
 def age_warp_core(ia: np.ndarray, warp_rate: float, x_plateau: float) -> np.ndarray:
-    """Unchecked :func:`age_warp` for ia >= 0."""
+    """Monotone map of infective age ia >= 0 onto [0, x_plateau): zero at
+    ia = 0, strictly increasing and saturating at the plateau point, so that
+    :func:`early_peak_core` of it has a flat plateau, not decay to zero."""
     e = np.exp(warp_rate)
     gain = x_plateau * (1.0 + np.exp(-warp_rate))
     logistic = 1.0 / (1.0 + np.exp(warp_rate - ia * (1.0 + e) / x_plateau))
@@ -201,7 +191,7 @@ def log_viral_load(ia, iad, p: ViralLoadParams, x_plateau: float):
 
     Blend of the warped early-peak curve toward the terminal level:
     ``base + (terminal_log_vl - base) * terminal_peak_factor`` with
-    ``base = early_peak_curve(age_warp(ia))``.  At ia = iad - terminal_lead
+    ``base = early_peak_core(age_warp_core(ia))``.  At ia = iad - terminal_lead
     the value is ``terminal_log_vl`` exactly.
     """
     return checked_call(log_viral_load_core, p, x_plateau, ia=ia, iad=iad)
@@ -212,33 +202,6 @@ def log_viral_load_core(ia, iad, p: ViralLoadParams, x_plateau: float) -> np.nda
     base = early_peak_core(age_warp_core(ia, p.warp_rate, x_plateau), p)
     bump = terminal_peak_factor(ia, iad, p.terminal_width, p.terminal_lead)
     return base + (p.terminal_log_vl - base) * bump
-
-
-def derive_link(
-    prob_at_peak: float,
-    prob_at_plateau: float,
-    peak_log_vl: float,
-    plateau_log_vl: float,
-) -> tuple[float, float]:
-    """Closed-form (intercept, slope) of the complementary log-log link.
-
-    Solves the two-anchor system
-    ``prob_at_peak  = 1 - exp(-exp(intercept + slope * 10**peak_log_vl))``,
-    ``prob_at_plateau = 1 - exp(-exp(intercept + slope * 10**plateau_log_vl))``.
-    Equal anchors give slope = 0 (flat infectivity).
-    """
-    if not (0 < prob_at_plateau <= prob_at_peak < 1):
-        raise DomainError(
-            "need 0 < prob_at_plateau (ptr_lo) <= prob_at_peak (ptr_hi) < 1"
-        )
-    vl_hi, vl_lo = 10.0**peak_log_vl, 10.0**plateau_log_vl
-    if not vl_hi > vl_lo:
-        raise DomainError("need 10**peak_log_vl (M1) > 10**plateau_log_vl (m)")
-    a_hi = np.log(-np.log1p(-prob_at_peak))
-    a_lo = np.log(-np.log1p(-prob_at_plateau))
-    slope = (a_hi - a_lo) / (vl_hi - vl_lo)
-    intercept = a_lo - slope * vl_lo
-    return float(intercept), float(slope)
 
 
 def transmission_prob(

@@ -50,14 +50,12 @@ __all__ = [
     "sex_integral",
     "sex_brn",
     "index_i0",
-    "index_isa",
     "composite_r0",
     "evaluate_brn",
     "threshold_check",
     "hyperbola_locus",
     "sensitivity_sweep",
     "scaled_i0",
-    "balance_partner_rate",
 ]
 
 # horizon must leave less survival mass beyond it than this
@@ -94,6 +92,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if not self.tol > 0:
             raise DomainError("quadrature tol must be > 0")
+        if type(self.max_refine) is not int:
+            raise DomainError("max_refine must be an int")
         if not 0 <= self.max_refine <= MAX_REFINE:
             raise DomainError(f"max_refine must be in [0, {MAX_REFINE}]")
 
@@ -146,16 +146,16 @@ class PopulationConfig:
     def __post_init__(self):
         if self.female.label != "female" or self.male.label != "male":
             raise DomainError("profiles must carry their own sex labels")
-        if not self.omega > 0:
-            raise DomainError("omega must be > 0")
+        if not 0 < self.omega < math.inf:
+            raise DomainError("omega must be finite and > 0")
         for pop in (self.pop_female, self.pop_male):
             if pop is not None and not pop > 0:
                 raise DomainError("population sizes must be > 0")
         if self.pop_female is not None and self.pop_male is not None:
             delta_m = self.male.activity.annual_acts
-            balanced = balance_partner_rate(
-                self.pop_female, self.pop_male, self.female.activity.annual_acts
-            )
+            # total acts by women with men equal total acts by men with women
+            delta_f = self.female.activity.annual_acts
+            balanced = self.pop_female * delta_f / self.pop_male
             if not math.isclose(balanced, delta_m, rel_tol=1e-9):
                 raise DomainError(
                     f"pop_female, pop_male and female delta give male delta = "
@@ -241,8 +241,8 @@ def sex_integral(
     :class:`QuadratureFailure` if the budget runs out.
     """
     quad = quad or QuadratureSpec()
-    if not omega > 0:
-        raise DomainError("omega must be > 0")
+    if not 0 < omega < math.inf:
+        raise DomainError("omega must be finite and > 0")
     tau = profile.activity.terminal_lead
     if omega <= tau:
         return 0.0
@@ -285,13 +285,6 @@ def index_i0(integral_f: float, integral_m: float) -> float:
     return product ** -0.5
 
 
-def index_isa(delta_m: float, delta_f: float) -> float:
-    """Index of sexual activity ``sqrt(delta_m * delta_f)`` (acts/year)."""
-    if delta_m < 0 or delta_f < 0:
-        raise DomainError("contact rates must be >= 0")
-    return math.sqrt(delta_m * delta_f)
-
-
 def composite_r0(r_fm: float, r_mf: float) -> float:
     """Composite reproduction number ``sqrt(r_fm * r_mf)``.
 
@@ -320,7 +313,7 @@ def evaluate_brn(
     r_fm = sex_brn(delta_f, integral_f)
     r_mf = sex_brn(delta_m, integral_m)
     i0 = index_i0(integral_f, integral_m)
-    isa = index_isa(delta_m, delta_f)
+    isa = math.sqrt(delta_m * delta_f)
     result = BrnResult(
         integral_f=integral_f,
         integral_m=integral_m,
@@ -421,15 +414,3 @@ def sensitivity_sweep(
             integrals.append(sex_integral(prof, config.omega, quad))
         out.append((factor, index_i0(*integrals)))
     return out
-
-
-def balance_partner_rate(pop_f: float, pop_m: float, delta_f: float) -> float:
-    """Male rate implied by act-balance: ``pop_f * delta_f / pop_m``.
-
-    Total acts by women with men must equal total acts by men with women.
-    """
-    if pop_f <= 0 or pop_m <= 0:
-        raise DomainError("population sizes must be > 0")
-    if delta_f < 0:
-        raise DomainError("delta_f must be >= 0")
-    return pop_f * delta_f / pop_m

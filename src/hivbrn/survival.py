@@ -2,7 +2,7 @@
 
 Parameterized by its median ``me`` and shape ``beta``; the scale is then
 ``alpha = me * ln(2)**(-1/beta)``, which places exactly half the mass below
-the median.  Density, CDF and quantile are closed forms.
+the median.  Density, tail mass and quantile are closed forms.
 """
 
 from __future__ import annotations
@@ -15,21 +15,7 @@ import numpy as np
 
 from .errors import DomainError, checked_call
 
-__all__ = [
-    "SurvivalParams",
-    "weibull_scale",
-    "survival_density",
-    "survival_cdf",
-    "survival_quantile",
-    "tail_mass",
-]
-
-
-def weibull_scale(median: float, shape: float) -> float:
-    """Weibull scale from median and shape: ``median * ln(2)**(-1/shape)``."""
-    if not (median > 0 and shape > 0):
-        raise DomainError("median and shape must be > 0")
-    return median * math.log(2.0) ** (-1.0 / shape)
+__all__ = ["SurvivalParams", "survival_density", "tail_mass"]
 
 
 @dataclass(frozen=True)
@@ -50,7 +36,9 @@ class SurvivalParams:
 
     @cached_property
     def scale(self) -> float:
-        return weibull_scale(self.median, self.shape)
+        """Weibull scale ``median * ln(2)**(-1/shape)``; a tiny shape raises
+        OverflowError."""
+        return self.median * math.log(2.0) ** (-1.0 / self.shape)
 
 
 def survival_density(x, p: SurvivalParams):
@@ -63,25 +51,9 @@ def _density_core(x, p: SurvivalParams):
     return x ** (b - 1.0) * b / a**b * np.exp(-((x / a) ** b))
 
 
-def survival_cdf(x, p: SurvivalParams):
-    """Weibull CDF ``1 - exp(-(x/a)**b)`` at x >= 0."""
-    return checked_call(_cdf_core, p, x=x)
-
-
-def _cdf_core(x, p: SurvivalParams):
-    return -np.expm1(-((x / p.scale) ** p.shape))
-
-
-def survival_quantile(u, p: SurvivalParams):
-    """Inverse CDF ``a * (-ln(1-u))**(1/b)`` for u in (0, 1)."""
-    u_a = np.asarray(u, dtype=float)
-    if np.any(u_a <= 0) or np.any(u_a >= 1):
-        raise DomainError("u must lie strictly inside (0, 1)")
-    return checked_call(survival_quantile_core, p, u=u)
-
-
 def survival_quantile_core(u, p: SurvivalParams):
-    """Unchecked :func:`survival_quantile` for u in [0, 1); u = 0 gives 0."""
+    """Inverse CDF ``a * (-ln(1-u))**(1/b)`` for u in [0, 1), unchecked;
+    u = 0 gives 0."""
     return p.scale * (-np.log1p(-u)) ** (1.0 / p.shape)
 
 

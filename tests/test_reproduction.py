@@ -18,12 +18,10 @@ from hivbrn import (
     SexProfile,
     TransmissionParams,
     Verdict,
-    balance_partner_rate,
     composite_r0,
     evaluate_brn,
     hyperbola_locus,
     index_i0,
-    index_isa,
     parse_scenario,
     sensitivity_sweep,
     sex_brn,
@@ -32,14 +30,12 @@ from hivbrn import (
 )
 from hivbrn.behavior import activity_fraction, activity_fraction_core
 from hivbrn.natural_history import (
-    age_warp,
-    early_peak_curve,
     log_viral_load,
     terminal_peak_factor,
     transmission_prob,
     transmission_prob_core,
 )
-from hivbrn.survival import survival_cdf, survival_density, survival_quantile
+from hivbrn.survival import survival_density
 from hivbrn.reproduction import MAX_REFINE
 
 # Frozen cross-check values from scipy.integrate.quad nested over the same
@@ -263,12 +259,7 @@ class TestCores:
             lambda a, d: log_viral_load(a, d, v, xp),
             lambda a, d: transmission_prob(a, d, v, female.transmission, xp),
         ]
-        x_only = [
-            lambda a, _: early_peak_curve(a, v),
-            lambda a, _: age_warp(a, v.warp_rate, xp),
-            lambda a, _: survival_density(a, female.survival),
-            lambda a, _: survival_cdf(a, female.survival),
-        ]
+        x_only = [lambda a, _: survival_density(a, female.survival)]
         for wrapper in life_course + (x_only if ia < 0 else []):
             for args in ((ia, iad), (np.array([1.0, ia]), iad)):
                 with pytest.raises(DomainError):
@@ -277,7 +268,6 @@ class TestCores:
         # of the input's shape for array input
         kernels = life_course + x_only + [
             lambda a, d: terminal_peak_factor(a, d, v.terminal_width, v.terminal_lead),
-            lambda a, _: survival_quantile(a, female.survival),
         ]
         ages = np.linspace(0.1, 0.9, 6).reshape(2, 3)
         for kernel in kernels:
@@ -321,12 +311,16 @@ class TestIndices:
         with pytest.raises(DomainError, match="underflows"):
             index_i0(1e-200, 1e-200)
 
-    def test_isa(self):
-        assert index_isa(82.0, 82.0) == 82.0
-        assert index_isa(26.0, 256.1) == pytest.approx(81.6, abs=0.1)
-        assert index_isa(0.0, 300.0) == 0.0
+    def test_isa(self, population):
+        # ISA = sqrt(delta_m * delta_f); with_deltas takes (delta_f, delta_m)
+        def isa(delta_m, delta_f):
+            return evaluate_brn(with_deltas(population, delta_f, delta_m)).isa
+
+        assert isa(82.0, 82.0) == 82.0
+        assert isa(26.0, 256.1) == pytest.approx(81.6, abs=0.1)
+        assert isa(0.0, 300.0) == 0.0
         with pytest.raises(DomainError):
-            index_isa(-1.0, 10.0)
+            isa(-1.0, 10.0)
 
     def test_composite_r0(self):
         assert composite_r0(2.47, 0.33) == pytest.approx(0.90, abs=0.01)
@@ -392,7 +386,7 @@ class TestEvaluateAndThreshold:
                 r_fm, r_mf = df * int_f, dm * int_m
                 by_r0 = composite_r0(r_fm, r_mf) > 1.0
                 by_product = r_fm * r_mf > 1.0
-                by_index = index_isa(dm, df) > i0
+                by_index = math.sqrt(dm * df) > i0
                 assert by_r0 == by_product == by_index
 
     def test_identical_profiles_reduce_to_single_sex(self, population):
@@ -460,17 +454,25 @@ class TestSensitivity:
 
 
 class TestBalance:
-    def test_equal_populations(self):
-        assert balance_partner_rate(1000.0, 1000.0, 82.0) == 82.0
+    # with both head counts set, PopulationConfig requires the act balance
+    # pop_female * delta_f == pop_male * delta_m
+    def test_equal_populations(self, population):
+        config = with_deltas(population, 82.0, 82.0)
+        dataclasses.replace(config, pop_female=1000.0, pop_male=1000.0)
 
-    def test_csw_ratio(self):
-        assert balance_partner_rate(1.0, 8.0, 208.0) == 26.0
+    def test_csw_ratio(self, population):
+        config = with_deltas(population, 208.0, 26.0)
+        dataclasses.replace(config, pop_female=1.0, pop_male=8.0)
+        off = with_deltas(population, 208.0, 27.0)
+        with pytest.raises(DomainError, match="male delta = 26 by act balance"):
+            dataclasses.replace(off, pop_female=1.0, pop_male=8.0)
 
-    def test_rejects_nonpositive_population(self):
+    def test_rejects_nonpositive_population(self, population):
+        config = with_deltas(population, 208.0, 26.0)
         with pytest.raises(DomainError):
-            balance_partner_rate(0.0, 8.0, 208.0)
+            dataclasses.replace(config, pop_female=0.0, pop_male=8.0)
         with pytest.raises(DomainError):
-            balance_partner_rate(1.0, -8.0, 208.0)
+            dataclasses.replace(config, pop_female=1.0, pop_male=-8.0)
 
 
 class TestConfigValidation:
@@ -499,6 +501,17 @@ class TestConfigValidation:
             QuadratureSpec(max_refine=-1)
         with pytest.raises(DomainError):
             QuadratureSpec(max_refine=MAX_REFINE + 1)
+        # a float or bool level count would fail or pass silently later
+        for bad in (2.5, True):
+            with pytest.raises(DomainError, match="must be an int"):
+                QuadratureSpec(max_refine=bad)
+
+    def test_infinite_omega_rejected(self, population, female):
+        # an infinite horizon has no finite quadrature mesh
+        with pytest.raises(DomainError, match="omega"):
+            dataclasses.replace(population, omega=math.inf)
+        with pytest.raises(DomainError, match="omega"):
+            sex_integral(female, math.inf)
 
     def test_population_size_validation(self, population):
         with pytest.raises(DomainError):
