@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, checked_call
+from .errors import DomainError, check_finite, checked_call
 
 __all__ = ["ActivityParams", "activity_fraction"]
 
@@ -32,6 +32,7 @@ class ActivityParams:
     terminal_lead: float
 
     def __post_init__(self):
+        check_finite(self)
         if self.annual_acts < 0:
             raise DomainError("annual_acts (delta) must be >= 0")
         if not 0 < self.residual_fraction < 1:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package, and the kernels' domain check."""
+"""Exception types shared across the package, and the parameter and kernel
+domain checks."""
+
+import dataclasses
+import math
 
 import numpy as np
 
@@ -44,3 +48,11 @@ def checked_call(core, *params, **arrays):
         raise DomainError("ia must not exceed iad")
     out = core(*checked.values(), *params)
     return float(out) if all(np.isscalar(v) for v in arrays.values()) else out
+
+
+def check_finite(params) -> None:
+    """DomainError naming the first field of a parameter dataclass that is
+    not a finite number."""
+    for field in dataclasses.fields(params):
+        if not math.isfinite(getattr(params, field.name)):
+            raise DomainError(f"{field.name} must be finite")

@@ -6,13 +6,16 @@ Poisson process with rate ``delta * G(ia, iad)`` (thinned against the
 constant envelope ``delta``), and each act independently transmits with
 probability ``ptr(ia, iad)``.  The mean infection count divided by ``delta``
 estimates the same integral the quadrature computes, with a standard error
-that shrinks as 1/sqrt(samples).
+that shrinks as 1/sqrt(samples).  The ``expected_value`` mode replaces each
+course's count by its conditional mean given the age at death, the inner
+integral ``J(iad)``, which it reads from a table built once per profile.
 
 Determinism contract: for a fixed (seed, spec, profile) the estimate is
 bit-identical across runs and across worker counts.  Samples are processed
 in fixed blocks of ``CHUNK_SAMPLES``; block ``c`` draws everything from its
 own Philox substream (key = seed, counter high word = c), so blocks can be
-computed in any order or process and reduced by index.
+computed in any order or process and reduced by index.  The parent builds
+the ``J`` table and hands the same copy to every block.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 # bench/tracing.py wraps activity_fraction and transmission_prob here
 from .behavior import activity_fraction, activity_fraction_core
 from .errors import DomainError
-from .reproduction import SexProfile, inner_integral
+from .reproduction import MAX_TAIL_MASS, SexProfile, graded_edges, inner_integral
 from .survival import survival_quantile_core
 from .natural_history import transmission_prob, transmission_prob_core
 
@@ -43,10 +46,28 @@ MAX_SAMPLES = 10_000_000
 
 ACT_PROCESSES = ("poisson_thinning", "expected_value")
 
-# level of the graded inner mesh that expected_value integrates each course
-# on: 8 panels of reproduction.ORDER nodes, relative error 5e-9 at the
-# baseline and 3e-7 at alpha1 = 1.02
-EV_LEVEL = 1
+# expected_value reads J(iad) from a table built once per profile: on each
+# panel over [tau1, y_hi], where y_hi leaves survival mass MAX_TAIL_MASS
+# beyond it, the polynomial through J at TABLE_NODES Chebyshev points of the
+# second kind, J filled in by the level-TABLE_LEVEL inner rule.  The panels
+# start as the level-TABLE_LEVEL outer graded mesh; a panel whose last
+# Chebyshev coefficients exceed TABLE_TOL of the largest J is halved, up to
+# MAX_SPLITS times, since a long survival tail (beta near 1) stretches it
+# past the scale on which J varies.  Over 240 draws from the valid box,
+# alpha1 = 1.02 and beta = 1 included, the worst error was 6e-9 of the mean
+# of J, in 10 to 16 panels
+TABLE_LEVEL = 4
+TABLE_NODES = 24
+TABLE_TOL = 1e-10
+MAX_SPLITS = 8
+
+# draws off the table take the inner rule at this level directly: its finest
+# panel, 0.15**18 = 1.5e-15 of the age, resolves the activity boundary layer
+# of courses barely longer than tau1, whose width is about iad - tau1
+DIRECT_LEVEL = 16
+
+# the Chebyshev points of the second kind on [-1, 1], ascending
+_CHEB = np.cos(np.linspace(-np.pi, 0.0, TABLE_NODES))
 
 
 @dataclass(frozen=True)
@@ -56,7 +77,8 @@ class SimulationSpec:
     ``poisson_thinning`` simulates acts and infections stochastically;
     ``expected_value`` replaces each course's infection count by its
     conditional expectation given the age at death (same mean, strictly
-    smaller variance).
+    smaller variance), interpolated in a per-profile table of the inner
+    integral.
     """
 
     samples: int
@@ -91,10 +113,63 @@ class EstimateResult:
     seed: int
 
 
-def _chunk_values(
-    profile: SexProfile, spec: SimulationSpec, chunk: int
+def _inner_table(profile: SexProfile) -> tuple[np.ndarray, np.ndarray]:
+    """Panel edges over [tau1, y_hi] less the first graded panel, and per
+    panel the Chebyshev coefficients of the interpolant of the inner
+    integral, shape (``TABLE_NODES``, panels)."""
+    tau = profile.activity.terminal_lead
+    y_hi = survival_quantile_core(1.0 - MAX_TAIL_MASS, profile.survival)
+    # the first graded panel holds J ~ eps * log(1/eps) in eps = iad - tau1,
+    # which no polynomial follows: its draws take the direct rule
+    edges = tau + (y_hi - tau) * graded_edges(TABLE_LEVEL, both_ends=False)[1:]
+    for splits in range(MAX_SPLITS + 1):
+        ages = 0.5 * (edges[1:] + edges[:-1]) + 0.5 * np.diff(edges) * _CHEB[:, None]
+        values = inner_integral(ages.ravel(), profile, TABLE_LEVEL).reshape(ages.shape)
+        # degree TABLE_NODES - 1 through TABLE_NODES points: the interpolant
+        coefs = np.polynomial.chebyshev.chebfit(_CHEB, values, TABLE_NODES - 1)
+        # the last two coefficients estimate what the degree misses: a
+        # panel where they are not negligible against J is halved
+        coarse = np.abs(coefs[-2:]).max(axis=0) > TABLE_TOL * np.abs(values).max()
+        if splits == MAX_SPLITS or not coarse.any():
+            return edges, coefs
+        edges = np.sort(np.concatenate((edges, 0.5 * (edges[1:] + edges[:-1])[coarse])))
+
+
+def _tabulated_inner(
+    iad: np.ndarray, profile: SexProfile, table: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """Per-sample integral estimates for one block of sample indices.
+    """``inner_integral`` per age at death from :func:`_inner_table`: 0 up
+    to tau1, the interpolant on the table's span, and the ``DIRECT_LEVEL``
+    rule for the rest."""
+    edges, coefs = table
+    out = np.zeros_like(iad)
+    # edges[0] >= tau1 unless y_hi < tau1, and then the span is empty
+    on = (iad > edges[0]) & (iad <= edges[-1])
+    direct = (iad > profile.activity.terminal_lead) & ~on
+    if direct.any():
+        out[direct] = inner_integral(iad[direct], profile, DIRECT_LEVEL)
+    y = iad[on]
+    # edges[k] < y <= edges[k + 1], so every panel used has a positive width
+    k = np.searchsorted(edges, y) - 1
+    lo, hi = edges[k], edges[k + 1]
+    # Clenshaw's recurrence at t in [-1, 1], the age's place in its panel;
+    # one coefficient row at a time keeps the work in arrays of len(y)
+    t2 = 2.0 * (2.0 * y - lo - hi) / (hi - lo)
+    b1 = b2 = 0.0
+    for row in coefs[:0:-1]:
+        b1, b2 = row[k] + t2 * b1 - b2, b1
+    out[on] = coefs[0, k] + 0.5 * t2 * b1 - b2
+    return out
+
+
+def _chunk_values(
+    profile: SexProfile,
+    spec: SimulationSpec,
+    table: tuple[np.ndarray, np.ndarray] | None,
+    chunk: int,
+) -> np.ndarray:
+    """Per-sample integral estimates for one block of sample indices;
+    ``table`` is the :func:`_inner_table` of ``expected_value`` mode.
 
     All randomness for block ``chunk`` comes from its own counter-based
     substream, making the result independent of scheduling.
@@ -106,7 +181,7 @@ def _chunk_values(
     iad = survival_quantile_core(rng.random(size), profile.survival)
 
     if spec.act_process == "expected_value":
-        return inner_integral(iad, profile, EV_LEVEL)
+        return _tabulated_inner(iad, profile, table)
 
     delta = profile.activity.annual_acts
     tau = profile.activity.terminal_lead
@@ -154,7 +229,8 @@ def estimate_sex_integral(
             "poisson_thinning needs delta > 0; use expected_value instead"
         )
     n_chunks = -(-spec.samples // CHUNK_SAMPLES)
-    work = partial(_chunk_values, profile, spec)
+    table = _inner_table(profile) if spec.act_process == "expected_value" else None
+    work = partial(_chunk_values, profile, spec, table)
     workers = _pool_size(workers, n_chunks)
     if workers > 1:
         # imported here so that `import hivbrn` does not load the pool machinery

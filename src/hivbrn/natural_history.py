@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, checked_call
+from .errors import DomainError, check_finite, checked_call
 
 __all__ = [
     "ViralLoadParams",
@@ -75,6 +75,7 @@ class ViralLoadParams:
     terminal_width: float
 
     def __post_init__(self):
+        check_finite(self)
         if not self.peak_time > 0:
             raise DomainError("peak_time (ia1) must be > 0")
         if not self.terminal_lead > 0:
@@ -104,6 +105,7 @@ class TransmissionParams:
     slope: float
 
     def __post_init__(self):
+        check_finite(self)
         if not (0 < self.prob_at_plateau <= self.prob_at_peak < 1):
             raise DomainError(
                 "need 0 < prob_at_plateau (ptr_lo) <= prob_at_peak (ptr_hi) < 1"

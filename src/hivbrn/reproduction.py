@@ -195,15 +195,21 @@ class BrnResult:
     epidemic: bool
 
 
-@cache
-def _graded_rule(level: int, both_ends: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Per-panel Gauss-Legendre nodes and weights on [0, 1], each of shape
-    (panels, ORDER): ``level + 2`` panels graded by ``GRADING`` toward 0,
-    as many toward 1 if ``both_ends``, and a uniform middle of ``level + 1``."""
+def graded_edges(level: int, both_ends: bool) -> np.ndarray:
+    """Panel edges on [0, 1]: ``level + 2`` panels graded by ``GRADING``
+    toward 0, as many toward 1 if ``both_ends``, and a uniform middle of
+    ``level + 1``."""
     near0 = np.concatenate(([0.0], GRADING ** np.arange(level + 2, 0, -1)))
     far = 1.0 - near0[::-1] if both_ends else np.ones(1)
     middle = np.linspace(near0[-1], far[0], level + 2)[1:-1]
-    edges = np.concatenate((near0, middle, far))
+    return np.concatenate((near0, middle, far))
+
+
+@cache
+def _graded_rule(level: int, both_ends: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per-panel Gauss-Legendre nodes and weights on the
+    :func:`graded_edges` panels, each of shape (panels, ORDER)."""
+    edges = graded_edges(level, both_ends)
     t, w = np.polynomial.legendre.leggauss(ORDER)
     half = 0.5 * np.diff(edges)[:, None]
     nodes = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * t

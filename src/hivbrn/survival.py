@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, checked_call
+from .errors import DomainError, check_finite, checked_call
 
 __all__ = ["SurvivalParams", "survival_density", "tail_mass"]
 
@@ -29,6 +29,7 @@ class SurvivalParams:
     shape: float
 
     def __post_init__(self):
+        check_finite(self)
         if not self.median > 0:
             raise DomainError("median must be > 0")
         if not self.shape > 0:

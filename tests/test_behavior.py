@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -86,3 +88,10 @@ class TestValidation:
                 ActivityParams(annual_acts=1.0, residual_fraction=phi, terminal_lead=TAU)
         with pytest.raises(DomainError):
             ActivityParams(annual_acts=1.0, residual_fraction=PHI, terminal_lead=0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["annual_acts", "residual_fraction", "terminal_lead"])
+    def test_rejects_non_finite(self, field, bad):
+        good = dict(annual_acts=1.0, residual_fraction=PHI, terminal_lead=TAU)
+        with pytest.raises(DomainError, match=field):
+            ActivityParams(**{**good, field: bad})

@@ -2,25 +2,50 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import hivbrn.mc_oracle as mc
 from hivbrn import (
     DomainError,
+    ScenarioError,
     SexProfile,
     SimulationSpec,
     TransmissionParams,
     activity_fraction,
     estimate_sex_integral,
+    parse_scenario,
     sex_integral,
     transmission_prob,
 )
 from hivbrn.reproduction import inner_integral
-from hivbrn.survival import survival_quantile_core
+from hivbrn.survival import SurvivalParams, survival_quantile_core
 
 
 def rng(seed=123):
     return np.random.default_rng(seed)
+
+
+def quad_inner(iad: float, profile: SexProfile) -> float:
+    """``int_0^iad G * ptr dx`` by adaptive quadrature; breakpoints at
+    decades of ``iad - tau1`` resolve the activity boundary layer at x = 0
+    of a course barely longer than tau1."""
+    tau = profile.activity.terminal_lead
+    points = [(iad - tau) * 10.0**k for k in range(8) if 0 < (iad - tau) * 10.0**k < iad]
+    value, _ = integrate.quad(
+        lambda x: activity_fraction(x, iad, profile.activity)
+        * transmission_prob(
+            x, iad, profile.viral, profile.transmission, profile.x_plateau
+        ),
+        0.0,
+        iad,
+        points=points or None,
+        limit=500,
+        epsabs=0.0,
+        epsrel=1e-12,
+    )
+    return value
 
 
 # the literal thinning mechanism, one life course at a time: the reference
@@ -159,18 +184,85 @@ class TestSimulateLifeCourse:
         assert abs(counts.mean() - target) < 3 * se
 
     def test_expected_value_mode_matches_quad(self, female):
-        for iad in (0.5, 2.0, 7.0, 15.0, 35.0):
-            got = inner_integral(np.array([iad]), female, mc.EV_LEVEL)[0]
-            ref, _ = integrate.quad(
-                lambda x: activity_fraction(x, iad, female.activity)
-                * transmission_prob(
-                    x, iad, female.viral, female.transmission, female.x_plateau
-                ),
-                0.0,
-                iad,
-                limit=200,
-            )
-            assert got == pytest.approx(ref, rel=1e-7, abs=1e-15)
+        # the expected_value mode reads the inner integral from its table;
+        # 35 lies beyond the table (direct rule), tau1 gives exactly 0
+        tau = female.activity.terminal_lead
+        table = mc._inner_table(female)
+        ages = np.array([0.5, 2.0, 7.0, 15.0, 35.0, tau, tau * (1 + 1e-9)])
+        assert ages[4] > table[0][-1]
+        got = mc._tabulated_inner(ages, female, table)
+        assert got[5] == 0.0
+        for iad, value in zip(ages, got):
+            ref = quad_inner(iad, female)
+            assert value == pytest.approx(ref, rel=1e-7, abs=1e-15)
+
+
+class TestInnerTable:
+    """The expected-value table matches the finest inner rule across the
+    valid box, not only at the baseline."""
+
+    # the threshold_box benchmark's parameter box, with beta down to 1
+    BOX = dict(
+        ia1=(0.2, 0.8), M1=(4.5, 5.5), m=(2.5, 3.5), tau1=(0.5, 1.5),
+        M2=(4.0, 5.2), alpha1=(1.02, 2.0), alpha2=(0.1, 0.4), alpha3=(0.4, 1.2),
+        ptr_hi=(0.004, 0.012), ptr_lo=(0.0005, 0.002), phi=(0.4, 0.8),
+        median=(7.0, 11.0), beta=(1.0, 3.5),
+    )
+
+    @staticmethod
+    def check(profile, table=None):
+        # 1000 ages from the survival law, whose mean of J is the integral,
+        # and 1000 spread over the table and past both of its ends
+        if table is None:
+            table = mc._inner_table(profile)
+        g = np.random.default_rng(20261018)
+        ages = np.concatenate((
+            survival_quantile_core(g.random(1000), profile.survival),
+            g.uniform(0.0, 1.25 * table[0][-1], 1000),
+        ))
+        ref = inner_integral(ages, profile, 6)
+        err = np.abs(mc._tabulated_inner(ages, profile, table) - ref)
+        assert err.max() <= 1e-7 * ref[:1000].mean()
+
+    def test_baseline_and_alpha1_corner(self, female):
+        self.check(female)
+        corner = dataclasses.replace(
+            female, viral=dataclasses.replace(female.viral, rise_shape=1.02)
+        )
+        self.check(corner)
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=12)
+    @given(st.fixed_dictionaries({k: st.floats(*r) for k, r in BOX.items()}))
+    def test_whole_box(self, values):
+        # omega = 400 leaves the survival tail below its bound down to beta = 1
+        keys = "".join(f"{k} = {v!r}\n" for k, v in values.items())
+        try:
+            pop = parse_scenario(f"[population]\nomega = 400\n[female]\n{keys}").population
+        except ScenarioError:
+            assume(False)
+        self.check(pop.female)
+
+    def test_split_budget(self, female, monkeypatch):
+        # a table that runs out of splits still pairs each panel with its
+        # own coefficients: here every panel is halved once, then no more
+        monkeypatch.setattr(mc, "TABLE_TOL", 0.0)
+        monkeypatch.setattr(mc, "MAX_SPLITS", 1)
+        edges, coefs = mc._inner_table(female)
+        assert coefs.shape == (mc.TABLE_NODES, edges.size - 1) == (24, 20)
+        self.check(female, (edges, coefs))
+
+    def test_span_below_tau1(self, female):
+        # a median so short that y_hi < tau1: no age is tabulated
+        short = dataclasses.replace(female, survival=SurvivalParams(0.2, 2.5))
+        table = mc._inner_table(short)
+        assert table[0][-1] < female.activity.terminal_lead
+        ages = np.array([0.1, 0.5, 1.0, 1.2, 3.0])
+        np.testing.assert_allclose(
+            mc._tabulated_inner(ages, short, table),
+            inner_integral(ages, short, mc.DIRECT_LEVEL),
+            rtol=1e-14,
+            atol=0.0,
+        )
 
 
 class TestEstimateSexIntegral:
@@ -179,11 +271,12 @@ class TestEstimateSexIntegral:
         assert estimate_sex_integral(male, spec) == estimate_sex_integral(male, spec)
 
     def test_worker_count_invariance(self, male):
-        spec = SimulationSpec(samples=20_000, seed=99)
-        single = estimate_sex_integral(male, spec, workers=1)
-        double = estimate_sex_integral(male, spec, workers=2)
-        triple = estimate_sex_integral(male, spec, workers=3)
-        assert single == double == triple
+        for process in mc.ACT_PROCESSES:
+            spec = SimulationSpec(samples=20_000, seed=99, act_process=process)
+            single = estimate_sex_integral(male, spec, workers=1)
+            double = estimate_sex_integral(male, spec, workers=2)
+            triple = estimate_sex_integral(male, spec, workers=3)
+            assert single == double == triple
 
     def test_pool_size_is_capped(self, monkeypatch):
         monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
@@ -268,7 +361,7 @@ class TestEstimateSexIntegral:
         "female": (0.011878658536585365, 8.885423447990762e-05),
         "male": (0.012790853658536586, 9.307210986814311e-05),
     }
-    PINNED_EXPECTED = {"female": 0.011926729673236965, "male": 0.012732757565172441}
+    PINNED_EXPECTED = {"female": 0.011926729672817266, "male": 0.012732757564777316}
 
     @pytest.mark.parametrize("sex", ["female", "male"])
     def test_pinned_stream(self, population, sex):
@@ -278,7 +371,8 @@ class TestEstimateSexIntegral:
         smooth = estimate_sex_integral(
             profile, SimulationSpec(20_000, 20260810, "expected_value")
         )
-        assert smooth.mean == pytest.approx(self.PINNED_EXPECTED[sex], rel=1e-12)
+        # abs=0: approx's default abs of 1e-12 would allow 8e-11 relative here
+        assert smooth.mean == pytest.approx(self.PINNED_EXPECTED[sex], rel=1e-12, abs=0.0)
 
     def test_thinning_needs_positive_delta(self, male):
         zero = dataclasses.replace(

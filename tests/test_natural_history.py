@@ -356,3 +356,15 @@ class TestParamValidation:
             TransmissionParams.from_anchors(0.001, 0.008, 5.0, 3.0)
         with pytest.raises(DomainError):
             TransmissionParams(0.008, 0.001, -6.9, -1e-9)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_viral_rejects_non_finite(self, viral, bad):
+        for field in dataclasses.fields(ViralLoadParams):
+            with pytest.raises(DomainError, match=field.name):
+                dataclasses.replace(viral, **{field.name: bad})
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_transmission_rejects_non_finite(self, link, bad):
+        for field in dataclasses.fields(TransmissionParams):
+            with pytest.raises(DomainError, match=field.name):
+                dataclasses.replace(link, **{field.name: bad})

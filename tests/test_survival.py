@@ -49,6 +49,13 @@ class TestWeibullScale:
         with pytest.raises(DomainError):
             SurvivalParams(9.4, -1.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError, match="median"):
+            SurvivalParams(bad, 2.5)
+        with pytest.raises(DomainError, match="shape"):
+            SurvivalParams(9.4, bad)
+
 
 class TestDensity:
     def test_matches_reference_implementation(self, male_survival):
