@@ -56,12 +56,6 @@ MAX_ROWS = 1_000_000
 # computes two integrals per factor
 MAX_FACTORS = 1000
 
-_NUMERIC_ERRORS = (
-    DomainError,
-    QuadratureFailure,
-    InconsistentResult,
-)
-
 
 def _metadata(scenario: Scenario, seed: int | None) -> dict:
     return {
@@ -231,13 +225,9 @@ def cmd_simulate(scenario: Scenario, args) -> str:
     result = {}
     for label in labels:
         profile = pop.female if label == "female" else pop.male
-        est = estimate_sex_integral(profile, spec, workers=args.workers)
+        est = estimate_sex_integral(profile, spec, args.workers, pop.omega)
         quad_value = sex_integral(profile, pop.omega, scenario.quadrature)
-        ratio = (
-            abs(est.mean - quad_value) / est.std_error
-            if est.std_error
-            else None
-        )
+        ratio = abs(est.mean - quad_value) / est.std_error if est.std_error else None
         result[label] = {
             "mean": est.mean,
             "std_error": est.std_error,
@@ -347,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"hivbrn: configuration error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as exc:
+    except (DomainError, QuadratureFailure, InconsistentResult) as exc:
         print(f"hivbrn: numerical failure: {exc}", file=sys.stderr)
         return 3
     if not args.out:

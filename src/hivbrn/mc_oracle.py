@@ -4,11 +4,12 @@ Simulates individual infective life courses: the age at death is drawn from
 the Weibull law by inverse transform, coital acts arrive as an inhomogeneous
 Poisson process with rate ``delta * G(ia, iad)`` (thinned against the
 constant envelope ``delta``), and each act independently transmits with
-probability ``ptr(ia, iad)``.  The mean infection count divided by ``delta``
-estimates the same integral the quadrature computes, with a standard error
-that shrinks as 1/sqrt(samples).  The ``expected_value`` mode replaces each
-course's count by its conditional mean given the age at death, the inner
-integral ``J(iad)``, which it reads from a table built once per profile.
+probability ``ptr(ia, iad)``.  A course that outlives the horizon ``omega``
+counts as empty, so the mean infection count divided by ``delta`` estimates
+the integral the quadrature computes, ``int_0^omega s(y) J(y) dy``, with a
+standard error that shrinks as 1/sqrt(samples).  The ``expected_value``
+mode replaces each course's count by its conditional mean given the age at
+death, the inner integral ``J(iad)``, read from a table built per profile.
 
 Determinism contract: for a fixed (seed, spec, profile) the estimate is
 bit-identical across runs and across worker counts.  Samples are processed
@@ -29,7 +30,7 @@ import numpy as np
 # bench/tracing.py wraps activity_fraction and transmission_prob here
 from .behavior import activity_fraction, activity_fraction_core
 from .errors import DomainError
-from .reproduction import MAX_TAIL_MASS, SexProfile, graded_edges, inner_integral
+from .reproduction import PopulationConfig, SexProfile, graded_edges, inner_integral
 from .survival import survival_quantile_core
 from .natural_history import transmission_prob, transmission_prob_core
 
@@ -47,23 +48,22 @@ MAX_SAMPLES = 10_000_000
 ACT_PROCESSES = ("poisson_thinning", "expected_value")
 
 # expected_value reads J(iad) from a table built once per profile: on each
-# panel over [tau1, y_hi], where y_hi leaves survival mass MAX_TAIL_MASS
-# beyond it, the polynomial through J at TABLE_NODES Chebyshev points of the
-# second kind, J filled in by the level-TABLE_LEVEL inner rule.  The panels
-# start as the level-TABLE_LEVEL outer graded mesh; a panel whose last
-# Chebyshev coefficients exceed TABLE_TOL of the largest J is halved, up to
-# MAX_SPLITS times, since a long survival tail (beta near 1) stretches it
-# past the scale on which J varies.  Over 240 draws from the valid box,
-# alpha1 = 1.02 and beta = 1 included, the worst error was 6e-9 of the mean
-# of J, in 10 to 16 panels
+# panel over [tau1, omega], the polynomial through J at TABLE_NODES Chebyshev
+# points of the second kind, J filled in by the level-TABLE_LEVEL inner rule.
+# The panels start as the level-TABLE_LEVEL outer graded mesh; a panel whose
+# last Chebyshev coefficients exceed TABLE_TOL of the largest J is halved, up
+# to MAX_SPLITS times, since a long survival tail (beta near 1) stretches it
+# past the scale on which J varies.  Over 480 draws from the valid box (omega
+# 40 and 400; alpha1 = 1.02, beta = 1 included): 10 to 42 panels, worst error
+# 9e-7 of the mean of J against the level-8 rule, mostly the fill's own
 TABLE_LEVEL = 4
 TABLE_NODES = 24
 TABLE_TOL = 1e-10
 MAX_SPLITS = 8
 
-# draws off the table take the inner rule at this level directly: its finest
-# panel, 0.15**18 = 1.5e-15 of the age, resolves the activity boundary layer
-# of courses barely longer than tau1, whose width is about iad - tau1
+# draws in the first graded panel next to tau1 take the inner rule at this
+# level directly: its finest panel, 0.15**18 = 1.5e-15 of the age, resolves
+# the boundary layer of courses barely longer than tau1, about iad - tau1 wide
 DIRECT_LEVEL = 16
 
 # the Chebyshev points of the second kind on [-1, 1], ascending
@@ -113,15 +113,15 @@ class EstimateResult:
     seed: int
 
 
-def _inner_table(profile: SexProfile) -> tuple[np.ndarray, np.ndarray]:
-    """Panel edges over [tau1, y_hi] less the first graded panel, and per
+def _inner_table(profile: SexProfile, omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """Panel edges over [tau1, omega] less the first graded panel, and per
     panel the Chebyshev coefficients of the interpolant of the inner
-    integral, shape (``TABLE_NODES``, panels)."""
+    integral, shape (``TABLE_NODES``, panels); empty if omega <= tau1."""
     tau = profile.activity.terminal_lead
-    y_hi = survival_quantile_core(1.0 - MAX_TAIL_MASS, profile.survival)
+    top = max(omega, tau)
     # the first graded panel holds J ~ eps * log(1/eps) in eps = iad - tau1,
     # which no polynomial follows: its draws take the direct rule
-    edges = tau + (y_hi - tau) * graded_edges(TABLE_LEVEL, both_ends=False)[1:]
+    edges = tau + (top - tau) * graded_edges(TABLE_LEVEL, both_ends=False)[1:]
     for splits in range(MAX_SPLITS + 1):
         ages = 0.5 * (edges[1:] + edges[:-1]) + 0.5 * np.diff(edges) * _CHEB[:, None]
         values = inner_integral(ages.ravel(), profile, TABLE_LEVEL).reshape(ages.shape)
@@ -138,19 +138,20 @@ def _inner_table(profile: SexProfile) -> tuple[np.ndarray, np.ndarray]:
 def _tabulated_inner(
     iad: np.ndarray, profile: SexProfile, table: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """``inner_integral`` per age at death from :func:`_inner_table`: 0 up
-    to tau1, the interpolant on the table's span, and the ``DIRECT_LEVEL``
-    rule for the rest."""
+    """``inner_integral`` per age at death up to omega from
+    :func:`_inner_table`: 0 up to tau1, the ``DIRECT_LEVEL`` rule on the
+    first graded panel, and the interpolant on the rest."""
     edges, coefs = table
     out = np.zeros_like(iad)
-    # edges[0] >= tau1 unless y_hi < tau1, and then the span is empty
-    on = (iad > edges[0]) & (iad <= edges[-1])
+    # edges[0] >= tau1; the table ends at omega, past which no age is drawn
+    on = iad > edges[0]
     direct = (iad > profile.activity.terminal_lead) & ~on
     if direct.any():
         out[direct] = inner_integral(iad[direct], profile, DIRECT_LEVEL)
     y = iad[on]
-    # edges[k] < y <= edges[k + 1], so every panel used has a positive width
-    k = np.searchsorted(edges, y) - 1
+    # edges[k] < y <= edges[k + 1], so every panel used has a positive width;
+    # the last panel also takes an age that omega exceeds its end by rounding
+    k = np.searchsorted(edges[1:-1], y)
     lo, hi = edges[k], edges[k + 1]
     # Clenshaw's recurrence at t in [-1, 1], the age's place in its panel;
     # one coefficient row at a time keeps the work in arrays of len(y)
@@ -165,10 +166,11 @@ def _tabulated_inner(
 def _chunk_values(
     profile: SexProfile,
     spec: SimulationSpec,
+    omega: float,
     table: tuple[np.ndarray, np.ndarray] | None,
     chunk: int,
 ) -> np.ndarray:
-    """Per-sample integral estimates for one block of sample indices;
+    """Per-sample integral estimates up to ``omega`` for one block of samples;
     ``table`` is the :func:`_inner_table` of ``expected_value`` mode.
 
     All randomness for block ``chunk`` comes from its own counter-based
@@ -177,8 +179,9 @@ def _chunk_values(
     size = min(spec.samples - chunk * CHUNK_SAMPLES, CHUNK_SAMPLES)
     rng = np.random.Generator(np.random.Philox(key=spec.seed, counter=[0, 0, 0, chunk]))
 
-    # u == 0 maps to iad == 0 (an empty course)
+    # u == 0 maps to iad == 0 (an empty course); so does a course past omega
     iad = survival_quantile_core(rng.random(size), profile.survival)
+    iad[iad > omega] = 0.0
 
     if spec.act_process == "expected_value":
         return _tabulated_inner(iad, profile, table)
@@ -215,22 +218,28 @@ def _pool_size(workers: int, n_chunks: int) -> int:
 
 
 def estimate_sex_integral(
-    profile: SexProfile, spec: SimulationSpec, workers: int = 1
+    profile: SexProfile,
+    spec: SimulationSpec,
+    workers: int = 1,
+    omega: float = PopulationConfig.omega,
 ) -> EstimateResult:
     """Monte Carlo estimate of the expected-infection integral for one sex.
 
     Averages ``spec.samples`` independent life courses with the age at death
-    drawn from the Weibull law; the act rate ``delta`` is divided out so the
-    estimate targets the pure integral.  ``workers`` > 1 distributes blocks
-    over processes without changing the result.
+    drawn from the Weibull law; a course that outlives ``omega`` counts as
+    empty, and the act rate ``delta`` is divided out, so the estimate
+    targets exactly ``sex_integral(profile, omega)``.  ``workers`` > 1
+    distributes blocks over processes without changing the result.
     """
+    if not 0 < omega < np.inf:
+        raise DomainError("omega must be finite and > 0")
     if spec.act_process == "poisson_thinning" and profile.activity.annual_acts <= 0:
         raise DomainError(
             "poisson_thinning needs delta > 0; use expected_value instead"
         )
     n_chunks = -(-spec.samples // CHUNK_SAMPLES)
-    table = _inner_table(profile) if spec.act_process == "expected_value" else None
-    work = partial(_chunk_values, profile, spec, table)
+    table = _inner_table(profile, omega) if spec.act_process == "expected_value" else None
+    work = partial(_chunk_values, profile, spec, omega, table)
     workers = _pool_size(workers, n_chunks)
     if workers > 1:
         # imported here so that `import hivbrn` does not load the pool machinery

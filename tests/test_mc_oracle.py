@@ -22,6 +22,8 @@ from hivbrn import (
 from hivbrn.reproduction import inner_integral
 from hivbrn.survival import SurvivalParams, survival_quantile_core
 
+from conftest import PARAM_BOX
+
 
 def rng(seed=123):
     return np.random.default_rng(seed)
@@ -183,14 +185,18 @@ class TestSimulateLifeCourse:
         se = counts.std(ddof=1) / np.sqrt(n)
         assert abs(counts.mean() - target) < 3 * se
 
-    def test_expected_value_mode_matches_quad(self, female):
-        # the expected_value mode reads the inner integral from its table;
-        # 35 lies beyond the table (direct rule), tau1 gives exactly 0
+    def test_expected_value_mode_matches_quad(self, population, female):
+        # the expected_value mode reads the inner integral from its table,
+        # which ends at omega; tau1 gives exactly 0, and the last two ages
+        # lie in the first graded panel next to tau1 (direct rule)
         tau = female.activity.terminal_lead
-        table = mc._inner_table(female)
-        ages = np.array([0.5, 2.0, 7.0, 15.0, 35.0, tau, tau * (1 + 1e-9)])
-        assert ages[4] > table[0][-1]
-        got = mc._tabulated_inner(ages, female, table)
+        edges, coefs = mc._inner_table(female, population.omega)
+        ages = np.array(
+            [0.5, 2.0, 7.0, 15.0, 35.0, tau, tau * (1 + 1e-9), 0.5 * (tau + edges[0])]
+        )
+        assert ages[4] <= edges[-1] == population.omega
+        assert np.all((tau < ages[6:]) & (ages[6:] <= edges[0]))
+        got = mc._tabulated_inner(ages, female, (edges, coefs))
         assert got[5] == 0.0
         for iad, value in zip(ages, got):
             ref = quad_inner(iad, female)
@@ -202,34 +208,31 @@ class TestInnerTable:
     valid box, not only at the baseline."""
 
     # the threshold_box benchmark's parameter box, with beta down to 1
-    BOX = dict(
-        ia1=(0.2, 0.8), M1=(4.5, 5.5), m=(2.5, 3.5), tau1=(0.5, 1.5),
-        M2=(4.0, 5.2), alpha1=(1.02, 2.0), alpha2=(0.1, 0.4), alpha3=(0.4, 1.2),
-        ptr_hi=(0.004, 0.012), ptr_lo=(0.0005, 0.002), phi=(0.4, 0.8),
-        median=(7.0, 11.0), beta=(1.0, 3.5),
-    )
+    BOX = {**PARAM_BOX, "beta": (1.0, 3.5)}
 
     @staticmethod
-    def check(profile, table=None):
-        # 1000 ages from the survival law, whose mean of J is the integral,
-        # and 1000 spread over the table and past both of its ends
+    def check(profile, omega, table=None):
+        # 1000 ages from the survival law, made empty past omega as in the
+        # estimator (their mean of J is the integral), and 1000 spread over
+        # [0, omega]
         if table is None:
-            table = mc._inner_table(profile)
+            table = mc._inner_table(profile, omega)
         g = np.random.default_rng(20261018)
         ages = np.concatenate((
             survival_quantile_core(g.random(1000), profile.survival),
-            g.uniform(0.0, 1.25 * table[0][-1], 1000),
+            g.uniform(0.0, omega, 1000),
         ))
+        ages[ages > omega] = 0.0
         ref = inner_integral(ages, profile, 6)
         err = np.abs(mc._tabulated_inner(ages, profile, table) - ref)
         assert err.max() <= 1e-7 * ref[:1000].mean()
 
-    def test_baseline_and_alpha1_corner(self, female):
-        self.check(female)
+    def test_baseline_and_alpha1_corner(self, population, female):
+        self.check(female, population.omega)
         corner = dataclasses.replace(
             female, viral=dataclasses.replace(female.viral, rise_shape=1.02)
         )
-        self.check(corner)
+        self.check(corner, population.omega)
 
     @settings(database=None, derandomize=True, deadline=None, max_examples=12)
     @given(st.fixed_dictionaries({k: st.floats(*r) for k, r in BOX.items()}))
@@ -240,29 +243,25 @@ class TestInnerTable:
             pop = parse_scenario(f"[population]\nomega = 400\n[female]\n{keys}").population
         except ScenarioError:
             assume(False)
-        self.check(pop.female)
+        self.check(pop.female, pop.omega)
 
-    def test_split_budget(self, female, monkeypatch):
+    def test_split_budget(self, population, female, monkeypatch):
         # a table that runs out of splits still pairs each panel with its
         # own coefficients: here every panel is halved once, then no more
         monkeypatch.setattr(mc, "TABLE_TOL", 0.0)
         monkeypatch.setattr(mc, "MAX_SPLITS", 1)
-        edges, coefs = mc._inner_table(female)
+        edges, coefs = mc._inner_table(female, population.omega)
         assert coefs.shape == (mc.TABLE_NODES, edges.size - 1) == (24, 20)
-        self.check(female, (edges, coefs))
+        self.check(female, population.omega, (edges, coefs))
 
     def test_span_below_tau1(self, female):
-        # a median so short that y_hi < tau1: no age is tabulated
-        short = dataclasses.replace(female, survival=SurvivalParams(0.2, 2.5))
-        table = mc._inner_table(short)
-        assert table[0][-1] < female.activity.terminal_lead
-        ages = np.array([0.1, 0.5, 1.0, 1.2, 3.0])
-        np.testing.assert_allclose(
-            mc._tabulated_inner(ages, short, table),
-            inner_integral(ages, short, mc.DIRECT_LEVEL),
-            rtol=1e-14,
-            atol=0.0,
-        )
+        # omega <= tau1: the table is empty, and J is exactly 0 up to omega
+        tau = female.activity.terminal_lead
+        for omega in (tau, 0.5 * tau):
+            edges, coefs = mc._inner_table(female, omega)
+            assert np.all(edges == tau)
+            ages = np.linspace(0.0, omega, 7)
+            assert np.all(mc._tabulated_inner(ages, female, (edges, coefs)) == 0.0)
 
 
 class TestEstimateSexIntegral:
@@ -373,6 +372,44 @@ class TestEstimateSexIntegral:
         )
         # abs=0: approx's default abs of 1e-12 would allow 8e-11 relative here
         assert smooth.mean == pytest.approx(self.PINNED_EXPECTED[sex], rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_matches_quadrature_at_any_horizon(self, female):
+        # at omega = 10 about a third of the courses outlive the horizon and
+        # count as empty; at or below tau1 no course can infect
+        tau = female.activity.terminal_lead
+        for omega in (10.0, tau, 0.5 * tau):
+            ref = sex_integral(female, omega)
+            for process in mc.ACT_PROCESSES:
+                spec = SimulationSpec(20_000, 20260810, process)
+                est = estimate_sex_integral(female, spec, omega=omega)
+                assert est == estimate_sex_integral(female, spec, 2, omega)
+                if omega <= tau:
+                    assert est.mean == ref == 0.0
+                else:
+                    assert abs(est.mean - ref) < 5 * est.std_error
+
+    @pytest.mark.filterwarnings("error")
+    def test_long_tail_profile(self, female):
+        # beta = 0.05 puts about half the mass past omega = 40, with draws up
+        # to 1e16 years: they count as empty, and the Poisson rate stays
+        # below delta * p_max * omega
+        heavy = dataclasses.replace(female, survival=SurvivalParams(8.6, 0.05))
+        ref = sex_integral(heavy, 40.0)
+        for process in mc.ACT_PROCESSES:
+            est = estimate_sex_integral(
+                heavy, SimulationSpec(20_000, 20260810, process), omega=40.0
+            )
+            assert np.isfinite(est.mean)
+            assert abs(est.mean - ref) < 5 * est.std_error
+
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, 0.0, -1.0])
+    def test_omega_domain(self, female, omega):
+        spec = SimulationSpec(samples=10, seed=1)
+        with pytest.raises(DomainError, match="omega must be finite and > 0"):
+            estimate_sex_integral(female, spec, omega=omega)
+        with pytest.raises(DomainError, match="omega must be finite and > 0"):
+            sex_integral(female, omega)
 
     def test_thinning_needs_positive_delta(self, male):
         zero = dataclasses.replace(

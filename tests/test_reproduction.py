@@ -38,6 +38,8 @@ from hivbrn.natural_history import (
 from hivbrn.survival import survival_density
 from hivbrn.reproduction import MAX_REFINE
 
+from conftest import PARAM_BOX
+
 # Frozen cross-check values from scipy.integrate.quad nested over the same
 # integrand at epsrel=1e-11 (the live oracle below re-derives the female one
 # at looser settings).
@@ -176,14 +178,7 @@ class TestWholeBox:
     """The graded quadrature meets its tol away from the baseline too, with
     the x**(alpha1 - 1) singularity near its sharpest."""
 
-    # the valid parameter box of the threshold_box benchmark, with alpha1
-    # down to its hard corner
-    BOX = dict(
-        ia1=(0.2, 0.8), M1=(4.5, 5.5), m=(2.5, 3.5), tau1=(0.5, 1.5),
-        M2=(4.0, 5.2), alpha1=(1.02, 2.0), alpha2=(0.1, 0.4), alpha3=(0.4, 1.2),
-        ptr_hi=(0.004, 0.012), ptr_lo=(0.0005, 0.002), phi=(0.4, 0.8),
-        median=(7.0, 11.0), beta=(2.2, 3.5),
-    )
+    BOX = {**PARAM_BOX, "beta": (2.2, 3.5)}
 
     # fixed draws from the valid parameter box, the second with alpha1 < 1.1
     DRAWS = (
