@@ -172,11 +172,7 @@ def cmd_trajectory(scenario: Scenario, args) -> str:
     g = activity_fraction(ia, args.iad, profile.activity)
     nca = profile.activity.annual_acts * g
     columns = ["ia", "LVl", "ptr", "ptr_x1000", "G", "NCA"]
-    rows = [
-        [float(ia[i]), float(lvl[i]), float(ptr[i]), float(1000.0 * ptr[i]),
-         float(g[i]), float(nca[i])]
-        for i in range(ia.size)
-    ]
+    rows = np.column_stack((ia, lvl, ptr, 1000.0 * ptr, g, nca)).tolist()
     return _emit_series(args, columns, rows, _metadata(scenario, None))
 
 
@@ -219,6 +215,12 @@ def cmd_sweep(scenario: Scenario, args) -> str:
 
 
 def cmd_simulate(scenario: Scenario, args) -> str:
+    flags = {"seed": args.seed, "samples": args.samples}
+    scenario = scenario.replace_simulation(
+        **{key: value for key, value in flags.items() if value is not None}
+    )
+    if args.workers < 1:
+        raise ScenarioError("--workers must be >= 1")
     pop = scenario.population
     spec = scenario.simulation
     labels = ("female", "male") if args.sex == "both" else (args.sex,)
@@ -317,17 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        scenario = load_scenario(args.config)
-        overrides = {}
-        if getattr(args, "seed", None) is not None:
-            overrides["seed"] = args.seed
-        if getattr(args, "samples", None) is not None:
-            overrides["samples"] = args.samples
-        if overrides:
-            scenario = scenario.replace_simulation(**overrides)
-        if getattr(args, "workers", 1) < 1:
-            raise ScenarioError("--workers must be >= 1")
-        text = args.func(scenario, args)
+        text = args.func(load_scenario(args.config), args)
         if args.out:
             try:
                 with open(args.out, "w") as handle:

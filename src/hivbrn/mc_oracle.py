@@ -53,10 +53,11 @@ ACT_PROCESSES = ("poisson_thinning", "expected_value")
 # The panels start as the level-TABLE_LEVEL outer graded mesh; a panel whose
 # last Chebyshev coefficients exceed TABLE_TOL of the largest J is halved, up
 # to MAX_SPLITS times, since a long survival tail (beta near 1) stretches it
-# past the scale on which J varies.  Over 480 draws from the valid box (omega
-# 40 and 400; alpha1 = 1.02, beta = 1 included): 10 to 42 panels, worst error
-# 9e-7 of the mean of J against the level-8 rule, mostly the fill's own
-TABLE_LEVEL = 4
+# past the scale on which J varies.  Over 375 draws from the valid box (omega
+# 40 and 400; alpha1 = 1.02, beta = 1 included): 14 to 24 panels, worst error
+# against the level-10 rule 3e-10 of the mean of J at omega 40 and 1.1e-7 at
+# omega 400, the interpolant's on long panels; the fill's own is below 1e-8
+TABLE_LEVEL = 6
 TABLE_NODES = 24
 TABLE_TOL = 1e-10
 MAX_SPLITS = 8
@@ -67,7 +68,7 @@ MAX_SPLITS = 8
 DIRECT_LEVEL = 16
 
 # the Chebyshev points of the second kind on [-1, 1], ascending
-_CHEB = np.cos(np.linspace(-np.pi, 0.0, TABLE_NODES))
+_CHEB = np.polynomial.chebyshev.chebpts2(TABLE_NODES)
 
 
 @dataclass(frozen=True)

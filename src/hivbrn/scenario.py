@@ -21,7 +21,7 @@ import configparser
 import hashlib
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .behavior import ActivityParams
@@ -51,10 +51,12 @@ def default_values() -> dict[str, dict]:
     return {
         "female": dict(sex, median=8.6),
         "male": dict(sex, median=9.4),
-        "population": dict(omega=40.0, pop_female=None, pop_male=None),
-        "quadrature": dict(tol=1e-6, max_refine=8),
+        "population": dict(
+            omega=PopulationConfig.omega, pop_female=None, pop_male=None
+        ),
+        "quadrature": asdict(QuadratureSpec()),
         "simulation": dict(
-            samples=100_000, seed=20260810, act_process="poisson_thinning"
+            samples=100_000, seed=20260810, act_process=SimulationSpec.act_process
         ),
     }
 
@@ -92,9 +94,9 @@ def baseline_population() -> PopulationConfig:
     return parse_scenario("").population
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """A fully resolved scenario ready to run."""
+    """A fully resolved scenario ready to run, built only by :func:`_resolve`."""
 
     population: PopulationConfig
     quadrature: QuadratureSpec
@@ -110,13 +112,26 @@ class Scenario:
 
     def replace_simulation(self, **changes) -> "Scenario":
         """New scenario with simulation fields overridden (seed, samples, ...)."""
-        try:
-            sim = replace(self.simulation, **changes)
-        except DomainError as exc:
-            raise ScenarioError(str(exc)) from exc
-        resolved = {k: dict(v) for k, v in self.resolved.items()}
-        resolved["simulation"].update(changes)
-        return Scenario(self.population, self.quadrature, sim, resolved)
+        values = {section: dict(keys) for section, keys in self.resolved.items()}
+        values["simulation"].update(changes)
+        return _resolve(values)
+
+
+def _resolve(values: dict[str, dict]) -> Scenario:
+    """Build a scenario from resolved values; a rejected value is a ScenarioError."""
+    try:
+        female = _build_profile("female", values["female"])
+        male = _build_profile("male", values["male"])
+        return Scenario(
+            PopulationConfig(female, male, **values["population"]),
+            QuadratureSpec(**values["quadrature"]),
+            SimulationSpec(**values["simulation"]),
+            values,
+        )
+    except DomainError as exc:
+        raise ScenarioError(str(exc)) from exc
+    except OverflowError as exc:
+        raise ScenarioError("scenario values overflow double precision") from exc
 
 
 def _line_of(text: str, section: str, key: str | None = None) -> int | None:
@@ -180,17 +195,7 @@ def parse_scenario(text: str) -> Scenario:
             baseline = values[section][key]
             values[section][key] = _convert(section, key, raw, baseline, line)
 
-    try:
-        female = _build_profile("female", values["female"])
-        male = _build_profile("male", values["male"])
-        population = PopulationConfig(female, male, **values["population"])
-        quadrature = QuadratureSpec(**values["quadrature"])
-        simulation = SimulationSpec(**values["simulation"])
-    except DomainError as exc:
-        raise ScenarioError(str(exc)) from exc
-    except OverflowError as exc:
-        raise ScenarioError("scenario values overflow double precision") from exc
-    return Scenario(population, quadrature, simulation, values)
+    return _resolve(values)
 
 
 def load_scenario(path: str | Path | None) -> Scenario:

@@ -423,6 +423,13 @@ class TestSimulate:
     def test_bad_workers_exits_2(self, capsys):
         assert run(capsys, "simulate", "--samples", "10", "--workers", "0")[0] == 2
 
+    def test_sample_error_reported_before_workers(self, capsys):
+        # --seed and --samples are applied before --workers is checked
+        code, out, err = run(capsys, "simulate", "--samples", "0", "--workers", "0")
+        assert code == 2
+        assert "samples must be in" in err
+        assert out == ""
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             capsys, "simulate", "--samples", "4096", "--format", "csv"
@@ -451,12 +458,20 @@ class TestScenarioEquivalence:
     def test_config_hash_matches_library(self, capsys, tmp_path):
         cfg = tmp_path / "s.ini"
         cfg.write_text("[female]\ndelta = 208\n")
-        _, out, _ = run(capsys, "eval", "--config", str(cfg))
-        payload = json.loads(out)
-        assert (
-            payload["metadata"]["config_hash"]
-            == parse_scenario(cfg.read_text()).config_hash()
-        )
+        # simulate's flags hash as the scenario keys they override
+        for argv, section in [
+            (["eval"], ""),
+            (
+                ["simulate", "--seed", "7", "--samples", "4096"],
+                "[simulation]\nseed = 7\nsamples = 4096\n",
+            ),
+        ]:
+            _, out, _ = run(capsys, *argv, "--config", str(cfg))
+            payload = json.loads(out)
+            assert (
+                payload["metadata"]["config_hash"]
+                == parse_scenario(cfg.read_text() + section).config_hash()
+            )
 
 
 def test_import_loads_no_process_pool():

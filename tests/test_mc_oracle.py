@@ -223,7 +223,8 @@ class TestInnerTable:
             g.uniform(0.0, omega, 1000),
         ))
         ages[ages > omega] = 0.0
-        ref = inner_integral(ages, profile, 6)
+        # level 10, well above TABLE_LEVEL, so that the fill's own error shows
+        ref = inner_integral(ages, profile, 10)
         err = np.abs(mc._tabulated_inner(ages, profile, table) - ref)
         assert err.max() <= 1e-7 * ref[:1000].mean()
 
@@ -233,6 +234,17 @@ class TestInnerTable:
             female, viral=dataclasses.replace(female.viral, rise_shape=1.02)
         )
         self.check(corner, population.omega)
+
+    def test_fill_level(self):
+        # a box draw on which a level-4 fill was 8.6e-7 of the mean of J off
+        keys = dict(
+            ia1=0.498, M1=4.598, m=3.013, tau1=1.291, M2=5.198, alpha1=1.486,
+            alpha2=0.189, alpha3=0.864, ptr_hi=0.00697, ptr_lo=0.000676,
+            phi=0.610, median=10.2, beta=3.23,
+        )
+        text = "[female]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        pop = parse_scenario(text).population
+        self.check(pop.female, pop.omega)
 
     @settings(database=None, derandomize=True, deadline=None, max_examples=12)
     @given(st.fixed_dictionaries({k: st.floats(*r) for k, r in BOX.items()}))
@@ -251,7 +263,7 @@ class TestInnerTable:
         monkeypatch.setattr(mc, "TABLE_TOL", 0.0)
         monkeypatch.setattr(mc, "MAX_SPLITS", 1)
         edges, coefs = mc._inner_table(female, population.omega)
-        assert coefs.shape == (mc.TABLE_NODES, edges.size - 1) == (24, 20)
+        assert coefs.shape == (mc.TABLE_NODES, edges.size - 1) == (24, 28)
         self.check(female, population.omega, (edges, coefs))
 
     def test_span_below_tau1(self, female):

@@ -1,10 +1,19 @@
+import dataclasses
 import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hivbrn import Scenario, ScenarioError, load_scenario, parse_scenario
+from hivbrn import (
+    PopulationConfig,
+    QuadratureSpec,
+    Scenario,
+    ScenarioError,
+    SimulationSpec,
+    load_scenario,
+    parse_scenario,
+)
 from hivbrn.scenario import default_values
 
 
@@ -30,6 +39,12 @@ class TestDefaults:
         assert set(values) == {
             "female", "male", "population", "quadrature", "simulation"
         }
+
+    def test_baseline_is_the_library_defaults(self):
+        scn = parse_scenario("")
+        assert scn.quadrature == QuadratureSpec()
+        assert scn.population.omega == PopulationConfig.omega
+        assert scn.simulation.act_process == SimulationSpec.act_process
 
 
 class TestOverrides:
@@ -71,6 +86,19 @@ class TestOverrides:
         assert other.config_hash() != scn.config_hash()
         with pytest.raises(ScenarioError):
             scn.replace_simulation(samples=0)
+
+    def test_replace_simulation_is_the_scenario_key(self):
+        # one construction path: the records and the hash of an override
+        # are those of the same values written in the file
+        other = parse_scenario("").replace_simulation(seed=7, samples=12)
+        written = parse_scenario("[simulation]\nseed = 7\nsamples = 12\n")
+        assert other == written
+        assert other.config_hash() == written.config_hash()
+
+    def test_frozen(self):
+        scn = parse_scenario("")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scn.simulation = scn.simulation
 
 
 class TestRejection:
