@@ -10,7 +10,8 @@ Subcommands::
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  Given
 the same scenario, flags and seed, every command writes byte-identical
-output; JSON and CSV numbers carry full round-trip precision.
+output; JSON and CSV numbers carry full round-trip precision, and a number
+beyond double range is refused (exit 2), never written.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -57,19 +59,6 @@ MAX_ROWS = 1_000_000
 MAX_FACTORS = 1000
 
 
-def _metadata(scenario: Scenario, seed: int | None) -> dict:
-    return {
-        "tool": "hivbrn",
-        "version": __version__,
-        "config_hash": scenario.config_hash(),
-        "seed": seed,
-    }
-
-
-def _emit_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
 def _emit_csv(columns: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -91,13 +80,32 @@ def _emit_table(columns: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_series(args, columns, rows, metadata) -> str:
-    if args.format == "json":
-        records = [dict(zip(columns, row)) for row in rows]
-        return _emit_json({"series": records, "metadata": metadata})
+def _emit(args, scenario: Scenario, columns, rows, result=None, seed=None) -> str:
+    """The one writer of command output: ``rows`` under ``columns`` as CSV or
+    a table; as JSON, ``result`` (default: the rows as a ``series`` of
+    records) beside the metadata block.  A float cell beyond double range
+    is refused, so no format writes ``inf`` or ``nan``."""
+    for row in rows:
+        for name, value in zip(columns, row):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ScenarioError(
+                    f"{args.command}: {name} in row {row[0]} is beyond double range"
+                )
     if args.format == "table":
         return _emit_table(columns, rows)
-    return _emit_csv(columns, rows)
+    if args.format == "csv":
+        return _emit_csv(columns, rows)
+    payload = (
+        {"result": result} if result is not None
+        else {"series": [dict(zip(columns, row)) for row in rows]}
+    )
+    payload["metadata"] = {
+        "tool": "hivbrn",
+        "version": __version__,
+        "config_hash": scenario.config_hash(),
+        "seed": seed,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _parse_factors(raw: str) -> list[float]:
@@ -128,17 +136,7 @@ def _parse_grid(raw: str) -> np.ndarray:
 def cmd_eval(scenario: Scenario, args) -> str:
     result = evaluate_brn(scenario.population, scenario.quadrature)
     verdict = threshold_check(result).value
-    fields = {
-        "integral_f": result.integral_f,
-        "integral_m": result.integral_m,
-        "r_fm": result.r_fm,
-        "r_mf": result.r_mf,
-        "r0": result.r0,
-        "i0": result.i0,
-        "isa": result.isa,
-        "epidemic": result.epidemic,
-        "verdict": verdict,
-    }
+    fields = {**asdict(result), "verdict": verdict}
     if args.format == "table":
         lines = [
             f"R_fm     {result.r_fm:.3f}",
@@ -149,14 +147,13 @@ def cmd_eval(scenario: Scenario, args) -> str:
             f"verdict  {verdict}",
         ]
         return "\n".join(lines) + "\n"
-    if args.format == "csv":
-        return _emit_csv(["key", "value"], [[k, v] for k, v in fields.items()])
-    return _emit_json({"result": fields, "metadata": _metadata(scenario, None)})
+    rows = [[k, v] for k, v in fields.items()]
+    return _emit(args, scenario, ["key", "value"], rows, result=fields)
 
 
 def cmd_trajectory(scenario: Scenario, args) -> str:
     pop = scenario.population
-    profile = pop.female if args.sex == "female" else pop.male
+    profile = getattr(pop, args.sex)
     if not 0 < args.step < math.inf:
         raise ScenarioError("--step must be finite and > 0")
     if not 0 <= args.iad <= pop.omega:
@@ -173,7 +170,7 @@ def cmd_trajectory(scenario: Scenario, args) -> str:
     nca = profile.activity.annual_acts * g
     columns = ["ia", "LVl", "ptr", "ptr_x1000", "G", "NCA"]
     rows = np.column_stack((ia, lvl, ptr, 1000.0 * ptr, g, nca)).tolist()
-    return _emit_series(args, columns, rows, _metadata(scenario, None))
+    return _emit(args, scenario, columns, rows)
 
 
 def cmd_phase(scenario: Scenario, args) -> str:
@@ -191,15 +188,13 @@ def cmd_phase(scenario: Scenario, args) -> str:
     for factor, scaled in scaled_i0(pop, i0, all_factors):
         for dm, df in hyperbola_locus(scaled, grid):
             rows.append(["hyperbola", factor, dm, df, None, None, None])
-    if not all(math.isfinite(row[3]) for row in rows):
-        raise ScenarioError("--grid and --factors give a delta_f beyond double range")
     rows.append(["fixed_point", 1.0, i0, i0, None, None, None])
     for dm in FEASIBLE_DELTA_M:
         for df in FEASIBLE_DELTA_F:
             r_fm = sex_brn(df, int_f)
             r_mf = sex_brn(dm, int_m)
             rows.append(["corner", 1.0, dm, df, r_fm, r_mf, composite_r0(r_fm, r_mf)])
-    return _emit_series(args, columns, rows, _metadata(scenario, None))
+    return _emit(args, scenario, columns, rows)
 
 
 def cmd_sweep(scenario: Scenario, args) -> str:
@@ -207,11 +202,8 @@ def cmd_sweep(scenario: Scenario, args) -> str:
     pairs = sensitivity_sweep(
         scenario.population, factors, args.mode, scenario.quadrature
     )
-    if not all(math.isfinite(i0) for _, i0 in pairs):
-        raise ScenarioError("--factors gives an i0 beyond double range")
-    columns = ["factor", "i0", "mode"]
     rows = [[factor, i0, args.mode] for factor, i0 in pairs]
-    return _emit_series(args, columns, rows, _metadata(scenario, None))
+    return _emit(args, scenario, ["factor", "i0", "mode"], rows)
 
 
 def cmd_simulate(scenario: Scenario, args) -> str:
@@ -224,36 +216,25 @@ def cmd_simulate(scenario: Scenario, args) -> str:
     pop = scenario.population
     spec = scenario.simulation
     labels = ("female", "male") if args.sex == "both" else (args.sex,)
-    result = {}
+    columns = [
+        "sex", "mean", "std_error", "samples", "seed", "act_process",
+        "quadrature", "abs_diff_over_se",
+    ]
+    rows = []
     for label in labels:
-        profile = pop.female if label == "female" else pop.male
+        profile = getattr(pop, label)
         est = estimate_sex_integral(profile, spec, args.workers, pop.omega)
         quad_value = sex_integral(profile, pop.omega, scenario.quadrature)
         ratio = abs(est.mean - quad_value) / est.std_error if est.std_error else None
-        result[label] = {
-            "mean": est.mean,
-            "std_error": est.std_error,
-            "samples": est.samples,
-            "seed": est.seed,
-            "act_process": spec.act_process,
-            "quadrature": quad_value,
-            "abs_diff_over_se": ratio,
-        }
+        rows.append([
+            label, est.mean, est.std_error, est.samples, est.seed,
+            spec.act_process, quad_value, ratio,
+        ])
+    result = {row[0]: dict(zip(columns[1:], row[1:])) for row in rows}
     if args.format == "table":
-        columns = ["sex", "mean", "std_error", "quadrature", "abs_diff_over_se"]
-        rows = [
-            [label, r["mean"], r["std_error"], r["quadrature"], r["abs_diff_over_se"]]
-            for label, r in result.items()
-        ]
-        return _emit_table(columns, rows)
-    if args.format == "csv":
-        columns = [
-            "sex", "mean", "std_error", "samples", "seed", "act_process",
-            "quadrature", "abs_diff_over_se",
-        ]
-        rows = [[label] + [r[c] for c in columns[1:]] for label, r in result.items()]
-        return _emit_csv(columns, rows)
-    return _emit_json({"result": result, "metadata": _metadata(scenario, spec.seed)})
+        # the table leaves out samples, seed and act_process
+        columns, rows = columns[:3] + columns[6:], [row[:3] + row[6:] for row in rows]
+    return _emit(args, scenario, columns, rows, result=result, seed=spec.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:

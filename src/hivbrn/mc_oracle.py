@@ -45,6 +45,12 @@ CHUNK_SAMPLES = 4096
 # the reduction holds about 24 B per sample: this caps it near 240 MB
 MAX_SAMPLES = 10_000_000
 
+# poisson_thinning holds about 90 B per candidate act in a block, and a course
+# averages at most delta * peak_prob * omega of them: this caps a block of
+# CHUNK_SAMPLES courses near 370 MB (80 MB under the baseline survival law);
+# the baseline's bound is 26 acts
+MAX_ACTS_PER_COURSE = 1000
+
 ACT_PROCESSES = ("poisson_thinning", "expected_value")
 
 # expected_value reads J(iad) from a table built once per profile: on each
@@ -53,13 +59,13 @@ ACT_PROCESSES = ("poisson_thinning", "expected_value")
 # The panels start as the level-TABLE_LEVEL outer graded mesh; a panel whose
 # last Chebyshev coefficients exceed TABLE_TOL of the largest J is halved, up
 # to MAX_SPLITS times, since a long survival tail (beta near 1) stretches it
-# past the scale on which J varies.  Over 375 draws from the valid box (omega
-# 40 and 400; alpha1 = 1.02, beta = 1 included): 14 to 24 panels, worst error
-# against the level-10 rule 3e-10 of the mean of J at omega 40 and 1.1e-7 at
-# omega 400, the interpolant's on long panels; the fill's own is below 1e-8
+# past the scale on which J varies.  Over 240 draws from the valid box (beta
+# 1 to 3.5, half at omega 40 and half at 400): 15 to 33 panels, worst error
+# against the level-10 rule 4.6e-11 of the mean of J at omega 40 and 1.6e-8 at
+# omega 400, the interpolant's on long panels; the fill's own is below 4e-11
 TABLE_LEVEL = 6
 TABLE_NODES = 24
-TABLE_TOL = 1e-10
+TABLE_TOL = 1e-11
 MAX_SPLITS = 8
 
 # draws in the first graded panel next to tau1 take the inner rule at this
@@ -234,9 +240,11 @@ def estimate_sex_integral(
     """
     if not 0 < omega < np.inf:
         raise DomainError("omega must be finite and > 0")
-    if spec.act_process == "poisson_thinning" and profile.activity.annual_acts <= 0:
+    acts = profile.activity.annual_acts * profile.peak_prob * omega
+    if spec.act_process == "poisson_thinning" and not 0 < acts <= MAX_ACTS_PER_COURSE:
         raise DomainError(
-            "poisson_thinning needs delta > 0; use expected_value instead"
+            f"poisson_thinning needs 0 < delta * peak_prob * omega <= "
+            f"{MAX_ACTS_PER_COURSE}; use expected_value instead"
         )
     n_chunks = -(-spec.samples // CHUNK_SAMPLES)
     table = _inner_table(profile, omega) if spec.act_process == "expected_value" else None

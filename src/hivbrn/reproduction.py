@@ -319,13 +319,17 @@ def evaluate_brn(
     r_fm = sex_brn(delta_f, integral_f)
     r_mf = sex_brn(delta_m, integral_m)
     i0 = index_i0(integral_f, integral_m)
+    r0 = composite_r0(r_fm, r_mf)
     isa = math.sqrt(delta_m * delta_f)
+    for name, value in (("R0", r0), ("ISA", isa)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} is beyond double range")
     result = BrnResult(
         integral_f=integral_f,
         integral_m=integral_m,
         r_fm=r_fm,
         r_mf=r_mf,
-        r0=composite_r0(r_fm, r_mf),
+        r0=r0,
         i0=i0,
         isa=isa,
         epidemic=_verdict(isa, i0) is Verdict.EPIDEMIC,

@@ -308,7 +308,7 @@ class TestPhase:
         # i0**2 / delta_m beyond double range: refused, not written as inf
         code, out, err = run(capsys, "phase", *flags)
         assert code == 2
-        assert "--grid and --factors give a delta_f beyond double range" in err
+        assert "phase: delta_f in row hyperbola is beyond double range" in err
         assert out == ""
 
     def test_nonpositive_factor_exits_2(self, capsys):
@@ -350,7 +350,7 @@ class TestSweep:
         # i0 / 1e-320 is inf, which JSON cannot carry
         code, out, err = run(capsys, "sweep", "--factors", "1e-320", "--format", "json")
         assert code == 2
-        assert "--factors gives an i0 beyond double range" in err
+        assert "sweep: i0 in row 1e-320 is beyond double range" in err
         assert out == ""
 
     def test_underflowing_endpoint_integrals_exit_3(self, capsys):
@@ -438,6 +438,34 @@ class TestSimulate:
         rows = rows_of(out)
         assert [r["sex"] for r in rows] == ["female", "male"]
         assert float(rows[0]["mean"]) > 0
+
+
+class TestOutputRange:
+    """Every command's output passes one range check, in every format."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("eval", "--config", "{big}"), 3),
+            (("phase", "--grid", "1e-320:1:2", "--factors", ""), 2),
+            (("phase", "--factors", "1e-320"), 2),
+            (("sweep", "--factors", "1e-320"), 2),
+        ],
+        ids=["eval-deltas", "phase-grid", "phase-factor", "sweep-factor"],
+    )
+    def test_beyond_double_range_refused(self, capsys, tmp_path, argv, expected, fmt):
+        # both deltas at 1e300 overflow R0 and ISA; the flags overflow a row
+        big = tmp_path / "big.ini"
+        big.write_text("[female]\ndelta = 1e300\n\n[male]\ndelta = 1e300\n")
+        argv = [a.format(big=big) for a in argv]
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == expected
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("hivbrn: ")
+        assert not re.search(r"traceback|\binf|\bnan\b", err, re.I)
 
 
 class TestScenarioEquivalence:

@@ -246,6 +246,18 @@ class TestInnerTable:
         pop = parse_scenario(text).population
         self.check(pop.female, pop.omega)
 
+    def test_long_horizon_interpolant(self):
+        # a box draw at omega 400 whose long panels' interpolant was 1.1e-7 of
+        # the mean of J off at TABLE_TOL 1e-10
+        keys = dict(
+            ia1=0.7741, M1=5.116, m=2.773, tau1=0.9503, M2=5.095, alpha1=1.608,
+            alpha2=0.309, alpha3=0.96, ptr_hi=0.01185, ptr_lo=0.001483,
+            phi=0.4433, median=9.022, beta=3.306,
+        )
+        text = "".join(f"{k} = {v}\n" for k, v in keys.items())
+        pop = parse_scenario(f"[population]\nomega = 400\n[female]\n{text}").population
+        self.check(pop.female, pop.omega)
+
     @settings(database=None, derandomize=True, deadline=None, max_examples=12)
     @given(st.fixed_dictionaries({k: st.floats(*r) for k, r in BOX.items()}))
     def test_whole_box(self, values):
@@ -433,3 +445,16 @@ class TestEstimateSexIntegral:
             zero, SimulationSpec(samples=64, seed=1, act_process="expected_value")
         )
         assert est.mean > 0
+
+    def test_thinning_act_bound(self, female, population):
+        # refused before any draw: twice the bound on the candidate acts per
+        # course, and a delta whose bound overflows; expected_value still runs
+        twice = 2 * mc.MAX_ACTS_PER_COURSE / (female.peak_prob * population.omega)
+        for delta in (twice, 1e300):
+            heavy = dataclasses.replace(
+                female, activity=dataclasses.replace(female.activity, annual_acts=delta)
+            )
+            with pytest.raises(DomainError, match=f"<= {mc.MAX_ACTS_PER_COURSE}"):
+                estimate_sex_integral(heavy, SimulationSpec(samples=10, seed=1))
+            spec = SimulationSpec(samples=64, seed=1, act_process="expected_value")
+            assert 0 < estimate_sex_integral(heavy, spec, omega=population.omega).mean

@@ -365,6 +365,14 @@ class TestEvaluateAndThreshold:
         assert result.r_fm == pytest.approx(300.0 * result.integral_f, rel=1e-12)
         assert result.r_mf == pytest.approx(40.0 * result.integral_m, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "delta, name", [(1e300, "R0"), (2e154, "ISA")], ids=["r0", "isa-only"]
+    )
+    def test_beyond_double_range_raises(self, population, delta, name):
+        # at 2e154 only ISA overflows: delta_m * delta_f does, r_fm * r_mf not
+        with pytest.raises(DomainError, match=f"{name} is beyond double range"):
+            evaluate_brn(with_deltas(population, delta, delta))
+
     def test_inconsistent_record_detected(self):
         bogus = BrnResult(
             integral_f=0.01, integral_m=0.01, r_fm=2.0, r_mf=2.0,
