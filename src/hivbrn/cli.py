@@ -27,7 +27,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .behavior import activity_fraction
+from .behavior import activity_fraction_core
 from .errors import (
     DomainError,
     InconsistentResult,
@@ -35,11 +35,10 @@ from .errors import (
     ScenarioError,
 )
 from .mc_oracle import estimate_sex_integral
-from .natural_history import log_viral_load, transmission_prob
+from .natural_history import link_core, log_viral_load_core
 from .reproduction import (
     composite_r0,
     evaluate_brn,
-    hyperbola_locus,
     index_i0,
     scaled_i0,
     sensitivity_sweep,
@@ -161,12 +160,11 @@ def cmd_trajectory(scenario: Scenario, args) -> str:
     steps = np.floor(args.iad / args.step + 1e-9)
     if steps >= MAX_ROWS:
         raise ScenarioError(f"--iad / --step gives more than {MAX_ROWS} rows")
-    ia = np.arange(int(steps) + 1) * args.step
-    lvl = log_viral_load(ia, args.iad, profile.viral, profile.x_plateau)
-    ptr = transmission_prob(
-        ia, args.iad, profile.viral, profile.transmission, profile.x_plateau
-    )
-    g = activity_fraction(ia, args.iad, profile.activity)
+    # a last age that rounds past --iad is clamped to it
+    ia = np.minimum(np.arange(int(steps) + 1) * args.step, args.iad)
+    lvl = log_viral_load_core(ia, args.iad, profile.viral, profile.x_plateau)
+    ptr = link_core(lvl, profile.transmission)
+    g = activity_fraction_core(ia, args.iad, profile.activity)
     nca = profile.activity.annual_acts * g
     columns = ["ia", "LVl", "ptr", "ptr_x1000", "G", "NCA"]
     rows = np.column_stack((ia, lvl, ptr, 1000.0 * ptr, g, nca)).tolist()
@@ -184,10 +182,13 @@ def cmd_phase(scenario: Scenario, args) -> str:
     int_m = sex_integral(pop.male, pop.omega, scenario.quadrature)
     i0 = index_i0(int_f, int_m)
     columns = ["series", "factor", "delta_m", "delta_f", "r_fm", "r_mf", "r0"]
-    rows = []
-    for factor, scaled in scaled_i0(pop, i0, all_factors):
-        for dm, df in hyperbola_locus(scaled, grid):
-            rows.append(["hyperbola", factor, dm, df, None, None, None])
+    delta_m = grid.tolist()
+    # the R0 = 1 locus; in Python floats an overflow gives inf without a warning
+    rows = [
+        ["hyperbola", factor, dm, scaled * scaled / dm, None, None, None]
+        for factor, scaled in scaled_i0(pop, i0, all_factors)
+        for dm in delta_m
+    ]
     rows.append(["fixed_point", 1.0, i0, i0, None, None, None])
     for dm in FEASIBLE_DELTA_M:
         for df in FEASIBLE_DELTA_F:

@@ -11,7 +11,7 @@ from three closed-form pieces:
   ``peak_time``;
 * :func:`age_warp_core` - a monotone map of infective age that saturates at
   the curve's plateau crossing, freezing the early curve at the plateau level;
-* :func:`terminal_peak_factor` - a Gaussian bump that blends the trajectory
+* :func:`terminal_peak_core` - a Gaussian bump that blends the trajectory
   up to the terminal peak as death approaches.
 
 Per-act transmission probability is a complementary log-log function of the
@@ -32,8 +32,6 @@ __all__ = [
     "ViralLoadParams",
     "TransmissionParams",
     "solve_plateau_point",
-    "terminal_peak_factor",
-    "log_viral_load",
     "transmission_prob",
     "peak_transmission_prob",
 ]
@@ -181,28 +179,23 @@ def age_warp_core(ia: np.ndarray, warp_rate: float, x_plateau: float) -> np.ndar
     return gain * (logistic - 1.0 / (1.0 + e))
 
 
-def terminal_peak_factor(ia, iad, terminal_width: float, terminal_lead: float):
-    """Gaussian blend weight, equal to 1 exactly at ia = iad - terminal_lead;
-    defined for any real ages, so unchecked."""
-    out = np.exp(-terminal_width * (np.subtract(ia, iad) + terminal_lead) ** 2)
-    return out if isinstance(out, np.ndarray) else float(out)
-
-
-def log_viral_load(ia, iad, p: ViralLoadParams, x_plateau: float):
-    """log10 viral load at infective age ``ia`` for a course of length ``iad``.
-
-    Blend of the warped early-peak curve toward the terminal level:
-    ``base + (terminal_log_vl - base) * terminal_peak_factor`` with
-    ``base = early_peak_core(age_warp_core(ia))``.  At ia = iad - terminal_lead
-    the value is ``terminal_log_vl`` exactly.
-    """
-    return checked_call(log_viral_load_core, p, x_plateau, ia=ia, iad=iad)
+def terminal_peak_core(ia, iad, width: float, lead: float) -> np.ndarray:
+    """Gaussian blend weight of inverse width ``width`` (``terminal_width``),
+    equal to 1 exactly at ia = iad - lead; defined for any real ages."""
+    return np.exp(-width * (ia - iad + lead) ** 2)
 
 
 def log_viral_load_core(ia, iad, p: ViralLoadParams, x_plateau: float) -> np.ndarray:
-    """Unchecked :func:`log_viral_load` for 0 <= ia <= iad."""
+    """log10 viral load at infective age ``ia`` for a course of length ``iad``,
+    unchecked, for 0 <= ia <= iad.
+
+    Blend of the warped early-peak curve toward the terminal level:
+    ``base + (terminal_log_vl - base) * terminal_peak_core`` with
+    ``base = early_peak_core(age_warp_core(ia))``.  At ia = iad - terminal_lead
+    the value is ``terminal_log_vl`` exactly.
+    """
     base = early_peak_core(age_warp_core(ia, p.warp_rate, x_plateau), p)
-    bump = terminal_peak_factor(ia, iad, p.terminal_width, p.terminal_lead)
+    bump = terminal_peak_core(ia, iad, p.terminal_width, p.terminal_lead)
     return base + (p.terminal_log_vl - base) * bump
 
 
@@ -211,8 +204,9 @@ def transmission_prob(
 ):
     """Per-act transmission probability at infective age ``ia``.
 
-    ``1 - exp(-exp(intercept + slope * 10**log_viral_load(ia, iad)))``;
-    strictly inside (0, 1) and non-decreasing in the viral load.
+    ``1 - exp(-exp(intercept + slope * 10**lvl))`` at the log10 viral load
+    ``lvl`` of :func:`log_viral_load_core`; strictly inside (0, 1) and
+    non-decreasing in the viral load.
     """
     return checked_call(transmission_prob_core, viral, link, x_plateau, ia=ia, iad=iad)
 

@@ -39,7 +39,7 @@ from .natural_history import (
     transmission_prob,
     transmission_prob_core,
 )
-from .survival import SurvivalParams, survival_density, tail_mass
+from .survival import SurvivalParams, survival_density, survival_density_core, tail_mass
 
 __all__ = [
     "QuadratureSpec",
@@ -53,7 +53,6 @@ __all__ = [
     "composite_r0",
     "evaluate_brn",
     "threshold_check",
-    "hyperbola_locus",
     "sensitivity_sweep",
     "scaled_i0",
 ]
@@ -243,8 +242,9 @@ def sex_integral(
 
     Integrates ``s(y) * G(x, y) * ptr(x, y)`` over the triangle
     0 <= x <= y <= omega on graded meshes of rising level until two
-    consecutive levels agree to ``quad.tol`` relative; raises
-    :class:`QuadratureFailure` if the budget runs out.
+    consecutive levels agree to ``quad.tol`` relative to the newer total,
+    which must be positive; raises :class:`QuadratureFailure` if the budget
+    runs out.
     """
     quad = quad or QuadratureSpec()
     if not 0 < omega < math.inf:
@@ -258,10 +258,11 @@ def sex_integral(
         nodes, weights = _graded_rule(level, both_ends=False)
         y = (tau + (omega - tau) * nodes).ravel()
         inner = inner_integral(y, profile, level)
-        density = survival_density(y, profile.survival)
+        density = survival_density_core(y, profile.survival)
         total = (omega - tau) * float(weights.ravel() @ (density * inner))
-        if prev is not None:
-            err = abs(total - prev) / max(abs(total), 1e-300)
+        # the integrand is positive past tau1: a zero total missed the mass
+        if prev is not None and total > 0:
+            err = abs(total - prev) / total
             if err <= quad.tol:
                 return total
         prev = total
@@ -357,18 +358,6 @@ def threshold_check(result: BrnResult) -> Verdict:
     return by_index
 
 
-def hyperbola_locus(
-    i0: float, delta_m_grid: "list[float] | np.ndarray"
-) -> list[tuple[float, float]]:
-    """Points (delta_m, i0**2 / delta_m) on the R0 = 1 locus."""
-    grid = np.asarray(delta_m_grid, dtype=float)
-    if np.any(grid <= 0):
-        raise DomainError("delta_m grid values must be > 0")
-    i0 = float(i0)
-    # in Python floats an overflow gives inf without a RuntimeWarning
-    return [(dm, i0 * i0 / dm) for dm in grid.tolist()]
-
-
 def scaled_i0(
     config: PopulationConfig, i0: float, scale_factors: "list[float]"
 ) -> list[tuple[float, float]]:
@@ -414,6 +403,11 @@ def sensitivity_sweep(
         integrals = []
         for prof in (config.female, config.male):
             link = prof.transmission
+            if not factor * link.prob_at_peak < 1.0:
+                raise DomainError(
+                    f"{prof.label} prob_at_peak (ptr_hi) scaled by {factor:g} "
+                    f"reaches {factor * link.prob_at_peak:.3g} >= 1"
+                )
             scaled = TransmissionParams.from_anchors(
                 factor * link.prob_at_peak,
                 factor * link.prob_at_plateau,

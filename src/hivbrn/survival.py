@@ -44,10 +44,11 @@ class SurvivalParams:
 
 def survival_density(x, p: SurvivalParams):
     """Weibull density ``x**(b-1) * b / a**b * exp(-(x/a)**b)`` at x >= 0."""
-    return checked_call(_density_core, p, x=x)
+    return checked_call(survival_density_core, p, x=x)
 
 
-def _density_core(x, p: SurvivalParams):
+def survival_density_core(x, p: SurvivalParams):
+    """Unchecked :func:`survival_density` for x >= 0."""
     a, b = p.scale, p.shape
     return x ** (b - 1.0) * b / a**b * np.exp(-((x / a) ** b))
 

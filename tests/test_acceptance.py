@@ -111,7 +111,8 @@ def test_criterion_6_equal_population_threshold(population):
 
 
 def test_criterion_7_property_suite(population, female, male, baseline_integrals):
-    from hivbrn import activity_fraction, log_viral_load
+    from hivbrn import activity_fraction
+    from hivbrn.natural_history import log_viral_load_core
 
     with criterion(7, "model identity and consistency properties"):
         act = female.activity
@@ -125,7 +126,7 @@ def test_criterion_7_property_suite(population, female, male, baseline_integrals
 
         for iad in (5.0, 10.0, 20.0):
             assert (
-                log_viral_load(iad - tau, iad, female.viral, female.x_plateau)
+                log_viral_load_core(iad - tau, iad, female.viral, female.x_plateau)
                 == female.viral.terminal_log_vl
             )
 

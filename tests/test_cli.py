@@ -28,6 +28,19 @@ def rows_of(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+def table_of(text):
+    """Header names and rows of a table, each row a dict of its cells cut
+    at the header's column starts, so a blank cell reads ''."""
+    header, *lines = text.splitlines()
+    columns = [(m.group(), m.start()) for m in re.finditer(r"\S+", header)]
+    ends = [start for _, start in columns[1:]] + [None]
+    rows = [
+        {name: line[start:end].strip() for (name, start), end in zip(columns, ends)}
+        for line in lines
+    ]
+    return [name for name, _ in columns], rows
+
+
 @pytest.fixture()
 def corner_config(tmp_path):
     path = tmp_path / "corner.ini"
@@ -227,6 +240,39 @@ class TestTrajectory:
         assert code == 0
         assert len(rows_of(out)) == 100
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--iad", "0.3"),
+            ("--iad", "2.3"),
+            ("--sex", "male", "--iad", "1.2", "--step", "0.2"),
+        ],
+        ids=["0.3", "2.3", "male-1.2"],
+    )
+    def test_last_row_at_death(self, capsys, flags):
+        # the last grid age can round past --iad; that row is at --iad
+        code, out, err = run(capsys, "trajectory", *flags)
+        assert code == 0, err
+        last = rows_of(out)[-1]
+        assert float(last["ia"]) == float(flags[flags.index("--iad") + 1])
+        assert float(last["G"]) == 0.0
+
+    def test_every_iad_on_the_step_grid(self, capsys):
+        for k in range(1, 101):
+            code, out, err = run(capsys, "trajectory", "--iad", repr(k / 10))
+            assert code == 0, (k, err)
+            assert len(rows_of(out)) == k + 1
+
+    def test_table(self, capsys):
+        code, out, _ = run(
+            capsys, "trajectory", "--iad", "3", "--step", "0.5", "--format", "table"
+        )
+        assert code == 0
+        names, rows = table_of(out)
+        assert names == ["ia", "LVl", "ptr", "ptr_x1000", "G", "NCA"]
+        assert len(rows) == 7
+        assert rows[-1]["ia"] == "3" and rows[-1]["G"] == "0"
+
 
 class TestPhase:
     def test_corners(self, capsys):
@@ -263,6 +309,30 @@ class TestPhase:
             and float(r["delta_m"]) == 26.0
         )
         assert float(at26["delta_f"]) == pytest.approx(256.1, rel=0.01)
+
+    def test_hyperbola_is_the_r0_locus(self, capsys):
+        # delta_m * delta_f = (I0 / factor)**2 on every hyperbola row
+        _, out, _ = run(capsys, "phase")
+        rows = rows_of(out)
+        i0 = float(next(r for r in rows if r["series"] == "fixed_point")["delta_m"])
+        hyperbola = [r for r in rows if r["series"] == "hyperbola"]
+        assert len(hyperbola) == 3 * 71
+        for r in hyperbola:
+            want = (i0 / float(r["factor"])) ** 2 / float(r["delta_m"])
+            assert float(r["delta_f"]) == pytest.approx(want, rel=1e-12)
+
+    def test_table(self, capsys):
+        code, out, _ = run(
+            capsys, "phase", "--format", "table", "--factors", "0.5", "--grid", "10:150:5"
+        )
+        assert code == 0
+        names, rows = table_of(out)
+        assert names == ["series", "factor", "delta_m", "delta_f", "r_fm", "r_mf", "r0"]
+        # two hyperbolae of 5 points, the fixed point and 4 corners
+        assert [r["series"] for r in rows] == (
+            ["hyperbola"] * 10 + ["fixed_point"] + ["corner"] * 4
+        )
+        assert rows[0]["r0"] == "" and rows[-1]["r0"] == "2.70478"
 
     def test_sensitivity_hyperbolae_present(self, capsys):
         _, out, _ = run(capsys, "phase")
@@ -345,6 +415,31 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--factors", "200")
         assert code == 3
         assert "numerical failure" in err
+
+    def test_excessive_endpoint_factor_names_sex_and_factor(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "sweep", "--mode", "scale_endpoints", "--factors", "200"
+        )
+        assert code == 3
+        assert "female prob_at_peak (ptr_hi) scaled by 200 reaches 1.6 >= 1" in err
+        assert out == ""
+        path = tmp_path / "male.ini"
+        path.write_text("[male]\nptr_hi = 0.02\n")
+        code, out, err = run(
+            capsys, "sweep", "--mode", "scale_endpoints", "--factors", "60",
+            "--config", str(path),
+        )
+        assert code == 3
+        assert "male prob_at_peak (ptr_hi) scaled by 60 reaches 1.2 >= 1" in err
+        assert out == ""
+
+    def test_table(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--format", "table")
+        assert code == 0
+        names, rows = table_of(out)
+        assert names == ["factor", "i0", "mode"]
+        assert [r["factor"] for r in rows] == ["0.5", "1", "2"]
+        assert {r["mode"] for r in rows} == {"scale_function"}
 
     def test_overflowing_i0_exits_2(self, capsys):
         # i0 / 1e-320 is inf, which JSON cannot carry
@@ -438,6 +533,38 @@ class TestSimulate:
         rows = rows_of(out)
         assert [r["sex"] for r in rows] == ["female", "male"]
         assert float(rows[0]["mean"]) > 0
+
+    @pytest.mark.parametrize("samples", [4096, 1])
+    def test_table(self, capsys, samples):
+        code, out, _ = run(
+            capsys, "simulate", "--samples", str(samples), "--format", "table"
+        )
+        assert code == 0
+        names, rows = table_of(out)
+        assert names == ["sex", "mean", "std_error", "quadrature", "abs_diff_over_se"]
+        assert [r["sex"] for r in rows] == ["female", "male"]
+        for row in rows:
+            assert float(row["mean"]) > 0 and float(row["quadrature"]) > 0
+            # one sample has no standard error and so no ratio
+            blank = samples == 1
+            assert (row["std_error"] == "") is blank
+            assert (row["abs_diff_over_se"] == "") is blank
+
+    def test_long_horizon_matches_quadrature(self, capsys, tmp_path):
+        # at omega 2e7 the coarse outer panels miss the survival mass, so
+        # the first levels sum to 0; the quadrature refines past them
+        path = tmp_path / "long.ini"
+        path.write_text(
+            "[population]\nomega = 2e7\n\n[simulation]\nact_process = expected_value\n"
+        )
+        code, out, _ = run(
+            capsys, "simulate", "--config", str(path), "--samples", "8192"
+        )
+        assert code == 0
+        result = json.loads(out)["result"]
+        for sex in ("female", "male"):
+            assert result[sex]["quadrature"] > 0
+            assert result[sex]["abs_diff_over_se"] <= 5.0
 
 
 class TestOutputRange:

@@ -8,13 +8,16 @@ from hivbrn import (
     DomainError,
     TransmissionParams,
     ViralLoadParams,
-    log_viral_load,
     peak_transmission_prob,
     solve_plateau_point,
-    terminal_peak_factor,
     transmission_prob,
 )
-from hivbrn.natural_history import age_warp_core, early_peak_core
+from hivbrn.natural_history import (
+    age_warp_core,
+    early_peak_core,
+    log_viral_load_core,
+    terminal_peak_core,
+)
 
 # Frozen oracle values, computed by 50-digit mpmath evaluation of the same
 # closed forms (see the mpmath re-derivations in this file's tests).
@@ -175,16 +178,16 @@ class TestAgeWarp:
 
 class TestTerminalPeakFactor:
     def test_unit_at_terminal_peak(self, viral):
-        assert terminal_peak_factor(6.0, 7.0, viral.terminal_width, 1.0) == 1.0
+        assert terminal_peak_core(6.0, 7.0, viral.terminal_width, 1.0) == 1.0
 
     def test_symmetric(self, viral):
         for d in (0.1, 0.7, 2.3):
-            lo = terminal_peak_factor(6.0 - d, 7.0, viral.terminal_width, 1.0)
-            hi = terminal_peak_factor(6.0 + d, 7.0, viral.terminal_width, 1.0)
+            lo = terminal_peak_core(6.0 - d, 7.0, viral.terminal_width, 1.0)
+            hi = terminal_peak_core(6.0 + d, 7.0, viral.terminal_width, 1.0)
             assert lo == pytest.approx(hi, rel=1e-14)
 
     def test_value(self, viral):
-        got = terminal_peak_factor(3.0, 7.0, viral.terminal_width, 1.0)
+        got = terminal_peak_core(3.0, 7.0, viral.terminal_width, 1.0)
         assert got == pytest.approx(np.exp(-6.3), rel=1e-14)
         assert got == pytest.approx(1.8363047770289068e-3, rel=1e-12)
 
@@ -192,7 +195,7 @@ class TestTerminalPeakFactor:
 class TestLogViralLoad:
     def test_terminal_value_exact(self, viral, xp):
         for iad in (5.0, 10.0, 20.0, 1.5, 33.7):
-            assert log_viral_load(iad - 1.0, iad, viral, xp) == viral.terminal_log_vl
+            assert log_viral_load_core(iad - 1.0, iad, viral, xp) == viral.terminal_log_vl
 
     def test_value_vs_highprec_oracle(self, viral, xp):
         mp = pytest.importorskip("mpmath")
@@ -211,14 +214,14 @@ class TestLogViralLoad:
         )
         base = M1 * (warped / ia1) ** (a1 - 1) * mp.exp((1 - a1) * (warped / ia1 - 1))
         expected = base + (M2 - base) * mp.exp(-a3 * (3 - 7 + tau) ** 2)
-        got = log_viral_load(3.0, 7.0, viral, xp)
+        got = log_viral_load_core(3.0, 7.0, viral, xp)
         assert got == pytest.approx(float(expected), rel=1e-12)
         assert got == pytest.approx(LVL_3_7, rel=1e-12)
         assert got == pytest.approx(3.11, abs=0.01)
 
     def test_first_peak_height_and_location(self, viral, xp):
         ia = np.linspace(0.0, 1.0, 20_001)
-        lvl = log_viral_load(ia, 7.0, viral, xp)
+        lvl = log_viral_load_core(ia, 7.0, viral, xp)
         assert lvl.max() == pytest.approx(5.0, abs=0.01)
         assert ia[np.argmax(lvl)] == pytest.approx(0.4, abs=0.05)
 
@@ -227,24 +230,18 @@ class TestLogViralLoad:
         # ia = 2.8 and the terminal bump is negligible until 3 years of death
         for iad in (7.0, 10.0, 20.0, 40.0):
             ia = np.linspace(2.8, iad - 3.0, 500)
-            lvl = log_viral_load(ia, iad, viral, xp)
+            lvl = log_viral_load_core(ia, iad, viral, xp)
             assert np.all(np.abs(lvl - viral.plateau_log_vl) < 0.15)
 
     def test_bounded_and_finite(self, viral, xp):
         iad = np.linspace(0.0, 100.0, 101)
         for y in iad:
             ia = np.linspace(0.0, y, 101)
-            lvl = log_viral_load(ia, y, viral, xp)
+            lvl = log_viral_load_core(ia, y, viral, xp)
             assert np.all(np.isfinite(lvl))
             # mathematically > 0; the terminal bump can underflow to 0.0
             assert np.all(lvl >= 0)
             assert np.all(lvl <= max(viral.peak_log_vl, viral.terminal_log_vl))
-
-    def test_domain_errors(self, viral, xp):
-        with pytest.raises(DomainError):
-            log_viral_load(3.0, 2.0, viral, xp)
-        with pytest.raises(DomainError):
-            log_viral_load(-0.5, 2.0, viral, xp)
 
 
 class TestDeriveLink:

@@ -20,7 +20,6 @@ from hivbrn import (
     Verdict,
     composite_r0,
     evaluate_brn,
-    hyperbola_locus,
     index_i0,
     parse_scenario,
     sensitivity_sweep,
@@ -29,12 +28,7 @@ from hivbrn import (
     threshold_check,
 )
 from hivbrn.behavior import activity_fraction, activity_fraction_core
-from hivbrn.natural_history import (
-    log_viral_load,
-    terminal_peak_factor,
-    transmission_prob,
-    transmission_prob_core,
-)
+from hivbrn.natural_history import transmission_prob, transmission_prob_core
 from hivbrn.survival import survival_density
 from hivbrn.reproduction import MAX_REFINE
 
@@ -117,6 +111,18 @@ class TestSexIntegral:
 
     def test_short_horizon_is_zero(self, female):
         assert sex_integral(female, 1.0) == 0.0
+
+    @pytest.mark.parametrize("omega", [2e7, 1e8, 1e12])
+    def test_long_horizon_is_never_zero(self, population, baseline_integrals, omega):
+        # a mesh that misses the survival mass sums to 0, which must not
+        # pass for two agreeing levels
+        tol = QuadratureSpec().tol
+        for prof, at_40 in zip((population.female, population.male), baseline_integrals):
+            try:
+                value = sex_integral(prof, omega)
+            except QuadratureFailure:
+                continue
+            assert abs(value - at_40) <= tol * at_40
 
     def test_refinement_exhaustion(self, female, population):
         with pytest.raises(QuadratureFailure):
@@ -251,7 +257,6 @@ class TestCores:
         v, xp = female.viral, female.x_plateau
         life_course = [
             lambda a, d: activity_fraction(a, d, female.activity),
-            lambda a, d: log_viral_load(a, d, v, xp),
             lambda a, d: transmission_prob(a, d, v, female.transmission, xp),
         ]
         x_only = [lambda a, _: survival_density(a, female.survival)]
@@ -261,11 +266,8 @@ class TestCores:
                     wrapper(*args)
         # every public kernel returns a float for scalar input and an array
         # of the input's shape for array input
-        kernels = life_course + x_only + [
-            lambda a, d: terminal_peak_factor(a, d, v.terminal_width, v.terminal_lead),
-        ]
         ages = np.linspace(0.1, 0.9, 6).reshape(2, 3)
-        for kernel in kernels:
+        for kernel in life_course + x_only:
             assert type(kernel(0.5, 5.0)) is float
             out = kernel(ages, 5.0)
             assert isinstance(out, np.ndarray) and out.shape == ages.shape
@@ -401,25 +403,6 @@ class TestEvaluateAndThreshold:
         assert result.r0 == pytest.approx(82.0 * result.integral_m, rel=1e-12)
 
 
-class TestHyperbola:
-    def test_locus_values(self):
-        locus = dict(hyperbola_locus(81.60, [26.0, 81.60, 104.0]))
-        assert locus[26.0] == pytest.approx(256.1, abs=0.1)
-        assert locus[81.60] == pytest.approx(81.60, rel=1e-12)
-
-    def test_scaled_locus(self):
-        (pair,) = hyperbola_locus(163.2, [104.0])
-        assert pair[1] == pytest.approx(256.1, abs=0.2)
-
-    def test_rejects_nonpositive_grid(self):
-        with pytest.raises(DomainError):
-            hyperbola_locus(81.6, [26.0, 0.0])
-
-    def test_overflow_gives_inf_without_warning(self):
-        # RuntimeWarning is an error in this suite; the CLI refuses the inf
-        assert hyperbola_locus(81.6, [1e-320]) == [(1e-320, math.inf)]
-
-
 class TestSensitivity:
     def test_scale_function_values(self, population):
         swept = dict(sensitivity_sweep(population, [0.5, 1.0, 2.0]))
@@ -450,8 +433,9 @@ class TestSensitivity:
             sensitivity_sweep(population, [130.0], "scale_endpoints")
 
     def test_bad_inputs(self, population):
-        with pytest.raises(DomainError):
-            sensitivity_sweep(population, [0.0])
+        for mode in ("scale_function", "scale_endpoints"):
+            with pytest.raises(DomainError, match="scale factors must be > 0"):
+                sensitivity_sweep(population, [0.0], mode)
         with pytest.raises(DomainError):
             sensitivity_sweep(population, [1.0], "scale_sideways")
 
