@@ -252,7 +252,7 @@ def sex_integral(
     tau = profile.activity.terminal_lead
     if omega <= tau:
         return 0.0
-    prev, err = None, math.inf
+    prev, err, reached = None, math.inf, False
     for level in range(quad.max_refine + 1):
         # the integrand vanishes for y <= tau1: outer panels span [tau1, omega]
         nodes, weights = _graded_rule(level, both_ends=False)
@@ -266,10 +266,13 @@ def sex_integral(
             if err <= quad.tol:
                 return total
         prev = total
-    raise QuadratureFailure(
-        f"relative error {err:.2e} above target {quad.tol:g} "
-        f"after {quad.max_refine} graded levels"
+        reached = reached or total > 0
+    reason = (
+        f"relative error {err:.2e} above target {quad.tol:g}" if reached
+        else "no level's total was positive: the mesh never reached the "
+        f"survival mass below omega {omega:g}"
     )
+    raise QuadratureFailure(f"{reason} after {quad.max_refine} graded levels")
 
 
 def sex_brn(delta: float, integral: float) -> float:

@@ -4,8 +4,12 @@
 and keys, each parsed as the type of its baseline value (int, text, or a
 finite float for a float or None).  Missing keys fall back to the baseline,
 so an empty file (or no file at all) reproduces the baseline analysis
-exactly.  Unknown sections (``[DEFAULT]`` included) or keys are rejected
-with the offending line number.  ``#`` and ``;`` start comments.
+exactly.  ``#`` or ``;`` anywhere starts a comment that runs to the end of
+the line; what is left of a line, with its indentation ignored, is blank, a
+``[section]`` header alone on its line, or ``key = value`` split at the
+first ``=``.  There are no continuation lines.  Any other line, an unknown
+section (``[DEFAULT]`` included) or key, a repeated section or key and a
+value of the wrong type are rejected with the offending line number.
 
 Per-sex keys: ia1, M1, m, tau1, M2, alpha1, alpha2, alpha3 (viral-load
 trajectory), ptr_hi, ptr_lo (transmission anchors), delta, phi (activity),
@@ -17,10 +21,8 @@ act_process.
 
 from __future__ import annotations
 
-import configparser
 import hashlib
 import math
-import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -134,25 +136,9 @@ def _resolve(values: dict[str, dict]) -> Scenario:
         raise ScenarioError("scenario values overflow double precision") from exc
 
 
-def _line_of(text: str, section: str, key: str | None = None) -> int | None:
-    """1-based line of a section header, or of a key within that section."""
-    in_section = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        header = re.match(r"\s*\[([^\]]+)\]", line)
-        if header:
-            if key is None and header.group(1) == section:
-                return lineno
-            in_section = header.group(1) == section
-            continue
-        if key is not None and in_section:
-            if re.match(rf"\s*{re.escape(key)}\s*=", line):
-                return lineno
-    return None
-
-
-def _convert(section: str, key: str, raw: str, baseline, line: int | None):
+def _convert(section: str, key: str, raw: str, baseline, line: int):
     if isinstance(baseline, str):
-        return raw.strip()
+        return raw
     try:
         if isinstance(baseline, int):
             return int(raw)
@@ -167,43 +153,51 @@ def _convert(section: str, key: str, raw: str, baseline, line: int | None):
 
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text, merge with baseline defaults, and validate."""
-    # no header can name a section containing a newline, so [DEFAULT] is an
-    # ordinary, and unknown, section instead of defaults for every section
-    parser = configparser.ConfigParser(
-        delimiters=("=",), interpolation=None, comment_prefixes=("#", ";"),
-        inline_comment_prefixes=("#", ";"), default_section="\n",
-    )
-    parser.optionxform = str
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        line = getattr(exc, "lineno", None)
-        raise ScenarioError(str(exc), line) from exc
-
     values = default_values()
-    for section in parser.sections():
-        if section not in values:
-            raise ScenarioError(
-                f"unknown section [{section}]", _line_of(text, section)
-            )
-        for key, raw in parser.items(section):
-            line = _line_of(text, section, key)
-            if key not in values[section]:
+    seen = set()
+    section = None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        for mark in "#;":
+            line = line.partition(mark)[0]
+        line = line.strip()
+        if line.startswith("["):
+            if not line.endswith("]"):
                 raise ScenarioError(
-                    f"unknown key {key!r} in [{section}]", line
+                    f"a [section] header must fill its line: {line!r}", lineno
                 )
+            section = line[1:-1]
+            if section not in values:
+                raise ScenarioError(f"unknown section [{section}]", lineno)
+            if section in seen:
+                raise ScenarioError(f"repeated section [{section}]", lineno)
+            seen.add(section)
+        elif line:
+            key, equals, raw = line.partition("=")
+            key = key.strip()
+            if not equals:
+                raise ScenarioError(
+                    f"expected a [section] header or key = value: {line!r}", lineno
+                )
+            if section is None:
+                raise ScenarioError(f"key {key!r} before any [section] header", lineno)
+            if key not in values[section]:
+                raise ScenarioError(f"unknown key {key!r} in [{section}]", lineno)
+            if (section, key) in seen:
+                raise ScenarioError(f"repeated key {key!r} in [{section}]", lineno)
+            seen.add((section, key))
             baseline = values[section][key]
-            values[section][key] = _convert(section, key, raw, baseline, line)
+            values[section][key] = _convert(section, key, raw.strip(), baseline, lineno)
 
     return _resolve(values)
 
 
 def load_scenario(path: str | Path | None) -> Scenario:
-    """Read and parse a scenario file; None gives the pure baseline."""
+    """Read and parse a UTF-8 scenario file, skipping a byte-order mark;
+    None gives the pure baseline."""
     if path is None:
         return parse_scenario("")
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     return parse_scenario(text)

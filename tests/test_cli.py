@@ -157,6 +157,25 @@ class TestEval:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_unreached_survival_mass_exits_3(self, capsys, tmp_path):
+        cfg = tmp_path / "far.ini"
+        cfg.write_text("[population]\nomega = 1e15\n")
+        code, out, err = run(capsys, "eval", "--config", str(cfg))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "never reached the survival mass below omega 1e+15" in err
+
+    def test_text_after_a_header_exits_2(self, capsys, tmp_path):
+        # the value on the header's line is refused, not dropped
+        cfg = tmp_path / "header.ini"
+        cfg.write_text("[female] delta = 500\n")
+        code, out, err = run(capsys, "eval", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("hivbrn: configuration error: line 1: ")
+        assert err.count("\n") == 1
+
     def test_seed_is_a_simulate_flag(self, capsys):
         # nothing eval computes depends on the seed, so it takes no --seed
         with pytest.raises(SystemExit) as exit_:

@@ -130,6 +130,16 @@ class TestSexIntegral:
                 female, population.omega, QuadratureSpec(tol=1e-16, max_refine=1)
             )
 
+    def test_mesh_missing_the_survival_mass_says_so(self, female):
+        # at omega 1e15 every level's outer panels miss the mass near the
+        # median, so every total is 0 and no relative error exists
+        with pytest.raises(QuadratureFailure) as err:
+            sex_integral(female, 1e15)
+        assert str(err.value) == (
+            "no level's total was positive: the mesh never reached the survival "
+            "mass below omega 1e+15 after 8 graded levels"
+        )
+
     def test_scale_must_keep_prob_below_one(self, population):
         with pytest.raises(DomainError):
             sensitivity_sweep(population, [200.0])

@@ -138,6 +138,28 @@ class TestRejection:
         with pytest.raises(ScenarioError):
             parse_scenario("[female]\ndelta = 1\ndelta = 2\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("[female] delta = 500\n", 1),
+            ("[male]]x\n", 1),
+            ("delta = 1\n[female]\n", 1),
+            ("[female]\ndelta: 5\n", 2),
+            ("[female]\ndelta = 1\ndelta = 2\n", 3),
+            ("[female]\ndelta = 1\n[female]\n", 3),
+        ],
+        ids=["text_after_header", "bracket_after_header", "key_before_header",
+             "colon_delimiter", "repeated_key", "repeated_section"],
+    )
+    def test_malformed_line_is_named(self, text, line):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        message = str(err.value)
+        assert err.value.line == line
+        assert message.startswith(f"line {line}: ")
+        assert "\n" not in message
+        assert "<string>" not in message
+
     def test_semantic_error_is_config_error(self):
         with pytest.raises(ScenarioError):
             parse_scenario("[female]\nphi = 1.5\n")
@@ -156,6 +178,36 @@ class TestHash:
         a = parse_scenario("[female]\ndelta = 208\n")
         b = parse_scenario("\n# comment\n[female]\ndelta   =    208\n")
         assert a.config_hash() == b.config_hash()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[female]\ndelta = 208;x\n",
+            "[female]\ndelta = 208#x\n",
+            "[female]# c\ndelta = 208\n",
+            "  [female]\n    delta = 208\n",
+            "[female]\ndelta = 208\n  [male]\n  median = 9.4\n",
+        ],
+        ids=["semicolon_after_value", "hash_after_value", "hash_after_header",
+             "indented", "indented_after_key"],
+    )
+    def test_relaxed_lines_parse_as_written(self, text):
+        written = parse_scenario("[female]\ndelta = 208\n")
+        assert parse_scenario(text).config_hash() == written.config_hash()
+
+    def test_line_ends_and_byte_order_mark(self, tmp_path):
+        text = "# comment\n[female]\ndelta = 208\n[male]\ndelta = 26\n"
+        expected = parse_scenario(text).config_hash()
+        variants = {
+            "lf": text.encode(),
+            "crlf": text.replace("\n", "\r\n").encode(),
+            "cr": text.replace("\n", "\r").encode(),
+            "bom": b"\xef\xbb\xbf" + text.encode(),
+        }
+        for name, data in variants.items():
+            path = tmp_path / f"{name}.ini"
+            path.write_bytes(data)
+            assert load_scenario(path).config_hash() == expected, name
 
     def test_sensitive_to_values(self):
         a = parse_scenario("[female]\ndelta = 208\n")
@@ -200,6 +252,7 @@ def test_fuzzed_text_parses_or_is_rejected(text):
     # (CLI exit 2): no overflow, warning or other exception escapes
     try:
         scenario = parse_scenario(text)
-    except ScenarioError:
+    except ScenarioError as exc:
+        assert "\n" not in str(exc)
         return
     assert isinstance(scenario, Scenario)
