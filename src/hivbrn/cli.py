@@ -28,12 +28,7 @@ import numpy as np
 
 from . import __version__
 from .behavior import activity_fraction_core
-from .errors import (
-    DomainError,
-    InconsistentResult,
-    QuadratureFailure,
-    ScenarioError,
-)
+from .errors import DomainError, QuadratureFailure, ScenarioError
 from .mc_oracle import estimate_sex_integral
 from .natural_history import link_core, log_viral_load_core
 from .reproduction import (
@@ -311,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"hivbrn: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, QuadratureFailure, InconsistentResult) as exc:
+    except (DomainError, QuadratureFailure) as exc:
         print(f"hivbrn: numerical failure: {exc}", file=sys.stderr)
         return 3
     if not args.out:

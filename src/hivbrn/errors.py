@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-__all__ = ["DomainError", "QuadratureFailure", "InconsistentResult", "ScenarioError"]
+__all__ = ["DomainError", "QuadratureFailure", "ScenarioError"]
 
 
 class DomainError(ValueError):
@@ -15,10 +15,6 @@ class DomainError(ValueError):
 
 class QuadratureFailure(RuntimeError):
     """The quadrature error target was not met at maximum refinement."""
-
-
-class InconsistentResult(RuntimeError):
-    """Two redundant formulations of the same quantity disagree."""
 
 
 class ScenarioError(ValueError):

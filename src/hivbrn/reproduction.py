@@ -30,7 +30,7 @@ import numpy as np
 
 # bench/tracing.py wraps activity_fraction, transmission_prob, survival_density here
 from .behavior import ActivityParams, activity_fraction, activity_fraction_core
-from .errors import DomainError, InconsistentResult, QuadratureFailure
+from .errors import DomainError, QuadratureFailure
 from .natural_history import (
     TransmissionParams,
     ViralLoadParams,
@@ -338,27 +338,16 @@ def evaluate_brn(
         isa=isa,
         epidemic=_verdict(isa, i0) is Verdict.EPIDEMIC,
     )
-    threshold_check(result)
     return result
 
 
 def threshold_check(result: BrnResult) -> Verdict:
-    """Three-way verdict, cross-checked between its two formulations.
+    """Three-way verdict from one formulation, ISA against I0.
 
-    ISA vs I0 and R0 vs 1 must agree (they are algebraically identical);
-    a disagreement beyond the criticality band raises
-    :class:`InconsistentResult`.
+    R0 against 1 is the same comparison in exact arithmetic, but a second
+    rounding: at the edge of the critical band the two can disagree.
     """
-    by_index = _verdict(result.isa, result.i0)
-    by_r0 = _verdict(result.r0, 1.0)
-    if by_index is not by_r0:
-        raise InconsistentResult(
-            f"ISA/I0 gives {by_index.value} but R0={result.r0!r} gives "
-            f"{by_r0.value}"
-        )
-    if result.epidemic != (by_index is Verdict.EPIDEMIC):
-        raise InconsistentResult("stored epidemic flag contradicts the verdict")
-    return by_index
+    return _verdict(result.isa, result.i0)
 
 
 def scaled_i0(

@@ -157,6 +157,18 @@ class TestEval:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_critical_band_edge_exits_0(self, capsys, tmp_path):
+        # ISA/I0 and R0 = 1.000000001 round to opposite sides of the critical
+        # band's edge here; the verdict is computed once, from ISA/I0
+        cfg = tmp_path / "edge.ini"
+        cfg.write_text("[female]\ndelta = 81.13396768850455\n")
+        code, out, err = run(capsys, "eval", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert result["r0"] == pytest.approx(1.0 + 1e-9, rel=1e-15)
+        assert result["verdict"] in ("epidemic", "critical")
+        assert result["epidemic"] is (result["verdict"] == "epidemic")
+
     def test_unreached_survival_mass_exits_3(self, capsys, tmp_path):
         cfg = tmp_path / "far.ini"
         cfg.write_text("[population]\nomega = 1e15\n")

@@ -19,6 +19,8 @@ from hivbrn import (
     sex_integral,
     transmission_prob,
 )
+from hivbrn.behavior import activity_fraction_core
+from hivbrn.natural_history import transmission_prob_core
 from hivbrn.reproduction import inner_integral
 from hivbrn.survival import SurvivalParams, survival_quantile_core
 
@@ -82,6 +84,28 @@ def simulate_life_course(
         times, float(iad), profile.viral, profile.transmission, profile.x_plateau
     )
     return float(np.count_nonzero(rng.random(times.size) < probs))
+
+
+def thinning_block(profile, spec, omega, chunk):
+    """Per-sample values of one ``poisson_thinning`` block, from the same
+    Philox draws as the estimator, with both kernels run on every candidate
+    act and the two accept/reject tests combined afterwards."""
+    size = min(spec.samples - chunk * mc.CHUNK_SAMPLES, mc.CHUNK_SAMPLES)
+    g = np.random.Generator(np.random.Philox(key=spec.seed, counter=[0, 0, 0, chunk]))
+    iad = survival_quantile_core(g.random(size), profile.survival)
+    iad[iad > omega] = 0.0
+    delta, p_max = profile.activity.annual_acts, profile.peak_prob
+    acts = g.poisson(np.where(iad > profile.activity.terminal_lead, delta * p_max * iad, 0.0))
+    seg = np.repeat(np.arange(size), acts)
+    iad_rep = np.repeat(iad, acts)
+    t = g.random(acts.sum()) * iad_rep
+    u_act = g.random(acts.sum()) * p_max
+    u_thin = g.random(acts.sum())
+    active = u_thin < activity_fraction_core(t, iad_rep, profile.activity)
+    transmits = u_act < transmission_prob_core(
+        t, iad_rep, profile.viral, profile.transmission, profile.x_plateau
+    )
+    return np.bincount(seg[active & transmits], minlength=size) / delta
 
 
 class TestSampleIad:
@@ -293,22 +317,55 @@ class TestEstimateSexIntegral:
         spec = SimulationSpec(samples=20_000, seed=99, act_process="poisson_thinning")
         assert estimate_sex_integral(male, spec) == estimate_sex_integral(male, spec)
 
-    def test_worker_count_invariance(self, male):
-        for process in mc.ACT_PROCESSES:
-            spec = SimulationSpec(samples=20_000, seed=99, act_process=process)
-            single = estimate_sex_integral(male, spec, workers=1)
-            double = estimate_sex_integral(male, spec, workers=2)
-            triple = estimate_sex_integral(male, spec, workers=3)
-            assert single == double == triple
+    def test_worker_count_invariance(self, male, monkeypatch):
+        # 20,000 samples are 5 blocks, one per task; 200,705 are 49 blocks,
+        # the last one ragged, sent in batches of 3 at 2 workers and 2 at 3
+        # (the CPU cap is lifted so that 3 workers run on any host)
+        monkeypatch.setattr(mc, "_pool_size", lambda workers, n_chunks: workers)
+        for samples in (20_000, 200_705):
+            for process in mc.ACT_PROCESSES:
+                spec = SimulationSpec(samples=samples, seed=99, act_process=process)
+                single = estimate_sex_integral(male, spec, workers=1)
+                double = estimate_sex_integral(male, spec, workers=2)
+                triple = estimate_sex_integral(male, spec, workers=3)
+                assert single == double == triple
 
     def test_pool_size_is_capped(self, monkeypatch):
-        monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
         assert mc._pool_size(1, 100) == 1
         assert mc._pool_size(3, 100) == 3
         assert mc._pool_size(10_000, 3) == 3
         assert mc._pool_size(10_000, 100) == 4
+        # a process pinned to one CPU starts no pool at all
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {5})
+        assert mc._pool_size(8, 100) == 1
+        # without an affinity call, the CPU count caps it, and 1 if unknown
+        monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
+        assert mc._pool_size(10_000, 100) == 64
         monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
         assert mc._pool_size(8, 100) == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[female]\ndelta = 208\n[male]\ndelta = 26\n",
+            "[female]\nalpha3 = 200\nM2 = 5.4\n[male]\nalpha3 = 200\nM2 = 5.4\n",
+        ],
+        ids=["csw_clients", "alpha3-M2"],
+    )
+    def test_thinning_counts_match_every_act_reference(self, text):
+        # the activity kernel runs only on acts that pass the transmission
+        # test; every count must equal the one from both kernels on every act
+        pop = parse_scenario(text).population
+        spec = SimulationSpec(samples=2 * mc.CHUNK_SAMPLES + 1000, seed=20260810)
+        for profile in (pop.female, pop.male):
+            for chunk in range(3):
+                got = mc._chunk_values(profile, spec, pop.omega, None, chunk)
+                want = thinning_block(profile, spec, pop.omega, chunk)
+                assert got.size == (1000 if chunk == 2 else mc.CHUNK_SAMPLES)
+                assert np.array_equal(got, want)
+                assert want.any()
 
     def test_seed_changes_result(self, male):
         a = estimate_sex_integral(male, SimulationSpec(samples=5_000, seed=1))

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from hivbrn import (
-    BrnResult,
     DomainError,
-    InconsistentResult,
     PopulationConfig,
     QuadratureFailure,
     QuadratureSpec,
@@ -30,7 +28,7 @@ from hivbrn import (
 from hivbrn.behavior import activity_fraction, activity_fraction_core
 from hivbrn.natural_history import transmission_prob, transmission_prob_core
 from hivbrn.survival import survival_density
-from hivbrn.reproduction import MAX_REFINE
+from hivbrn.reproduction import CRITICAL_BAND, MAX_REFINE
 
 from conftest import PARAM_BOX
 
@@ -385,13 +383,17 @@ class TestEvaluateAndThreshold:
         with pytest.raises(DomainError, match=f"{name} is beyond double range"):
             evaluate_brn(with_deltas(population, delta, delta))
 
-    def test_inconsistent_record_detected(self):
-        bogus = BrnResult(
-            integral_f=0.01, integral_m=0.01, r_fm=2.0, r_mf=2.0,
-            r0=0.5, i0=100.0, isa=200.0, epidemic=True,
-        )
-        with pytest.raises(InconsistentResult):
-            threshold_check(bogus)
+    def test_index_ratio_and_r0_agree_to_ulps(self, baseline_integrals):
+        # the verdict reads ISA against I0 alone; R0 against 1 is the same
+        # comparison rounded another way, a few ulps apart at any contact
+        # rates, including those on the critical band's edges
+        int_f, int_m = baseline_integrals
+        i0 = index_i0(int_f, int_m)
+        for dm in np.geomspace(1.0, 1000.0, 40):
+            edge = [i0**2 / dm * (1 + k * CRITICAL_BAND) for k in range(-3, 4)]
+            for df in [*np.geomspace(1.0, 1000.0, 40), *edge]:
+                r0 = composite_r0(sex_brn(df, int_f), sex_brn(dm, int_m))
+                assert abs(math.sqrt(dm * df) / i0 - r0) <= 4 * math.ulp(r0)
 
     def test_three_predicates_agree_on_grid(self, population, baseline_integrals):
         int_f, int_m = baseline_integrals
