@@ -39,7 +39,7 @@ from .reproduction import (
     sensitivity_sweep,
     sex_brn,
     sex_integral,
-    threshold_check,
+    sex_integrals,
 )
 from .scenario import Scenario, load_scenario
 
@@ -129,8 +129,7 @@ def _parse_grid(raw: str) -> np.ndarray:
 
 def cmd_eval(scenario: Scenario, args) -> str:
     result = evaluate_brn(scenario.population, scenario.quadrature)
-    verdict = threshold_check(result).value
-    fields = {**asdict(result), "verdict": verdict}
+    fields = {**asdict(result), "verdict": result.verdict.value}
     if args.format == "table":
         lines = [
             f"R_fm     {result.r_fm:.3f}",
@@ -138,7 +137,7 @@ def cmd_eval(scenario: Scenario, args) -> str:
             f"R0       {result.r0:.3f}",
             f"I0       {result.i0:.2f}",
             f"ISA      {result.isa:.2f}",
-            f"verdict  {verdict}",
+            f"verdict  {fields['verdict']}",
         ]
         return "\n".join(lines) + "\n"
     rows = [[k, v] for k, v in fields.items()]
@@ -173,8 +172,7 @@ def cmd_phase(scenario: Scenario, args) -> str:
     all_factors = [1.0] + [f for f in factors if f != 1.0]
     if len(all_factors) * grid.size > MAX_ROWS:
         raise ScenarioError(f"--factors and --grid give more than {MAX_ROWS} rows")
-    int_f = sex_integral(pop.female, pop.omega, scenario.quadrature)
-    int_m = sex_integral(pop.male, pop.omega, scenario.quadrature)
+    int_f, int_m = sex_integrals(pop, scenario.quadrature)
     i0 = index_i0(int_f, int_m)
     columns = ["series", "factor", "delta_m", "delta_f", "r_fm", "r_mf", "r0"]
     delta_m = grid.tolist()

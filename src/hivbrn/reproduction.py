@@ -48,11 +48,11 @@ __all__ = [
     "BrnResult",
     "Verdict",
     "sex_integral",
+    "sex_integrals",
     "sex_brn",
     "index_i0",
     "composite_r0",
     "evaluate_brn",
-    "threshold_check",
     "sensitivity_sweep",
     "scaled_i0",
 ]
@@ -82,7 +82,7 @@ class QuadratureSpec:
     ``ORDER`` nodes per panel in each direction.  Each level adds one
     graded layer at each end (toward ``x = 0``, ``x = y`` and ``y = tau1``)
     and widens the uniform middle; levels rise until two consecutive ones
-    agree to relative ``tol``, up to ``max_refine`` levels past the first.
+    agree to relative ``tol``, up to ``max_refine`` (>= 1) levels past the first.
     """
 
     tol: float = 1e-6
@@ -93,8 +93,8 @@ class QuadratureSpec:
             raise DomainError("quadrature tol must be > 0")
         if type(self.max_refine) is not int:
             raise DomainError("max_refine must be an int")
-        if not 0 <= self.max_refine <= MAX_REFINE:
-            raise DomainError(f"max_refine must be in [0, {MAX_REFINE}]")
+        if not 1 <= self.max_refine <= MAX_REFINE:
+            raise DomainError(f"max_refine must be in [1, {MAX_REFINE}]")
 
 
 @dataclass(frozen=True)
@@ -192,6 +192,7 @@ class BrnResult:
     i0: float
     isa: float
     epidemic: bool
+    verdict: Verdict
 
 
 def graded_edges(level: int, both_ends: bool) -> np.ndarray:
@@ -260,19 +261,33 @@ def sex_integral(
         inner = inner_integral(y, profile, level)
         density = survival_density_core(y, profile.survival)
         total = (omega - tau) * float(weights.ravel() @ (density * inner))
-        # the integrand is positive past tau1: a zero total missed the mass
+        # the integrand is positive past tau1: a zero total missed the mass or underflowed
         if prev is not None and total > 0:
             err = abs(total - prev) / total
             if err <= quad.tol:
                 return total
         prev = total
         reached = reached or total > 0
+    cause = (
+        "the integrand underflows to 0 at every node with" if density.any()
+        else "the mesh never reached the"
+    )
     reason = (
         f"relative error {err:.2e} above target {quad.tol:g}" if reached
-        else "no level's total was positive: the mesh never reached the "
-        f"survival mass below omega {omega:g}"
+        else f"no level's total was positive: {cause} survival mass below omega {omega:g}"
     )
     raise QuadratureFailure(f"{reason} after {quad.max_refine} graded levels")
+
+
+def sex_integrals(
+    config: PopulationConfig, quad: QuadratureSpec | None = None
+) -> tuple[float, float]:
+    """``(I_f, I_m)``: both sexes' :func:`sex_integral` over ``config.omega``,
+    the one pair every threshold number comes from."""
+    return (
+        sex_integral(config.female, config.omega, quad),
+        sex_integral(config.male, config.omega, quad),
+    )
 
 
 def sex_brn(delta: float, integral: float) -> float:
@@ -306,18 +321,12 @@ def composite_r0(r_fm: float, r_mf: float) -> float:
     return math.sqrt(r_fm * r_mf)
 
 
-def _verdict(isa: float, i0: float) -> Verdict:
-    if abs(isa - i0) <= CRITICAL_BAND * i0:
-        return Verdict.CRITICAL
-    return Verdict.EPIDEMIC if isa > i0 else Verdict.SUBCRITICAL
-
-
 def evaluate_brn(
     config: PopulationConfig, quad: QuadratureSpec | None = None
 ) -> BrnResult:
-    """Run both sex integrals and assemble the full threshold record."""
-    integral_f = sex_integral(config.female, config.omega, quad)
-    integral_m = sex_integral(config.male, config.omega, quad)
+    """Run both sex integrals and assemble the full threshold record, with
+    the one verdict: ISA against I0 (R0 against 1 only rounds differently)."""
+    integral_f, integral_m = sex_integrals(config, quad)
     delta_f = config.female.activity.annual_acts
     delta_m = config.male.activity.annual_acts
     r_fm = sex_brn(delta_f, integral_f)
@@ -328,7 +337,11 @@ def evaluate_brn(
     for name, value in (("R0", r0), ("ISA", isa)):
         if not math.isfinite(value):
             raise DomainError(f"{name} is beyond double range")
-    result = BrnResult(
+    if abs(isa - i0) <= CRITICAL_BAND * i0:
+        verdict = Verdict.CRITICAL
+    else:
+        verdict = Verdict.EPIDEMIC if isa > i0 else Verdict.SUBCRITICAL
+    return BrnResult(
         integral_f=integral_f,
         integral_m=integral_m,
         r_fm=r_fm,
@@ -336,18 +349,9 @@ def evaluate_brn(
         r0=r0,
         i0=i0,
         isa=isa,
-        epidemic=_verdict(isa, i0) is Verdict.EPIDEMIC,
+        epidemic=verdict is Verdict.EPIDEMIC,
+        verdict=verdict,
     )
-    return result
-
-
-def threshold_check(result: BrnResult) -> Verdict:
-    """Three-way verdict from one formulation, ISA against I0.
-
-    R0 against 1 is the same comparison in exact arithmetic, but a second
-    rounding: at the edge of the critical band the two can disagree.
-    """
-    return _verdict(result.isa, result.i0)
 
 
 def scaled_i0(
@@ -380,19 +384,17 @@ def sensitivity_sweep(
     ``scale_endpoints`` rescales the two anchor probabilities and re-derives
     the link, which is only approximately linear.
     """
-    if mode == "scale_function":
-        i0 = index_i0(
-            sex_integral(config.female, config.omega, quad),
-            sex_integral(config.male, config.omega, quad),
-        )
-        return scaled_i0(config, i0, scale_factors)
-    if mode != "scale_endpoints":
+    if mode not in ("scale_function", "scale_endpoints"):
         raise DomainError(f"unknown sweep mode {mode!r}")
+    if not scale_factors:
+        return []
+    if mode == "scale_function":
+        return scaled_i0(config, index_i0(*sex_integrals(config, quad)), scale_factors)
     out = []
     for factor in scale_factors:
         if not factor > 0:
             raise DomainError("scale factors must be > 0")
-        integrals = []
+        scaled = {}
         for prof in (config.female, config.male):
             link = prof.transmission
             if not factor * link.prob_at_peak < 1.0:
@@ -400,13 +402,12 @@ def sensitivity_sweep(
                     f"{prof.label} prob_at_peak (ptr_hi) scaled by {factor:g} "
                     f"reaches {factor * link.prob_at_peak:.3g} >= 1"
                 )
-            scaled = TransmissionParams.from_anchors(
+            anchors = TransmissionParams.from_anchors(
                 factor * link.prob_at_peak,
                 factor * link.prob_at_plateau,
                 prof.viral.peak_log_vl,
                 prof.viral.plateau_log_vl,
             )
-            prof = replace(prof, transmission=scaled)
-            integrals.append(sex_integral(prof, config.omega, quad))
-        out.append((factor, index_i0(*integrals)))
+            scaled[prof.label] = replace(prof, transmission=anchors)
+        out.append((factor, index_i0(*sex_integrals(replace(config, **scaled), quad))))
     return out

@@ -23,7 +23,6 @@ from hivbrn import (
     solve_plateau_point,
     survival_density,
     tail_mass,
-    threshold_check,
     transmission_prob,
 )
 from hivbrn.cli import main
@@ -82,8 +81,8 @@ def test_criterion_4_left_edge_crossing(population, baseline_integrals):
         assert sex_brn(crossing, int_f) == pytest.approx(3.04, rel=0.01)
         below = evaluate_brn(with_deltas(population, 0.99 * crossing, 26.0))
         above = evaluate_brn(with_deltas(population, 1.01 * crossing, 26.0))
-        assert threshold_check(below) is Verdict.SUBCRITICAL
-        assert threshold_check(above) is Verdict.EPIDEMIC
+        assert below.verdict is Verdict.SUBCRITICAL
+        assert above.verdict is Verdict.EPIDEMIC
 
 
 def test_criterion_5_sensitivity(population):
@@ -106,8 +105,8 @@ def test_criterion_6_equal_population_threshold(population):
     with criterion(6, "equal-population verdict flips between 81 and 83 acts/year"):
         low = evaluate_brn(with_deltas(population, 81.0, 81.0))
         high = evaluate_brn(with_deltas(population, 83.0, 83.0))
-        assert threshold_check(low) is Verdict.SUBCRITICAL
-        assert threshold_check(high) is Verdict.EPIDEMIC
+        assert low.verdict is Verdict.SUBCRITICAL
+        assert high.verdict is Verdict.EPIDEMIC
 
 
 def test_criterion_7_property_suite(population, female, male, baseline_integrals):

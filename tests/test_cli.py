@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hivbrn
-from hivbrn import cli, evaluate_brn, parse_scenario
+from hivbrn import cli, evaluate_brn, parse_scenario, reproduction
 from hivbrn.cli import main
 from hivbrn.mc_oracle import MAX_SAMPLES
 from hivbrn.reproduction import MAX_REFINE
@@ -127,6 +127,7 @@ class TestEval:
         [
             ("[quadrature]\norder = 24\n", "line 2: unknown key 'order' in [quadrature]"),
             (f"[quadrature]\nmax_refine = {MAX_REFINE + 1}\n", "max_refine must be in"),
+            ("[quadrature]\ntol = 1e-16\nmax_refine = 0\n", "max_refine must be in [1, "),
             (f"[simulation]\nsamples = {MAX_SAMPLES + 1}\n", "samples must be in"),
             ("[population]\nomega = 1e300\n", "overflow"),
             ("[female]\nmedian = 1e-300\n", "overflow"),
@@ -136,8 +137,9 @@ class TestEval:
             ("[female]\nM1 = 1e-17\nm = 5e-18\n", "10**peak_log_vl (M1)"),
             ("[population]\npop_female = 1\npop_male = 8\n", "act balance"),
         ],
-        ids=["order", "max_refine", "samples", "omega", "median", "M1", "default",
-             "default_beside_female", "M1_equals_m_linear", "unbalanced"],
+        ids=["order", "max_refine", "max_refine_zero", "samples", "omega", "median",
+             "M1", "default", "default_beside_female", "M1_equals_m_linear",
+             "unbalanced"],
     )
     def test_out_of_range_scenario_exits_2(self, capsys, tmp_path, text, message):
         # limit + 1 is refused while the scenario is parsed, before any
@@ -391,7 +393,7 @@ class TestPhase:
         def no_integral(*args):
             raise AssertionError("integral computed for a refused grid")
 
-        monkeypatch.setattr(cli, "sex_integral", no_integral)
+        monkeypatch.setattr(reproduction, "sex_integral", no_integral)
         count = cli.MAX_ROWS // 3 + 1
         code, out, err = run(
             capsys, "phase", "--factors", "0.5,2", "--grid", f"10:150:{count}"
@@ -432,6 +434,17 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "--factors", "")
         assert code == 0
         assert rows_of(out) == []
+
+    @pytest.mark.parametrize("mode", ["scale_function", "scale_endpoints"])
+    def test_empty_factor_list_integrates_nothing(self, capsys, monkeypatch, mode):
+        # no factor needs an I0, so a quadrature that would fail never runs
+        def no_integral(*args):
+            raise AssertionError("integral computed for an empty factor list")
+
+        monkeypatch.setattr(reproduction, "sex_integral", no_integral)
+        code, out, err = run(capsys, "sweep", "--factors", "", "--mode", mode)
+        assert (code, err) == (0, "")
+        assert out == "factor,i0,mode\n"
 
     def test_endpoint_mode(self, capsys):
         code, out, _ = run(
@@ -496,7 +509,7 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "--factors", "0.5,1,2")
         assert code == 0
         assert len(rows_of(out)) == 3
-        monkeypatch.setattr(cli, "sex_integral", no_integral)
+        monkeypatch.setattr(reproduction, "sex_integral", no_integral)
         monkeypatch.setattr(cli, "sensitivity_sweep", no_integral)
         for command in ("phase", "sweep"):
             code, out, err = run(capsys, command, "--factors", "0.5,1,2,4")
@@ -658,6 +671,36 @@ class TestScenarioEquivalence:
                 payload["metadata"]["config_hash"]
                 == parse_scenario(cfg.read_text() + section).config_hash()
             )
+
+
+@pytest.mark.parametrize(
+    "argv, sexes",
+    [
+        (("eval",), ["female", "male"]),
+        (("phase",), ["female", "male"]),
+        (("sweep",), ["female", "male"]),
+        (
+            ("sweep", "--mode", "scale_endpoints", "--factors", "0.5,1,2"),
+            ["female", "male"] * 3,
+        ),
+        (("simulate", "--samples", "4096", "--sex", "female"), ["female"]),
+    ],
+    ids=["eval", "phase", "sweep", "scale_endpoints", "simulate_female"],
+)
+def test_sex_integral_calls_per_command(capsys, monkeypatch, argv, sexes):
+    # every threshold number comes from one (I_f, I_m) pair per population;
+    # simulate integrates only the sexes it simulates
+    seen = []
+    original = reproduction.sex_integral
+
+    def counted(profile, *args):
+        seen.append(profile.label)
+        return original(profile, *args)
+
+    monkeypatch.setattr(reproduction, "sex_integral", counted)
+    monkeypatch.setattr(cli, "sex_integral", counted)
+    assert run(capsys, *argv)[0] == 0
+    assert seen == sexes
 
 
 def test_import_loads_no_process_pool():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from hivbrn import (
+    BrnResult,
     DomainError,
     PopulationConfig,
     QuadratureFailure,
@@ -23,7 +24,7 @@ from hivbrn import (
     sensitivity_sweep,
     sex_brn,
     sex_integral,
-    threshold_check,
+    sex_integrals,
 )
 from hivbrn.behavior import activity_fraction, activity_fraction_core
 from hivbrn.natural_history import transmission_prob, transmission_prob_core
@@ -83,6 +84,9 @@ class TestSexIntegral:
         tiny = scaled_profile(female, 1e-12 / female.transmission.prob_at_plateau)
         assert sex_integral(tiny, population.omega) == pytest.approx(0.0, abs=1e-10)
 
+    def test_pair_of_integrals(self, population, baseline_integrals):
+        assert sex_integrals(population) == baseline_integrals
+
     def test_pointwise_scaling_is_linear(self, population, baseline_integrals):
         base = index_i0(*baseline_integrals)
         for c, scaled in sensitivity_sweep(population, [0.5, 2.0]):
@@ -136,6 +140,16 @@ class TestSexIntegral:
         assert str(err.value) == (
             "no level's total was positive: the mesh never reached the survival "
             "mass below omega 1e+15 after 8 graded levels"
+        )
+
+    def test_underflowing_integrand_says_so(self, female):
+        # scaled by 1e-320 the per-act probability underflows to 0 at every
+        # node, though the survival density there is positive
+        with pytest.raises(QuadratureFailure) as err:
+            sex_integral(scaled_profile(female, 1e-320), 40.0)
+        assert str(err.value) == (
+            "no level's total was positive: the integrand underflows to 0 at "
+            "every node with survival mass below omega 40 after 8 graded levels"
         )
 
     def test_scale_must_keep_prob_below_one(self, population):
@@ -352,12 +366,19 @@ def with_deltas(population, delta_f, delta_m):
 class TestEvaluateAndThreshold:
     def test_equal_rates_82_is_epidemic(self, population):
         result = evaluate_brn(with_deltas(population, 82.0, 82.0))
-        assert threshold_check(result) is Verdict.EPIDEMIC
+        assert result.verdict is Verdict.EPIDEMIC
         assert result.epidemic
+
+    def test_verdict_is_the_last_field(self, population):
+        # eval writes the record's fields in order, the verdict last
+        names = [f.name for f in dataclasses.fields(BrnResult)]
+        assert names[-2:] == ["epidemic", "verdict"]
+        result = evaluate_brn(population)
+        assert result.epidemic is (result.verdict is Verdict.EPIDEMIC)
 
     def test_lower_corner_subcritical(self, population):
         result = evaluate_brn(with_deltas(population, 208.0, 26.0))
-        assert threshold_check(result) is Verdict.SUBCRITICAL
+        assert result.verdict is Verdict.SUBCRITICAL
         assert result.r0 == pytest.approx(0.90, abs=0.01)
         assert not result.epidemic
 
@@ -365,7 +386,7 @@ class TestEvaluateAndThreshold:
         result = evaluate_brn(with_deltas(population, 82.0, 82.0))
         critical_df = result.i0**2 / 26.0
         boundary = evaluate_brn(with_deltas(population, critical_df, 26.0))
-        assert threshold_check(boundary) is Verdict.CRITICAL
+        assert boundary.verdict is Verdict.CRITICAL
 
     def test_result_internal_consistency(self, population):
         result = evaluate_brn(with_deltas(population, 300.0, 40.0))
@@ -496,8 +517,10 @@ class TestConfigValidation:
     def test_quadrature_spec_validation(self):
         with pytest.raises(DomainError):
             QuadratureSpec(tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_refine=-1)
+        # convergence compares two levels: one refinement is the least
+        for bad in (-1, 0):
+            with pytest.raises(DomainError, match=r"must be in \[1, "):
+                QuadratureSpec(max_refine=bad)
         with pytest.raises(DomainError):
             QuadratureSpec(max_refine=MAX_REFINE + 1)
         # a float or bool level count would fail or pass silently later
