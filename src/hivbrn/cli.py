@@ -49,7 +49,7 @@ FEASIBLE_DELTA_F = (208.0, 468.0)
 # most rows a trajectory or a phase output may ask for; checked before allocating
 MAX_ROWS = 1_000_000
 # most --factors a phase or sweep may list; sweep's scale_endpoints mode
-# computes two integrals per factor
+# integrates each sex once, adding one link pass per factor on every level
 MAX_FACTORS = 1000
 
 
@@ -78,12 +78,14 @@ def _emit(args, scenario: Scenario, columns, rows, result=None, seed=None) -> st
     """The one writer of command output: ``rows`` under ``columns`` as CSV or
     a table; as JSON, ``result`` (default: the rows as a ``series`` of
     records) beside the metadata block.  A float cell beyond double range
-    is refused, so no format writes ``inf`` or ``nan``."""
+    is refused, so no format writes ``inf`` or ``nan``; the cells before it
+    name its row (every command's first cell is a finite key)."""
     for row in rows:
-        for name, value in zip(columns, row):
+        for col, (name, value) in enumerate(zip(columns, row)):
             if isinstance(value, float) and not math.isfinite(value):
+                where = ", ".join(str(cell) for cell in row[:col])
                 raise ScenarioError(
-                    f"{args.command}: {name} in row {row[0]} is beyond double range"
+                    f"{args.command}: {name} in row {where} is beyond double range"
                 )
     if args.format == "table":
         return _emit_table(columns, rows)

@@ -219,9 +219,21 @@ def transmission_prob_core(
 
 
 def link_core(lvl, link: TransmissionParams):
-    """Per-act probability at log10 viral load ``lvl``; ``10**lvl`` is taken
-    as ``exp(LN10 * lvl)``, which vectorizes where ``pow`` does not."""
-    return -np.expm1(-np.exp(link.intercept + link.slope * np.exp(LN10 * lvl)))
+    """Per-act probability at log10 viral load ``lvl``: :func:`cloglog_core`
+    of :func:`linear_load_core`."""
+    return cloglog_core(linear_load_core(lvl), link)
+
+
+def linear_load_core(lvl):
+    """Linear viral load ``10**lvl``, taken as ``exp(LN10 * lvl)``, which
+    vectorizes where ``pow`` does not."""
+    return np.exp(LN10 * lvl)
+
+
+def cloglog_core(load, link: TransmissionParams):
+    """Per-act probability ``1 - exp(-exp(intercept + slope * load))`` at
+    linear viral load ``load``."""
+    return -np.expm1(-np.exp(link.intercept + link.slope * load))
 
 
 def peak_transmission_prob(

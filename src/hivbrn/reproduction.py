@@ -17,6 +17,11 @@ epidemic threshold R0 > 1 is equivalent to ISA > I0 where
 I0 depends only on infectivity, survival and the shape of the activity
 decline, never on the contact rates, so the R0 = 1 locus in the
 (delta_m, delta_f) plane is the fixed hyperbola delta_m * delta_f = I0**2.
+
+Transmission variants of one sex profile, such as the endpoint factors of a
+sensitivity sweep, differ only in the cloglog link: they share one mesh per
+level, on which ``G``, the viral load and the survival density are computed
+once (:func:`link_integrals`).
 """
 
 from __future__ import annotations
@@ -34,10 +39,12 @@ from .errors import DomainError, QuadratureFailure
 from .natural_history import (
     TransmissionParams,
     ViralLoadParams,
+    cloglog_core,
+    linear_load_core,
+    log_viral_load_core,
     peak_transmission_prob,
     solve_plateau_point,
     transmission_prob,
-    transmission_prob_core,
 )
 from .survival import SurvivalParams, survival_density, survival_density_core, tail_mass
 
@@ -219,21 +226,93 @@ def _graded_rule(level: int, both_ends: bool) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def inner_integral(iad: np.ndarray, profile: SexProfile, level: int) -> np.ndarray:
-    """``int_0^iad G(x, iad) * ptr(x, iad) dx`` for each age at death, by
-    ``ORDER``-node Gauss-Legendre on the level-``level`` panels as fractions
-    of ``iad``; one kernel call per panel, of ``iad.size * ORDER`` points.
-    The nodes satisfy 0 <= x <= iad, so the unchecked cores are called."""
+def inner_integrals(
+    iad: np.ndarray, profile: SexProfile, links: "list[TransmissionParams]", level: int
+) -> np.ndarray:
+    """``int_0^iad G(x, iad) * ptr(x, iad) dx`` for each age at death under
+    each link, shape ``(len(links), iad.size)``, by ``ORDER``-node
+    Gauss-Legendre on the level-``level`` panels as fractions of ``iad``.
+    Per panel, ``G`` and the linear viral load are computed once on the
+    ``iad.size * ORDER`` nodes, then each link adds one cloglog pass.  The
+    nodes satisfy 0 <= x <= iad, so the unchecked cores are called."""
     col = iad[:, None]
-    out = np.zeros_like(iad)
+    out = np.zeros((len(links), iad.size))
     for nodes, weights in zip(*_graded_rule(level, both_ends=True)):
         x = nodes * col
         g = activity_fraction_core(x, col, profile.activity)
-        ptr = transmission_prob_core(
-            x, col, profile.viral, profile.transmission, profile.x_plateau
+        load = linear_load_core(
+            log_viral_load_core(x, col, profile.viral, profile.x_plateau)
         )
-        out += (g * ptr) @ weights
+        for row, link in zip(out, links):
+            row += (g * cloglog_core(load, link)) @ weights
     return out * iad
+
+
+def inner_integral(iad: np.ndarray, profile: SexProfile, level: int) -> np.ndarray:
+    """:func:`inner_integrals` under the profile's own link."""
+    return inner_integrals(iad, profile, [profile.transmission], level)[0]
+
+
+def link_integrals(
+    profile: SexProfile,
+    links: "list[TransmissionParams]",
+    omega: float,
+    quad: QuadratureSpec | None = None,
+) -> list:
+    """:func:`sex_integral` of ``profile`` under each link in ``links``, on one
+    shared mesh per level: the links differ only in the cloglog pass of
+    :func:`inner_integrals`.  Each link keeps its own level sequence and
+    convergence test, so each value is bit for bit its one-link integral;
+    a link that fails gets its :class:`QuadratureFailure` in its place,
+    unraised, so the caller picks which failure to report first.
+    """
+    quad = quad or QuadratureSpec()
+    if not 0 < omega < math.inf:
+        raise DomainError("omega must be finite and > 0")
+    tau = profile.activity.terminal_lead
+    if omega <= tau:
+        return [0.0] * len(links)
+    values = [None] * len(links)
+    prev = [None] * len(links)
+    err = [math.inf] * len(links)
+    reached = [False] * len(links)
+    for level in range(quad.max_refine + 1):
+        todo = [k for k, value in enumerate(values) if value is None]
+        if not todo:
+            return values
+        # the integrand vanishes for y <= tau1: outer panels span [tau1, omega]
+        nodes, weights = _graded_rule(level, both_ends=False)
+        y = (tau + (omega - tau) * nodes).ravel()
+        inner = inner_integrals(y, profile, [links[k] for k in todo], level)
+        density = survival_density_core(y, profile.survival)
+        for k, row in zip(todo, inner):
+            total = (omega - tau) * float(weights.ravel() @ (density * row))
+            # the integrand is positive past tau1: a zero total missed the mass or underflowed
+            if prev[k] is not None and total > 0:
+                err[k] = abs(total - prev[k]) / total
+                if err[k] <= quad.tol:
+                    values[k] = total
+            prev[k] = total
+            reached[k] = reached[k] or total > 0
+    cause = (
+        "the integrand underflows to 0 at every node with" if density.any()
+        else "the mesh never reached the"
+    )
+    for k, value in enumerate(values):
+        if value is None:
+            reason = (
+                f"relative error {err[k]:.2e} above target {quad.tol:g}" if reached[k]
+                else f"no level's total was positive: {cause} survival mass below omega {omega:g}"
+            )
+            values[k] = QuadratureFailure(f"{reason} after {quad.max_refine} graded levels")
+    return values
+
+
+def _settled(value):
+    """A :func:`link_integrals` value, or its failure raised."""
+    if isinstance(value, QuadratureFailure):
+        raise value
+    return value
 
 
 def sex_integral(
@@ -245,38 +324,10 @@ def sex_integral(
     0 <= x <= y <= omega on graded meshes of rising level until two
     consecutive levels agree to ``quad.tol`` relative to the newer total,
     which must be positive; raises :class:`QuadratureFailure` if the budget
-    runs out.
+    runs out.  The one-link case of :func:`link_integrals`.
     """
-    quad = quad or QuadratureSpec()
-    if not 0 < omega < math.inf:
-        raise DomainError("omega must be finite and > 0")
-    tau = profile.activity.terminal_lead
-    if omega <= tau:
-        return 0.0
-    prev, err, reached = None, math.inf, False
-    for level in range(quad.max_refine + 1):
-        # the integrand vanishes for y <= tau1: outer panels span [tau1, omega]
-        nodes, weights = _graded_rule(level, both_ends=False)
-        y = (tau + (omega - tau) * nodes).ravel()
-        inner = inner_integral(y, profile, level)
-        density = survival_density_core(y, profile.survival)
-        total = (omega - tau) * float(weights.ravel() @ (density * inner))
-        # the integrand is positive past tau1: a zero total missed the mass or underflowed
-        if prev is not None and total > 0:
-            err = abs(total - prev) / total
-            if err <= quad.tol:
-                return total
-        prev = total
-        reached = reached or total > 0
-    cause = (
-        "the integrand underflows to 0 at every node with" if density.any()
-        else "the mesh never reached the"
-    )
-    reason = (
-        f"relative error {err:.2e} above target {quad.tol:g}" if reached
-        else f"no level's total was positive: {cause} survival mass below omega {omega:g}"
-    )
-    raise QuadratureFailure(f"{reason} after {quad.max_refine} graded levels")
+    (value,) = link_integrals(profile, [profile.transmission], omega, quad)
+    return _settled(value)
 
 
 def sex_integrals(
@@ -382,7 +433,9 @@ def sensitivity_sweep(
     ``scale_function`` multiplies the per-act probability pointwise by each
     factor, which gives the base I0 over the factor (:func:`scaled_i0`);
     ``scale_endpoints`` rescales the two anchor probabilities and re-derives
-    the link, which is only approximately linear.
+    the link, which is only approximately linear.  It checks every factor
+    before any integral, then integrates each sex once with every factor's
+    link on one shared mesh per level (:func:`link_integrals`).
     """
     if mode not in ("scale_function", "scale_endpoints"):
         raise DomainError(f"unknown sweep mode {mode!r}")
@@ -390,11 +443,10 @@ def sensitivity_sweep(
         return []
     if mode == "scale_function":
         return scaled_i0(config, index_i0(*sex_integrals(config, quad)), scale_factors)
-    out = []
+    links = {"female": [], "male": []}
     for factor in scale_factors:
         if not factor > 0:
             raise DomainError("scale factors must be > 0")
-        scaled = {}
         for prof in (config.female, config.male):
             link = prof.transmission
             if not factor * link.prob_at_peak < 1.0:
@@ -408,6 +460,13 @@ def sensitivity_sweep(
                 prof.viral.peak_log_vl,
                 prof.viral.plateau_log_vl,
             )
-            scaled[prof.label] = replace(prof, transmission=anchors)
-        out.append((factor, index_i0(*sex_integrals(replace(config, **scaled), quad))))
-    return out
+            # the profile's own checks, such as a terminal peak reaching 1
+            links[prof.label].append(replace(prof, transmission=anchors).transmission)
+    # one shared mesh per level and sex carries every factor's link
+    int_f = link_integrals(config.female, links["female"], config.omega, quad)
+    int_m = link_integrals(config.male, links["male"], config.omega, quad)
+    # a failure is reported in factor order, female before male
+    return [
+        (factor, index_i0(_settled(f), _settled(m)))
+        for factor, f, m in zip(scale_factors, int_f, int_m)
+    ]

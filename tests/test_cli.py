@@ -393,7 +393,7 @@ class TestPhase:
         def no_integral(*args):
             raise AssertionError("integral computed for a refused grid")
 
-        monkeypatch.setattr(reproduction, "sex_integral", no_integral)
+        monkeypatch.setattr(reproduction, "link_integrals", no_integral)
         count = cli.MAX_ROWS // 3 + 1
         code, out, err = run(
             capsys, "phase", "--factors", "0.5,2", "--grid", f"10:150:{count}"
@@ -403,15 +403,19 @@ class TestPhase:
         assert out == ""
 
     @pytest.mark.parametrize(
-        "flags",
-        [("--grid", "1e-320:1:2", "--factors", ""), ("--factors", "1e-320")],
+        "flags, row",
+        [
+            (("--grid", "1e-320:1:2", "--factors", ""), "hyperbola, 1.0, 1e-320"),
+            (("--factors", "1e-320"), "hyperbola, 1e-320, 10.0"),
+        ],
         ids=["grid", "factor"],
     )
-    def test_overflowing_hyperbola_exits_2(self, capsys, flags):
-        # i0**2 / delta_m beyond double range: refused, not written as inf
+    def test_overflowing_hyperbola_exits_2(self, capsys, flags, row):
+        # i0**2 / delta_m beyond double range: refused, not written as inf,
+        # in the row its series, factor and delta_m name
         code, out, err = run(capsys, "phase", *flags)
         assert code == 2
-        assert "phase: delta_f in row hyperbola is beyond double range" in err
+        assert f"phase: delta_f in row {row} is beyond double range\n" in err
         assert out == ""
 
     def test_nonpositive_factor_exits_2(self, capsys):
@@ -441,7 +445,7 @@ class TestSweep:
         def no_integral(*args):
             raise AssertionError("integral computed for an empty factor list")
 
-        monkeypatch.setattr(reproduction, "sex_integral", no_integral)
+        monkeypatch.setattr(reproduction, "link_integrals", no_integral)
         code, out, err = run(capsys, "sweep", "--factors", "", "--mode", mode)
         assert (code, err) == (0, "")
         assert out == "factor,i0,mode\n"
@@ -509,7 +513,7 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "--factors", "0.5,1,2")
         assert code == 0
         assert len(rows_of(out)) == 3
-        monkeypatch.setattr(reproduction, "sex_integral", no_integral)
+        monkeypatch.setattr(reproduction, "link_integrals", no_integral)
         monkeypatch.setattr(cli, "sensitivity_sweep", no_integral)
         for command in ("phase", "sweep"):
             code, out, err = run(capsys, command, "--factors", "0.5,1,2,4")
@@ -674,33 +678,34 @@ class TestScenarioEquivalence:
 
 
 @pytest.mark.parametrize(
-    "argv, sexes",
+    "argv, calls",
     [
-        (("eval",), ["female", "male"]),
-        (("phase",), ["female", "male"]),
-        (("sweep",), ["female", "male"]),
+        (("eval",), [("female", 1), ("male", 1)]),
+        (("phase",), [("female", 1), ("male", 1)]),
+        (("sweep",), [("female", 1), ("male", 1)]),
         (
             ("sweep", "--mode", "scale_endpoints", "--factors", "0.5,1,2"),
-            ["female", "male"] * 3,
+            [("female", 3), ("male", 3)],
         ),
-        (("simulate", "--samples", "4096", "--sex", "female"), ["female"]),
+        (("simulate", "--samples", "4096", "--sex", "female"), [("female", 1)]),
     ],
     ids=["eval", "phase", "sweep", "scale_endpoints", "simulate_female"],
 )
-def test_sex_integral_calls_per_command(capsys, monkeypatch, argv, sexes):
+def test_sex_integral_calls_per_command(capsys, monkeypatch, argv, calls):
     # every threshold number comes from one (I_f, I_m) pair per population;
-    # simulate integrates only the sexes it simulates
+    # the endpoint sweep integrates each sex once, with every factor's link;
+    # simulate integrates only the sexes it simulates.  sex_integral is the
+    # one-link case of link_integrals, so the core's calls count them all
     seen = []
-    original = reproduction.sex_integral
+    original = reproduction.link_integrals
 
-    def counted(profile, *args):
-        seen.append(profile.label)
-        return original(profile, *args)
+    def counted(profile, links, *args):
+        seen.append((profile.label, len(links)))
+        return original(profile, links, *args)
 
-    monkeypatch.setattr(reproduction, "sex_integral", counted)
-    monkeypatch.setattr(cli, "sex_integral", counted)
+    monkeypatch.setattr(reproduction, "link_integrals", counted)
     assert run(capsys, *argv)[0] == 0
-    assert seen == sexes
+    assert seen == calls
 
 
 def test_import_loads_no_process_pool():

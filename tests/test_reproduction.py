@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from hivbrn import (
 from hivbrn.behavior import activity_fraction, activity_fraction_core
 from hivbrn.natural_history import transmission_prob, transmission_prob_core
 from hivbrn.survival import survival_density
-from hivbrn.reproduction import CRITICAL_BAND, MAX_REFINE
+from hivbrn.reproduction import CRITICAL_BAND, MAX_REFINE, link_integrals
 
 from conftest import PARAM_BOX
 
@@ -38,6 +39,11 @@ from conftest import PARAM_BOX
 # at looser settings).
 INT_F_REFERENCE = 0.011866472266349291
 INT_M_REFERENCE = 0.012666651010154186
+
+
+CORNER = "[female]\nalpha1 = 1.02\n[male]\nalpha1 = 1.02\n[quadrature]\ntol = 1e-7\n"
+PEAK = "[female]\nalpha3 = 200\nM2 = 5.4\n[male]\nalpha3 = 200\nM2 = 5.4\n"
+CSW_CLIENTS = (Path(__file__).parents[1] / "scenarios" / "csw_clients.ini").read_text()
 
 
 def scaled_profile(profile, factor):
@@ -49,6 +55,24 @@ def scaled_profile(profile, factor):
         profile.viral.plateau_log_vl,
     )
     return dataclasses.replace(profile, transmission=scaled)
+
+
+def scaled_links(profile, factors):
+    return [scaled_profile(profile, factor).transmission for factor in factors]
+
+
+def per_factor_sweep(population, factors, quad):
+    """``scale_endpoints`` as one pair of integrals per rescaled population,
+    in factor order: the reference for the shared-mesh sweep."""
+    out = []
+    for factor in factors:
+        scaled = dataclasses.replace(
+            population,
+            female=scaled_profile(population.female, factor),
+            male=scaled_profile(population.male, factor),
+        )
+        out.append((factor, index_i0(*sex_integrals(scaled, quad))))
+    return out
 
 
 class TestSexIntegral:
@@ -471,6 +495,50 @@ class TestSensitivity:
                 sensitivity_sweep(population, [0.0], mode)
         with pytest.raises(DomainError):
             sensitivity_sweep(population, [1.0], "scale_sideways")
+
+    @pytest.mark.parametrize(
+        "text, factors, split_level",
+        [
+            ("[quadrature]\ntol = 2.6e-9\n", [0.5, 120.0, 2.0], 1),
+            (CORNER, [0.5, 120.0], 2),
+            (PEAK + "[quadrature]\ntol = 2e-3\n", [0.5, 60.0, 5.0], 1),
+            (CSW_CLIENTS + "[quadrature]\ntol = 2e-9\n", [0.5, 120.0, 2.0], 1),
+        ],
+        ids=["baseline", "alpha1-corner", "alpha3-M2", "csw_clients"],
+    )
+    def test_endpoint_sweep_is_bit_identical_per_factor(self, text, factors, split_level):
+        # the factors share one mesh per level, yet each keeps the value of
+        # its own pair of integrals, bit for bit
+        scenario = parse_scenario(text)
+        pop, quad = scenario.population, scenario.quadrature
+        # premise: at split_level some factors' integrals have converged and
+        # some have not, so the shared levels run for a subset of the links
+        short = dataclasses.replace(quad, max_refine=split_level)
+        settled = [
+            isinstance(value, float)
+            for prof in (pop.female, pop.male)
+            for value in link_integrals(prof, scaled_links(prof, factors), pop.omega, short)
+        ]
+        assert any(settled) and not all(settled)
+        swept = sensitivity_sweep(pop, factors, "scale_endpoints", quad)
+        assert swept == per_factor_sweep(pop, factors, quad)
+
+    @pytest.mark.parametrize(
+        "tol, factors", [(9.5e-4, [60.0, 0.5, 5.0]), (9e-4, [60.0, 0.5, 0.1])],
+        ids=["one-fails", "male-before-later-female"],
+    )
+    def test_endpoint_failure_is_the_first_per_factor_failure(self, tol, factors):
+        # at 9.5e-4 only the male integral at factor 0.5 fails; at 9e-4 the
+        # female one at 0.1 fails too, and the earlier factor's is reported
+        pop = parse_scenario(PEAK).population
+        quad = QuadratureSpec(tol=tol)
+        with pytest.raises(QuadratureFailure) as expected:
+            per_factor_sweep(pop, factors, quad)
+        with pytest.raises(QuadratureFailure) as got:
+            sensitivity_sweep(pop, factors, "scale_endpoints", quad)
+        assert str(got.value) == str(expected.value)
+        female = link_integrals(pop.female, scaled_links(pop.female, factors), pop.omega, quad)
+        assert sum(isinstance(v, QuadratureFailure) for v in female) == (tol == 9e-4)
 
 
 class TestBalance:
