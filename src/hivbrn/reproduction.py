@@ -258,13 +258,13 @@ def link_integrals(
     links: "list[TransmissionParams]",
     omega: float,
     quad: QuadratureSpec | None = None,
-) -> list:
+) -> list[float]:
     """:func:`sex_integral` of ``profile`` under each link in ``links``, on one
     shared mesh per level: the links differ only in the cloglog pass of
     :func:`inner_integrals`.  Each link keeps its own level sequence and
-    convergence test, so each value is bit for bit its one-link integral;
-    a link that fails gets its :class:`QuadratureFailure` in its place,
-    unraised, so the caller picks which failure to report first.
+    convergence test, so each value is bit for bit its one-link integral.
+    Raises the :class:`QuadratureFailure` of the first failing link, in link
+    order, once every link has run out of levels or converged.
     """
     quad = quad or QuadratureSpec()
     if not 0 < omega < math.inf:
@@ -273,9 +273,8 @@ def link_integrals(
     if omega <= tau:
         return [0.0] * len(links)
     values = [None] * len(links)
-    prev = [None] * len(links)
+    prev = [0.0] * len(links)
     err = [math.inf] * len(links)
-    reached = [False] * len(links)
     for level in range(quad.max_refine + 1):
         todo = [k for k, value in enumerate(values) if value is None]
         if not todo:
@@ -288,31 +287,23 @@ def link_integrals(
         for k, row in zip(todo, inner):
             total = (omega - tau) * float(weights.ravel() @ (density * row))
             # the integrand is positive past tau1: a zero total missed the mass or underflowed
-            if prev[k] is not None and total > 0:
+            if level and total > 0:
                 err[k] = abs(total - prev[k]) / total
                 if err[k] <= quad.tol:
                     values[k] = total
             prev[k] = total
-            reached[k] = reached[k] or total > 0
+    if None not in values:
+        return values
+    k = values.index(None)
     cause = (
         "the integrand underflows to 0 at every node with" if density.any()
         else "the mesh never reached the"
     )
-    for k, value in enumerate(values):
-        if value is None:
-            reason = (
-                f"relative error {err[k]:.2e} above target {quad.tol:g}" if reached[k]
-                else f"no level's total was positive: {cause} survival mass below omega {omega:g}"
-            )
-            values[k] = QuadratureFailure(f"{reason} after {quad.max_refine} graded levels")
-    return values
-
-
-def _settled(value):
-    """A :func:`link_integrals` value, or its failure raised."""
-    if isinstance(value, QuadratureFailure):
-        raise value
-    return value
+    reason = (
+        f"relative error {err[k]:.2e} above target {quad.tol:g}" if math.isfinite(err[k])
+        else f"no level's total was positive: {cause} survival mass below omega {omega:g}"
+    )
+    raise QuadratureFailure(f"{reason} after {quad.max_refine} graded levels")
 
 
 def sex_integral(
@@ -324,10 +315,11 @@ def sex_integral(
     0 <= x <= y <= omega on graded meshes of rising level until two
     consecutive levels agree to ``quad.tol`` relative to the newer total,
     which must be positive; raises :class:`QuadratureFailure` if the budget
-    runs out.  The one-link case of :func:`link_integrals`.
+    runs out.  The one-link case of :func:`link_integrals`, whose value and
+    failure it returns and raises as they are.
     """
     (value,) = link_integrals(profile, [profile.transmission], omega, quad)
-    return _settled(value)
+    return value
 
 
 def sex_integrals(
@@ -435,7 +427,9 @@ def sensitivity_sweep(
     ``scale_endpoints`` rescales the two anchor probabilities and re-derives
     the link, which is only approximately linear.  It checks every factor
     before any integral, then integrates each sex once with every factor's
-    link on one shared mesh per level (:func:`link_integrals`).
+    link on one shared mesh per level (:func:`link_integrals`), female first:
+    a failure is the first failing female factor's, else the first failing
+    male factor's, and a female failure leaves the male integrals unrun.
     """
     if mode not in ("scale_function", "scale_endpoints"):
         raise DomainError(f"unknown sweep mode {mode!r}")
@@ -465,8 +459,4 @@ def sensitivity_sweep(
     # one shared mesh per level and sex carries every factor's link
     int_f = link_integrals(config.female, links["female"], config.omega, quad)
     int_m = link_integrals(config.male, links["male"], config.omega, quad)
-    # a failure is reported in factor order, female before male
-    return [
-        (factor, index_i0(_settled(f), _settled(m)))
-        for factor, f, m in zip(scale_factors, int_f, int_m)
-    ]
+    return [(factor, index_i0(f, m)) for factor, f, m in zip(scale_factors, int_f, int_m)]

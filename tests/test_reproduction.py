@@ -30,7 +30,8 @@ from hivbrn import (
 from hivbrn.behavior import activity_fraction, activity_fraction_core
 from hivbrn.natural_history import transmission_prob, transmission_prob_core
 from hivbrn.survival import survival_density
-from hivbrn.reproduction import CRITICAL_BAND, MAX_REFINE, link_integrals
+from hivbrn import reproduction
+from hivbrn.reproduction import CRITICAL_BAND, MAX_REFINE
 
 from conftest import PARAM_BOX
 
@@ -57,8 +58,14 @@ def scaled_profile(profile, factor):
     return dataclasses.replace(profile, transmission=scaled)
 
 
-def scaled_links(profile, factors):
-    return [scaled_profile(profile, factor).transmission for factor in factors]
+def settles(profile, factor, omega, quad):
+    """Whether the one-link integral of ``profile`` scaled by ``factor``
+    converges rather than raising :class:`QuadratureFailure`."""
+    try:
+        sex_integral(scaled_profile(profile, factor), omega, quad)
+    except QuadratureFailure:
+        return False
+    return True
 
 
 def per_factor_sweep(population, factors, quad):
@@ -515,30 +522,53 @@ class TestSensitivity:
         # some have not, so the shared levels run for a subset of the links
         short = dataclasses.replace(quad, max_refine=split_level)
         settled = [
-            isinstance(value, float)
+            settles(prof, factor, pop.omega, short)
             for prof in (pop.female, pop.male)
-            for value in link_integrals(prof, scaled_links(prof, factors), pop.omega, short)
+            for factor in factors
         ]
         assert any(settled) and not all(settled)
         swept = sensitivity_sweep(pop, factors, "scale_endpoints", quad)
         assert swept == per_factor_sweep(pop, factors, quad)
 
     @pytest.mark.parametrize(
-        "tol, factors", [(9.5e-4, [60.0, 0.5, 5.0]), (9e-4, [60.0, 0.5, 0.1])],
+        "tol, factors, error",
+        [(9.5e-4, [60.0, 0.5, 5.0], "5.02e-03"), (9e-4, [60.0, 0.5, 0.1], "6.22e-03")],
         ids=["one-fails", "male-before-later-female"],
     )
-    def test_endpoint_failure_is_the_first_per_factor_failure(self, tol, factors):
+    def test_endpoint_failure_is_the_first_per_factor_failure(self, tol, factors, error):
         # at 9.5e-4 only the male integral at factor 0.5 fails; at 9e-4 the
-        # female one at 0.1 fails too, and the earlier factor's is reported
+        # female one at the later factor 0.1 fails too, and as the female
+        # links run first, its failure is the one reported
         pop = parse_scenario(PEAK).population
         quad = QuadratureSpec(tol=tol)
+        # reference: each sex one factor at a time, female before male
         with pytest.raises(QuadratureFailure) as expected:
-            per_factor_sweep(pop, factors, quad)
+            for prof in (pop.female, pop.male):
+                for factor in factors:
+                    sex_integral(scaled_profile(prof, factor), pop.omega, quad)
         with pytest.raises(QuadratureFailure) as got:
             sensitivity_sweep(pop, factors, "scale_endpoints", quad)
         assert str(got.value) == str(expected.value)
-        female = link_integrals(pop.female, scaled_links(pop.female, factors), pop.omega, quad)
-        assert sum(isinstance(v, QuadratureFailure) for v in female) == (tol == 9e-4)
+        assert str(got.value) == (
+            f"relative error {error} above target {tol:g} after 8 graded levels"
+        )
+        failed = sum(not settles(pop.female, f, pop.omega, quad) for f in factors)
+        assert failed == (tol == 9e-4)
+
+    def test_female_failure_leaves_male_integrals_unrun(self, monkeypatch):
+        # at 9e-4 the female factor 0.1 fails, so the male links never run
+        pop = parse_scenario(PEAK).population
+        calls = []
+        original = reproduction.link_integrals
+
+        def counted(profile, *args, **kwargs):
+            calls.append(profile.label)
+            return original(profile, *args, **kwargs)
+
+        monkeypatch.setattr(reproduction, "link_integrals", counted)
+        with pytest.raises(QuadratureFailure, match="relative error 6.22e-03"):
+            sensitivity_sweep(pop, [60.0, 0.5, 0.1], "scale_endpoints", QuadratureSpec(tol=9e-4))
+        assert calls == ["female"]
 
 
 class TestBalance:
