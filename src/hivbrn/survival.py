@@ -43,14 +43,17 @@ class SurvivalParams:
 
 
 def survival_density(x, p: SurvivalParams):
-    """Weibull density ``x**(b-1) * b / a**b * exp(-(x/a)**b)`` at x >= 0."""
+    """Weibull density ``b/a * (x/a)**(b-1) * exp(-(x/a)**b)`` at x >= 0."""
     return checked_call(survival_density_core, p, x=x)
 
 
 def survival_density_core(x, p: SurvivalParams):
-    """Unchecked :func:`survival_density` for x >= 0."""
+    """Unchecked :func:`survival_density` for x >= 0.  Powers of ``z = x/a``
+    stay finite wherever ``z**b`` does, so a steep shape cannot overflow
+    next to an ``exp`` that underflows to 0."""
     a, b = p.scale, p.shape
-    return x ** (b - 1.0) * b / a**b * np.exp(-((x / a) ** b))
+    z = x / a
+    return b / a * (z ** (b - 1.0) * np.exp(-(z**b)))
 
 
 def survival_quantile_core(u, p: SurvivalParams):

@@ -180,6 +180,21 @@ class TestEval:
         assert err.count("\n") == 1
         assert "never reached the survival mass below omega 1e+15" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["eval"], ["simulate", "--sex", "female", "--samples", "4096"]],
+        ids=["eval", "simulate"],
+    )
+    def test_steep_survival_shape_exits_3(self, capsys, tmp_path, argv):
+        # at beta 400, x**(b-1) alone overflows where exp(-(x/a)**b) is 0;
+        # the density stays finite and the quadrature reports its own failure
+        cfg = tmp_path / "steep.ini"
+        cfg.write_text("[female]\nbeta = 400\n")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "relative error" in err and "above target 1e-06" in err
+
     def test_text_after_a_header_exits_2(self, capsys, tmp_path):
         # the value on the header's line is refused, not dropped
         cfg = tmp_path / "header.ini"

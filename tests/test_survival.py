@@ -80,6 +80,31 @@ class TestDensity:
         )
         assert half == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("shape", [400.0, 462.0])
+    def test_steep_shape_is_finite(self, female, shape):
+        # at beta 400, x**(b-1) overflows on [tau1, 40] where exp(-(x/a)**b)
+        # underflows to 0; at 462, the steepest shape a 40-year horizon
+        # accepts, so does b/a * (x/a)**(b-1).  The product must not
+        p = SurvivalParams(median=8.6, shape=shape)
+        x = np.linspace(female.activity.terminal_lead, 40.0, 2001)
+        got = survival_density(x, p)
+        assert np.all(np.isfinite(got))
+        a, b = p.scale, p.shape
+        z = x / a
+        ref = b / a * np.exp((b - 1.0) * np.log(z) - z**b)
+        shown = got > 1e-300
+        assert shown.sum() > 100
+        assert np.allclose(got[shown], ref[shown], rtol=1e-12, atol=0.0)
+
+    def test_baseline_matches_unscaled_powers(self, male_survival, female_survival):
+        # scaling x by a before the powers moves the baseline by rounding only
+        x = np.linspace(0.01, 40.0, 2001)
+        for p in (male_survival, female_survival):
+            a, b = p.scale, p.shape
+            old = x ** (b - 1.0) * b / a**b * np.exp(-((x / a) ** b))
+            got = survival_density(x, p)
+            assert np.all(np.abs(got - old) <= 4 * np.spacing(old))
+
     def test_nonnegative(self, male_survival):
         x = np.linspace(0.0, 80.0, 500)
         assert np.all(survival_density(x, male_survival) >= 0.0)
