@@ -48,9 +48,10 @@ def survival_density(x, p: SurvivalParams):
 
 
 def survival_density_core(x, p: SurvivalParams):
-    """Unchecked :func:`survival_density` for x >= 0.  Powers of ``z = x/a``
-    stay finite wherever ``z**b`` does, so a steep shape cannot overflow
-    next to an ``exp`` that underflows to 0."""
+    """Unchecked :func:`survival_density` for x >= 0.  Past ``x = a``,
+    ``z**(b-1)`` with ``z = x/a`` is below ``z**b``, which a valid horizon
+    keeps finite, so a steep shape cannot overflow beside an ``exp`` that
+    underflows to 0."""
     a, b = p.scale, p.shape
     z = x / a
     return b / a * (z ** (b - 1.0) * np.exp(-(z**b)))

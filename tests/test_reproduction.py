@@ -22,6 +22,7 @@ from hivbrn import (
     evaluate_brn,
     index_i0,
     parse_scenario,
+    reproduction,
     sensitivity_sweep,
     sex_brn,
     sex_integral,
@@ -30,7 +31,6 @@ from hivbrn import (
 from hivbrn.behavior import activity_fraction, activity_fraction_core
 from hivbrn.natural_history import transmission_prob, transmission_prob_core
 from hivbrn.survival import survival_density
-from hivbrn import reproduction
 from hivbrn.reproduction import CRITICAL_BAND, MAX_REFINE
 
 from conftest import PARAM_BOX
@@ -566,8 +566,9 @@ class TestSensitivity:
             return original(profile, *args, **kwargs)
 
         monkeypatch.setattr(reproduction, "link_integrals", counted)
+        quad = QuadratureSpec(tol=9e-4)
         with pytest.raises(QuadratureFailure, match="relative error 6.22e-03"):
-            sensitivity_sweep(pop, [60.0, 0.5, 0.1], "scale_endpoints", QuadratureSpec(tol=9e-4))
+            sensitivity_sweep(pop, [60.0, 0.5, 0.1], "scale_endpoints", quad)
         assert calls == ["female"]
 
 
