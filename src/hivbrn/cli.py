@@ -35,7 +35,7 @@ from .reproduction import (
     composite_r0,
     evaluate_brn,
     index_i0,
-    scaled_i0,
+    scaled_links,
     sensitivity_sweep,
     sex_brn,
     sex_integral,
@@ -174,14 +174,17 @@ def cmd_phase(scenario: Scenario, args) -> str:
     all_factors = [1.0] + [f for f in factors if f != 1.0]
     if len(all_factors) * grid.size > MAX_ROWS:
         raise ScenarioError(f"--factors and --grid give more than {MAX_ROWS} rows")
+    # every factor is checked before any integral
+    scaled_links(pop, all_factors, "scale_function")
     int_f, int_m = sex_integrals(pop, scenario.quadrature)
     i0 = index_i0(int_f, int_m)
     columns = ["series", "factor", "delta_m", "delta_f", "r_fm", "r_mf", "r0"]
     delta_m = grid.tolist()
-    # the R0 = 1 locus; in Python floats an overflow gives inf without a warning
+    # the R0 = 1 locus, at I0 / factor under pointwise scaling; in Python
+    # floats an overflow gives inf without a warning
     rows = [
-        ["hyperbola", factor, dm, scaled * scaled / dm, None, None, None]
-        for factor, scaled in scaled_i0(pop, i0, all_factors)
+        ["hyperbola", factor, dm, (i0 / factor) * (i0 / factor) / dm, None, None, None]
+        for factor in all_factors
         for dm in delta_m
     ]
     rows.append(["fixed_point", 1.0, i0, i0, None, None, None])

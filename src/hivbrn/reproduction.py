@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -61,7 +61,6 @@ __all__ = [
     "composite_r0",
     "evaluate_brn",
     "sensitivity_sweep",
-    "scaled_i0",
 ]
 
 # horizon must leave less survival mass beyond it than this
@@ -397,21 +396,44 @@ def evaluate_brn(
     )
 
 
-def scaled_i0(
-    config: PopulationConfig, i0: float, scale_factors: "list[float]"
-) -> list[tuple[float, float]]:
-    """I0 with every per-act probability multiplied by each factor: exactly
-    ``i0 / factor``, refused where either sex's peak probability reaches 1."""
+def scaled_links(
+    config: PopulationConfig, scale_factors: "list[float]", mode: str
+) -> tuple[list[TransmissionParams], list[TransmissionParams]]:
+    """Each sex's link under each factor, ``(female links, male links)``: the
+    one check of sensitivity factors, run before any integral, factor by
+    factor and female before male.  A factor must be > 0 and keep the
+    scaled peak probability below 1.  ``scale_function`` scales the
+    probability pointwise, so the link stays the profile's own and the peak
+    is ``factor * peak_prob``; ``scale_endpoints`` scales both anchors,
+    ``prob_at_peak`` first, and re-derives the link, whose own peak
+    (:func:`peak_transmission_prob`) must stay below 1 too."""
+    if mode not in ("scale_function", "scale_endpoints"):
+        raise DomainError(f"unknown sweep mode {mode!r}")
+    links = ([], [])
     for factor in scale_factors:
         if not factor > 0:
             raise DomainError("scale factors must be > 0")
-        for prof in (config.female, config.male):
-            if factor * prof.peak_prob >= 1.0:
+        for prof, out in zip((config.female, config.male), links):
+            link = prof.transmission
+            if mode == "scale_function":
+                peak = factor * prof.peak_prob
+            else:
+                peak = factor * link.prob_at_peak
+                if peak < 1.0:
+                    link = TransmissionParams.from_anchors(
+                        peak,
+                        factor * link.prob_at_plateau,
+                        prof.viral.peak_log_vl,
+                        prof.viral.plateau_log_vl,
+                    )
+                    peak = peak_transmission_prob(prof.viral, link)
+            if not peak < 1.0:
                 raise DomainError(
                     f"{prof.label} transmission probability scaled by {factor:g} "
-                    f"reaches {factor * prof.peak_prob:.3g} >= 1"
+                    f"reaches {peak:.3g} >= 1"
                 )
-    return [(factor, i0 / factor) for factor in scale_factors]
+            out.append(link)
+    return links
 
 
 def sensitivity_sweep(
@@ -423,40 +445,22 @@ def sensitivity_sweep(
     """I0 under rescaled transmission probabilities.
 
     ``scale_function`` multiplies the per-act probability pointwise by each
-    factor, which gives the base I0 over the factor (:func:`scaled_i0`);
+    factor, which gives exactly the base I0 over the factor;
     ``scale_endpoints`` rescales the two anchor probabilities and re-derives
-    the link, which is only approximately linear.  It checks every factor
-    before any integral, then integrates each sex once with every factor's
-    link on one shared mesh per level (:func:`link_integrals`), female first:
-    a failure is the first failing female factor's, else the first failing
-    male factor's, and a female failure leaves the male integrals unrun.
+    the link, which is only approximately linear.  :func:`scaled_links`
+    checks every factor before any integral.  The endpoint sweep then
+    integrates each sex once with every factor's link on one shared mesh per
+    level (:func:`link_integrals`), female first: a failure is the first
+    failing female factor's, else the first failing male factor's, and a
+    female failure leaves the male integrals unrun.
     """
-    if mode not in ("scale_function", "scale_endpoints"):
-        raise DomainError(f"unknown sweep mode {mode!r}")
+    links_f, links_m = scaled_links(config, scale_factors, mode)
     if not scale_factors:
         return []
     if mode == "scale_function":
-        return scaled_i0(config, index_i0(*sex_integrals(config, quad)), scale_factors)
-    links = {"female": [], "male": []}
-    for factor in scale_factors:
-        if not factor > 0:
-            raise DomainError("scale factors must be > 0")
-        for prof in (config.female, config.male):
-            link = prof.transmission
-            if not factor * link.prob_at_peak < 1.0:
-                raise DomainError(
-                    f"{prof.label} prob_at_peak (ptr_hi) scaled by {factor:g} "
-                    f"reaches {factor * link.prob_at_peak:.3g} >= 1"
-                )
-            anchors = TransmissionParams.from_anchors(
-                factor * link.prob_at_peak,
-                factor * link.prob_at_plateau,
-                prof.viral.peak_log_vl,
-                prof.viral.plateau_log_vl,
-            )
-            # the profile's own checks, such as a terminal peak reaching 1
-            links[prof.label].append(replace(prof, transmission=anchors).transmission)
+        i0 = index_i0(*sex_integrals(config, quad))
+        return [(factor, i0 / factor) for factor in scale_factors]
     # one shared mesh per level and sex carries every factor's link
-    int_f = link_integrals(config.female, links["female"], config.omega, quad)
-    int_m = link_integrals(config.male, links["male"], config.omega, quad)
+    int_f = link_integrals(config.female, links_f, config.omega, quad)
+    int_m = link_integrals(config.male, links_m, config.omega, quad)
     return [(factor, index_i0(f, m)) for factor, f, m in zip(scale_factors, int_f, int_m)]

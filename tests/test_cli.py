@@ -440,6 +440,51 @@ class TestPhase:
         assert out == ""
 
 
+class TestFactorGate:
+    # sweep in both modes and phase check every factor by one rule, before
+    # any integral: a quadrature that cannot converge never runs
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--mode", "scale_function"),
+            ("sweep", "--mode", "scale_endpoints"),
+            ("phase",),
+        ],
+        ids=["scale_function", "scale_endpoints", "phase"],
+    )
+    def test_refused_before_any_integral(self, capsys, monkeypatch, tmp_path, argv):
+        path = tmp_path / "hard.ini"
+        path.write_text("[quadrature]\ntol = 1e-16\nmax_refine = 1\n")
+
+        def no_integral(*args):
+            raise AssertionError("integral computed for a refused factor")
+
+        monkeypatch.setattr(reproduction, "link_integrals", no_integral)
+        code, out, err = run(capsys, *argv, "--factors", "200", "--config", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "female transmission probability scaled by 200 reaches" in err
+
+    @pytest.mark.parametrize("mode", ["scale_function", "scale_endpoints"])
+    def test_one_message_names_sex_and_factor(self, capsys, tmp_path, mode):
+        # at M2 5.4 the scaled endpoint anchors stay below 1 while the
+        # re-derived link's terminal peak reaches it
+        path = tmp_path / "peak.ini"
+        path.write_text("[female]\nM2 = 5.4\n")
+        code, out, err = run(
+            capsys, "sweep", "--mode", mode, "--factors", "0.5,100",
+            "--config", str(path),
+        )
+        assert code == 3
+        assert out == ""
+        assert re.fullmatch(
+            r"hivbrn: numerical failure: female transmission probability scaled "
+            r"by 100 reaches \S+ >= 1\n",
+            err,
+        )
+
+
 class TestSweep:
     def test_values(self, capsys):
         code, out, _ = run(capsys, "sweep", "--factors", "0.5,1,2")
@@ -484,7 +529,7 @@ class TestSweep:
             capsys, "sweep", "--mode", "scale_endpoints", "--factors", "200"
         )
         assert code == 3
-        assert "female prob_at_peak (ptr_hi) scaled by 200 reaches 1.6 >= 1" in err
+        assert "female transmission probability scaled by 200 reaches 1.6 >= 1" in err
         assert out == ""
         path = tmp_path / "male.ini"
         path.write_text("[male]\nptr_hi = 0.02\n")
@@ -493,7 +538,7 @@ class TestSweep:
             "--config", str(path),
         )
         assert code == 3
-        assert "male prob_at_peak (ptr_hi) scaled by 60 reaches 1.2 >= 1" in err
+        assert "male transmission probability scaled by 60 reaches 1.2 >= 1" in err
         assert out == ""
 
     def test_table(self, capsys):

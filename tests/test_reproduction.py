@@ -491,9 +491,9 @@ class TestSensitivity:
             assert by_endpoints[f] == pytest.approx(by_function[f], rel=0.025)
 
     def test_scaled_probability_guard(self, population):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^female transmission probability scaled by 200 "):
             sensitivity_sweep(population, [200.0], "scale_function")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^female transmission probability scaled by 130 "):
             sensitivity_sweep(population, [130.0], "scale_endpoints")
 
     def test_bad_inputs(self, population):
