@@ -263,7 +263,8 @@ def link_integrals(
     :func:`inner_integrals`.  Each link keeps its own level sequence and
     convergence test, so each value is bit for bit its one-link integral.
     Raises the :class:`QuadratureFailure` of the first failing link, in link
-    order, once every link has run out of levels or converged.
+    order, once every link has run out of levels or converged; its ``link``
+    is that link's index.
     """
     quad = quad or QuadratureSpec()
     if not 0 < omega < math.inf:
@@ -302,7 +303,7 @@ def link_integrals(
         f"relative error {err[k]:.2e} above target {quad.tol:g}" if math.isfinite(err[k])
         else f"no level's total was positive: {cause} survival mass below omega {omega:g}"
     )
-    raise QuadratureFailure(f"{reason} after {quad.max_refine} graded levels")
+    raise QuadratureFailure(f"{reason} after {quad.max_refine} graded levels", k)
 
 
 def sex_integral(
@@ -396,6 +397,11 @@ def evaluate_brn(
     )
 
 
+def _scaled(sexes: str, factor: float) -> str:
+    """How a refusal or failure names the sensitivity factor behind it."""
+    return f"{sexes} transmission probability scaled by {factor:g}"
+
+
 def scaled_links(
     config: PopulationConfig, scale_factors: "list[float]", mode: str
 ) -> tuple[list[TransmissionParams], list[TransmissionParams]]:
@@ -420,18 +426,19 @@ def scaled_links(
             else:
                 peak = factor * link.prob_at_peak
                 if peak < 1.0:
-                    link = TransmissionParams.from_anchors(
-                        peak,
-                        factor * link.prob_at_plateau,
-                        prof.viral.peak_log_vl,
-                        prof.viral.plateau_log_vl,
-                    )
+                    try:
+                        link = TransmissionParams.from_anchors(
+                            peak,
+                            factor * link.prob_at_plateau,
+                            prof.viral.peak_log_vl,
+                            prof.viral.plateau_log_vl,
+                        )
+                    except DomainError as exc:
+                        # such as a plateau anchor that underflows to 0
+                        raise DomainError(f"{_scaled(prof.label, factor)}: {exc}") from exc
                     peak = peak_transmission_prob(prof.viral, link)
             if not peak < 1.0:
-                raise DomainError(
-                    f"{prof.label} transmission probability scaled by {factor:g} "
-                    f"reaches {peak:.3g} >= 1"
-                )
+                raise DomainError(f"{_scaled(prof.label, factor)} reaches {peak:.3g} >= 1")
             out.append(link)
     return links
 
@@ -454,13 +461,24 @@ def sensitivity_sweep(
     failing female factor's, else the first failing male factor's, and a
     female failure leaves the male integrals unrun.
     """
-    links_f, links_m = scaled_links(config, scale_factors, mode)
+    links = scaled_links(config, scale_factors, mode)
     if not scale_factors:
         return []
     if mode == "scale_function":
         i0 = index_i0(*sex_integrals(config, quad))
         return [(factor, i0 / factor) for factor in scale_factors]
     # one shared mesh per level and sex carries every factor's link
-    int_f = link_integrals(config.female, links_f, config.omega, quad)
-    int_m = link_integrals(config.male, links_m, config.omega, quad)
-    return [(factor, index_i0(f, m)) for factor, f, m in zip(scale_factors, int_f, int_m)]
+    integrals = []
+    for prof, sex_links in zip((config.female, config.male), links):
+        try:
+            integrals.append(link_integrals(prof, sex_links, config.omega, quad))
+        except QuadratureFailure as exc:
+            factor = scale_factors[exc.link]
+            raise QuadratureFailure(f"{_scaled(prof.label, factor)}: {exc}") from exc
+    pairs = []
+    for factor, f, m in zip(scale_factors, *integrals):
+        try:
+            pairs.append((factor, index_i0(f, m)))
+        except DomainError as exc:
+            raise DomainError(f"{_scaled('female and male', factor)}: {exc}") from exc
+    return pairs

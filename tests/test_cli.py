@@ -561,7 +561,33 @@ class TestSweep:
             capsys, "sweep", "--factors", "1e-300", "--mode", "scale_endpoints"
         )
         assert code == 3
-        assert "product of the sex integrals underflows" in err
+        assert (
+            "female and male transmission probability scaled by 1e-300: "
+            "the product of the sex integrals underflows" in err
+        )
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "factors, failure",
+        [
+            ("0.5,1e-300,2", "female and male transmission probability scaled by "
+             "1e-300: the product of the sex integrals underflows to 0"),
+            ("0.5,1e-320,2", "female transmission probability scaled by 9.99989e-321: "
+             "no level's total was positive: the integrand underflows"),
+            ("5e-324", "female transmission probability scaled by 4.94066e-324: "
+             "need 0 < prob_at_plateau"),
+        ],
+        ids=["product", "integrand", "anchor"],
+    )
+    def test_endpoint_failures_name_the_factor(self, capsys, factors, failure):
+        # the factor is printed to 6 digits, so a subnormal one shows its
+        # nearest double
+        code, out, err = run(
+            capsys, "sweep", "--factors", factors, "--mode", "scale_endpoints"
+        )
+        assert code == 3
+        assert err.startswith(f"hivbrn: numerical failure: {failure}")
+        assert err.count("\n") == 1
         assert out == ""
 
     def test_factor_count_limit(self, capsys, monkeypatch):

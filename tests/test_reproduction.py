@@ -538,18 +538,23 @@ class TestSensitivity:
     def test_endpoint_failure_is_the_first_per_factor_failure(self, tol, factors, error):
         # at 9.5e-4 only the male integral at factor 0.5 fails; at 9e-4 the
         # female one at the later factor 0.1 fails too, and as the female
-        # links run first, its failure is the one reported
+        # links run first, its failure is the one reported, named by its
+        # sex and factor
         pop = parse_scenario(PEAK).population
         quad = QuadratureSpec(tol=tol)
         # reference: each sex one factor at a time, female before male
         with pytest.raises(QuadratureFailure) as expected:
             for prof in (pop.female, pop.male):
                 for factor in factors:
+                    failing = f"{prof.label} transmission probability scaled by {factor:g}"
                     sex_integral(scaled_profile(prof, factor), pop.omega, quad)
         with pytest.raises(QuadratureFailure) as got:
             sensitivity_sweep(pop, factors, "scale_endpoints", quad)
-        assert str(got.value) == str(expected.value)
+        assert str(got.value) == f"{failing}: {expected.value}"
+        named = "female" if tol == 9e-4 else "male"
+        factor = "0.1" if tol == 9e-4 else "0.5"
         assert str(got.value) == (
+            f"{named} transmission probability scaled by {factor}: "
             f"relative error {error} above target {tol:g} after 8 graded levels"
         )
         failed = sum(not settles(pop.female, f, pop.omega, quad) for f in factors)
@@ -567,7 +572,10 @@ class TestSensitivity:
 
         monkeypatch.setattr(reproduction, "link_integrals", counted)
         quad = QuadratureSpec(tol=9e-4)
-        with pytest.raises(QuadratureFailure, match="relative error 6.22e-03"):
+        with pytest.raises(
+            QuadratureFailure,
+            match="^female transmission probability scaled by 0.1: relative error 6.22e-03 ",
+        ):
             sensitivity_sweep(pop, [60.0, 0.5, 0.1], "scale_endpoints", quad)
         assert calls == ["female"]
 
