@@ -86,6 +86,14 @@ class ViralLoadParams:
             raise DomainError("need peak_log_vl (M1) > plateau_log_vl (m) > 0")
         if not self.terminal_log_vl > self.plateau_log_vl:
             raise DomainError("need terminal_log_vl (M2) > plateau_log_vl (m)")
+        # the rate at which age_warp_core saturates must be a double
+        with np.errstate(over="ignore"):
+            rate = (1.0 + np.exp(self.warp_rate)) / solve_plateau_point(self)
+        if not rate < math.inf:
+            raise DomainError(
+                "warp_rate (alpha2) gives an age-warp rate (1 + exp(alpha2)) / "
+                "x_plateau beyond double range"
+            )
 
 
 @dataclass(frozen=True)
@@ -172,11 +180,20 @@ def solve_plateau_point(p: ViralLoadParams) -> float:
 def age_warp_core(ia: np.ndarray, warp_rate: float, x_plateau: float) -> np.ndarray:
     """Monotone map of infective age ia >= 0 onto [0, x_plateau): zero at
     ia = 0, strictly increasing and saturating at the plateau point, so that
-    :func:`early_peak_core` of it has a flat plateau, not decay to zero."""
-    e = np.exp(warp_rate)
-    gain = x_plateau * (1.0 + np.exp(-warp_rate))
-    logistic = 1.0 / (1.0 + np.exp(warp_rate - ia * (1.0 + e) / x_plateau))
-    return gain * (logistic - 1.0 / (1.0 + e))
+    :func:`early_peak_core` of it has a flat plateau, not decay to zero.
+
+    The rescaled logistic ``x_plateau * (1 + 1/e) * (1/(1 + e*t) - 1/(1 + e))``
+    with ``e = exp(warp_rate)`` and ``t = exp(-ia * (1 + e) / x_plateau)``,
+    in the one closed form ``x_plateau * (1 - t) / (1 + e*t)``: no difference
+    of near-equal terms for a negative warp_rate, and no overflow for any
+    warp_rate whose rate ``(1 + e) / x_plateau`` is finite, which
+    :class:`ViralLoadParams` requires.  Once ``t`` falls below half an ulp
+    the map rounds to ``x_plateau`` itself."""
+    e = math.exp(warp_rate)
+    # past the double range the exponent is -inf, and t exactly 0
+    with np.errstate(over="ignore"):
+        t = np.exp(-ia * ((1.0 + e) / x_plateau))
+    return x_plateau * (1.0 - t) / (1.0 + e * t)
 
 
 def terminal_peak_core(ia, iad, width: float, lead: float) -> np.ndarray:

@@ -115,6 +115,18 @@ class TestEval:
         assert "scaled" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("alpha2", ["-40", "-800"])
+    def test_steep_negative_age_warp(self, capsys, tmp_path, alpha2):
+        # the age warp has no cancellation for a negative alpha2: at -40 it
+        # once gave R0 0.7049, subcritical; -800 makes exp(alpha2) 0 exactly
+        cfg = tmp_path / "warp.ini"
+        cfg.write_text(f"[female]\nalpha2 = {alpha2}\n[male]\nalpha2 = {alpha2}\n")
+        code, out, err = run(capsys, "eval", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert result["r0"] == pytest.approx(1.0953794, rel=1e-6)
+        assert result["verdict"] == "epidemic"
+
     def test_steep_early_peak(self, capsys, tmp_path):
         cfg = tmp_path / "steep.ini"
         cfg.write_text("[female]\nalpha1 = 1000\n")
@@ -136,10 +148,11 @@ class TestEval:
             ("[female]\nphi = 0.5\n[DEFAULT]\ndelta = 500\n", "line 3: unknown section"),
             ("[female]\nM1 = 1e-17\nm = 5e-18\n", "10**peak_log_vl (M1)"),
             ("[population]\npop_female = 1\npop_male = 8\n", "act balance"),
+            ("[male]\nalpha2 = 800\n", "warp_rate (alpha2) gives an age-warp rate"),
         ],
         ids=["order", "max_refine", "max_refine_zero", "samples", "omega", "median",
              "M1", "default", "default_beside_female", "M1_equals_m_linear",
-             "unbalanced"],
+             "unbalanced", "alpha2"],
     )
     def test_out_of_range_scenario_exits_2(self, capsys, tmp_path, text, message):
         # limit + 1 is refused while the scenario is parsed, before any

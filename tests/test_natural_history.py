@@ -165,7 +165,8 @@ class TestAgeWarp:
 
     def test_strictly_increasing_with_range(self, viral, xp):
         # strict increase over the working range; beyond ~ia 23 the curve is
-        # within one ulp of its supremum and increments are not representable
+        # within one ulp of its supremum and increments are not representable,
+        # and once it is within half an ulp it rounds to the supremum itself
         grid = np.linspace(0.0, 20.0, 10_000)
         w = age_warp_core(grid, viral.warp_rate, xp)
         assert np.all(np.diff(w) > 0)
@@ -173,7 +174,23 @@ class TestAgeWarp:
         long_grid = np.linspace(0.0, 100.0, 10_000)
         w_long = age_warp_core(long_grid, viral.warp_rate, xp)
         assert np.all(np.diff(w_long) >= 0)
-        assert np.all(w_long < xp)
+        assert np.all(w_long <= xp)
+        assert w_long[-1] == xp
+
+    @pytest.mark.parametrize("a2", [-800.0, -40.0, -30.0, -20.0, 0.2, 40.0, 700.0])
+    def test_no_cancellation_over_warp_rates(self, viral, xp, a2):
+        # mpmath evaluation of the rescaled logistic, whose difference of
+        # near-equal terms lost all digits in doubles from alpha2 about -36;
+        # it cancels |alpha2| / ln 10 digits, so it carries that many more
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50 + int(abs(a2))
+        xs, a = mp.mpf(repr(xp)), mp.mpf(a2)
+        e = mp.exp(a)
+        for ia, rel in ((1e-9, 5e-8), (1e-3, 1e-13), (0.4, 1e-13), (5.0, 1e-13)):
+            logistic = 1 / (1 + mp.exp(a - mp.mpf(ia) * (1 + e) / xs))
+            expected = xs * (1 + 1 / e) * (logistic - 1 / (1 + e))
+            got = age_warp_core(np.array([ia]), a2, xp)[0]
+            assert got == pytest.approx(float(expected), rel=rel), ia
 
 
 class TestTerminalPeakFactor:
