@@ -370,6 +370,9 @@ class TestParamValidation:
             TransmissionParams.from_anchors(0.001, 0.008, 5.0, 3.0)
         with pytest.raises(DomainError):
             TransmissionParams(0.008, 0.001, -6.9, -1e-9)
+        # the record built directly checks the anchors as from_anchors does
+        with pytest.raises(DomainError, match="prob_at_plateau"):
+            TransmissionParams(0.001, 0.008, -6.9, 1e-6)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_viral_rejects_non_finite(self, viral, bad):

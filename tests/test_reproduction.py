@@ -610,6 +610,8 @@ class TestConfigValidation:
     def test_label_mismatch(self, population):
         with pytest.raises(DomainError):
             PopulationConfig(female=population.male, male=population.male)
+        with pytest.raises(DomainError, match="label must be"):
+            dataclasses.replace(population.male, label="men")
 
     def test_swapped_terminal_lead(self, female):
         bad_activity = dataclasses.replace(female.activity, terminal_lead=2.0)

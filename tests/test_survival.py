@@ -161,6 +161,8 @@ class TestTailMass:
     def test_horizon_truncation_negligible(self, male_survival, female_survival):
         assert tail_mass(40.0, male_survival) < 1e-6
         assert tail_mass(40.0, female_survival) < 1e-6
+        with pytest.raises(DomainError, match="horizon must be >= 0"):
+            tail_mass(-1.0, male_survival)
 
     def test_complements_cdf(self, male_survival):
         # oracle: scipy's textbook Weibull CDF
