@@ -192,7 +192,7 @@ def age_warp_core(ia: np.ndarray, warp_rate: float, x_plateau: float) -> np.ndar
     e = math.exp(warp_rate)
     # past the double range the exponent is -inf, and t exactly 0
     with np.errstate(over="ignore"):
-        t = np.exp(-ia * ((1.0 + e) / x_plateau))
+        t = np.exp(ia * -((1.0 + e) / x_plateau))
     return x_plateau * (1.0 - t) / (1.0 + e * t)
 
 

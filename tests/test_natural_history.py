@@ -177,11 +177,14 @@ class TestAgeWarp:
         assert np.all(w_long <= xp)
         assert w_long[-1] == xp
 
-    @pytest.mark.parametrize("a2", [-800.0, -40.0, -30.0, -20.0, 0.2, 40.0, 700.0])
+    @pytest.mark.parametrize(
+        "a2", [-800.0, -40.0, -30.0, -20.0, 0.2, 40.0, 700.0, 709.7]
+    )
     def test_no_cancellation_over_warp_rates(self, viral, xp, a2):
         # mpmath evaluation of the rescaled logistic, whose difference of
         # near-equal terms lost all digits in doubles from alpha2 about -36;
-        # it cancels |alpha2| / ln 10 digits, so it carries that many more
+        # it cancels |alpha2| / ln 10 digits, so it carries that many more;
+        # at 709.7, ia * rate passes the double range from ia about 1.6
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 50 + int(abs(a2))
         xs, a = mp.mpf(repr(xp)), mp.mpf(a2)
