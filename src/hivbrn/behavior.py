@@ -44,24 +44,29 @@ class ActivityParams:
 def activity_fraction(ia, iad, p: ActivityParams):
     """Fraction of baseline activity remaining at infective age ``ia``.
 
-    For iad > terminal_lead this is the rational form
+    For iad > terminal_lead this is the ratio
 
-        (1 - ia/iad) / (1 + ia*(tau1 - phi*iad) / (iad*phi*(iad - tau1)))
+        A / (A + B),  A = phi*(iad - ia)*(iad - tau1),  B = (1 - phi)*tau1*ia
 
-    which equals 1 at ia=0, ``residual_fraction`` at ia = iad - tau1 and 0
-    at ia = iad; for iad <= terminal_lead it is identically 0.  Accepts
-    scalars or broadcastable arrays.
+    (the rational form ``(1 - ia/iad) / (1 + ia*(tau1 - phi*iad) /
+    (iad*phi*(iad - tau1)))`` with numerator and denominator multiplied by
+    ``phi*iad*(iad - tau1)``), which equals 1 at ia=0, ``residual_fraction``
+    at ia = iad - tau1 and 0 at ia = iad; for iad <= terminal_lead it is
+    identically 0.  Both terms are >= 0 on 0 <= ia <= iad, so no digits
+    cancel and the value lies in [0, 1].  Accepts scalars or broadcastable
+    arrays.
     """
     return checked_call(activity_fraction_core, p, ia=ia, iad=iad)
 
 
 def activity_fraction_core(ia: np.ndarray, iad: np.ndarray, p: ActivityParams):
-    """Unchecked :func:`activity_fraction` for 0 <= ia <= iad."""
+    """Unchecked :func:`activity_fraction` for 0 <= ia <= iad; divides only
+    on live courses, iad > terminal_lead."""
     tau, phi = p.terminal_lead, p.residual_fraction
-    alive = iad > tau
-    # keep the masked-out branch free of 0/0 before np.where discards it
-    safe_iad = np.where(alive, iad, tau + 1.0)
-    # depends on iad only: one value per row for a column of ages at death
-    coef = (tau - phi * safe_iad) / (safe_iad * phi * (safe_iad - tau))
-    return np.where(alive, (1.0 - ia / safe_iad) / (1.0 + ia * coef), 0.0)
-
+    # A and B times the power of two 2**e nearest 1 / max(iad, tau1): exact,
+    # so the ratio keeps its bits, and no term overflows at any pair of ages
+    e = -np.frexp(np.maximum(iad, tau))[1]
+    a = phi * (iad - ia) * np.ldexp(iad - tau, e)
+    b = (1.0 - phi) * tau * np.ldexp(ia, e)
+    total = a + b
+    return np.divide(a, total, out=np.zeros(np.shape(total)), where=iad > tau)

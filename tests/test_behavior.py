@@ -35,6 +35,14 @@ class TestActivityFraction:
             assert activity_fraction(ia, 0.8, params) == 0.0
         # death exactly at the terminal lead also counts as a short course
         assert activity_fraction(0.5, TAU, params) == 0.0
+        # under a lead of 1e308 years, with no overflow on the way to 0
+        p = ActivityParams(annual_acts=1.0, residual_fraction=PHI, terminal_lead=1e308)
+        assert not activity_fraction(np.linspace(0.0, 7.0, 8), 7.0, p).any()
+
+    def test_long_course_does_not_overflow(self, params):
+        # phi*(iad - ia)*(iad - tau1) alone would overflow on this course
+        g = activity_fraction(np.array([0.0, 0.5e300, 1e300]), 1e300, params)
+        assert g.tolist() == [1.0, 1.0, 0.0]
 
     def test_unit_interval_on_grid(self, params):
         for iad in np.linspace(1.01, 40.0, 60):
@@ -51,6 +59,22 @@ class TestActivityFraction:
         for iad in (1.1, 2.0, 5.0, 12.0, 40.0):
             g = activity_fraction(np.linspace(0.0, iad, 2_000), iad, params)
             assert np.all(np.diff(g) <= 1e-15)
+
+    @pytest.mark.parametrize("phi, tau", [(PHI, TAU), (1e-300, TAU), (PHI, 1e-300)])
+    def test_near_death_vs_highprec_oracle(self, phi, tau):
+        # 1 - ia/iad from 1e-15 to 1e-1, against the rational form at 50
+        # digits; a G below the normal range keeps only absolute accuracy
+        mp = pytest.importorskip("mpmath")
+        p = ActivityParams(annual_acts=208.0, residual_fraction=phi, terminal_lead=tau)
+        for iad in (1.5, 7.0, 40.0):
+            for gap in 10.0 ** np.arange(-15, 0):
+                ia = iad * (1.0 - gap)
+                with mp.workdps(50):
+                    x, y, f, t = (mp.mpf(v) for v in (ia, iad, phi, tau))
+                    expected = (1 - x / y) / (1 + x * (t - f * y) / (y * f * (y - t)))
+                assert activity_fraction(ia, iad, p) == pytest.approx(
+                    float(expected), rel=1e-15, abs=1e-321
+                )
 
     def test_domain_errors(self, params):
         with pytest.raises(DomainError):
