@@ -86,9 +86,16 @@ class ViralLoadParams:
             raise DomainError("need peak_log_vl (M1) > plateau_log_vl (m) > 0")
         if not self.terminal_log_vl > self.plateau_log_vl:
             raise DomainError("need terminal_log_vl (M2) > plateau_log_vl (m)")
-        # the rate at which age_warp_core saturates must be a double
+        # the plateau point and the rate at which age_warp_core saturates
+        # must be doubles
+        x_plateau = solve_plateau_point(self)
+        if not x_plateau < math.inf:
+            raise DomainError(
+                "peak_time (ia1), rise_shape (alpha1), M1 and m give a plateau "
+                "point beyond double range"
+            )
         with np.errstate(over="ignore"):
-            rate = (1.0 + np.exp(self.warp_rate)) / solve_plateau_point(self)
+            rate = (1.0 + np.exp(self.warp_rate)) / x_plateau
         if not rate < math.inf:
             raise DomainError(
                 "warp_rate (alpha2) gives an age-warp rate (1 + exp(alpha2)) / "
@@ -151,9 +158,10 @@ def early_peak_core(x: np.ndarray, p: ViralLoadParams) -> np.ndarray:
     ``exp((rise_shape-1) * (log r - r + 1))``: finite for any rise_shape, and
     exactly the limit 0 at x = 0 through ``log 0 = -inf``."""
     r = x / p.peak_time
-    with np.errstate(divide="ignore"):
+    # past the double range the exponent is -inf, and the curve exactly 0
+    with np.errstate(divide="ignore", over="ignore"):
         log_r = np.log(r)
-    return p.peak_log_vl * np.exp((p.rise_shape - 1.0) * (log_r - r + 1.0))
+        return p.peak_log_vl * np.exp((p.rise_shape - 1.0) * (log_r - r + 1.0))
 
 
 def solve_plateau_point(p: ViralLoadParams) -> float:
@@ -199,7 +207,9 @@ def age_warp_core(ia: np.ndarray, warp_rate: float, x_plateau: float) -> np.ndar
 def terminal_peak_core(ia, iad, width: float, lead: float) -> np.ndarray:
     """Gaussian blend weight of inverse width ``width`` (``terminal_width``),
     equal to 1 exactly at ia = iad - lead; defined for any real ages."""
-    return np.exp(-width * (ia - iad + lead) ** 2)
+    # past the double range the exponent is -inf, and the weight exactly 0
+    with np.errstate(over="ignore"):
+        return np.exp(-width * (ia - iad + lead) ** 2)
 
 
 def log_viral_load_core(ia, iad, p: ViralLoadParams, x_plateau: float) -> np.ndarray:

@@ -95,8 +95,8 @@ class QuadratureSpec:
     max_refine: int = 8
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise DomainError("quadrature tol must be > 0")
+        if not 0 < self.tol < math.inf:
+            raise DomainError("quadrature tol must be finite and > 0")
         if type(self.max_refine) is not int:
             raise DomainError("max_refine must be an int")
         if not 1 <= self.max_refine <= MAX_REFINE:
@@ -167,6 +167,12 @@ class PopulationConfig:
                     f"{balanced:g} by act balance, not {delta_m:g}"
                 )
         for prof in (self.female, self.male):
+            # survival_density_core divides ages up to omega by the scale
+            if not self.omega / prof.survival.scale < math.inf:
+                raise DomainError(
+                    f"omega={self.omega:g} over the {prof.label} survival scale "
+                    f"{prof.survival.scale:g} is beyond double range"
+                )
             mass = tail_mass(self.omega, prof.survival)
             if mass >= MAX_TAIL_MASS:
                 raise DomainError(

@@ -143,6 +143,8 @@ class TestEval:
             (f"[simulation]\nsamples = {MAX_SAMPLES + 1}\n", "samples must be in"),
             ("[population]\nomega = 1e300\n", "overflow"),
             ("[female]\nmedian = 1e-300\n", "overflow"),
+            ("[female]\nmedian = 1e-310\n", "female survival scale"),
+            ("[female]\nia1 = 1e307\nalpha1 = 1.000000001\n", "plateau point"),
             ("[female]\nM1 = 400\nM2 = 400\n", "overflow"),
             ("[DEFAULT]\ndelta = 500\n", "line 1: unknown section [DEFAULT]"),
             ("[female]\nphi = 0.5\n[DEFAULT]\ndelta = 500\n", "line 3: unknown section"),
@@ -151,7 +153,7 @@ class TestEval:
             ("[male]\nalpha2 = 800\n", "warp_rate (alpha2) gives an age-warp rate"),
         ],
         ids=["order", "max_refine", "max_refine_zero", "samples", "omega", "median",
-             "M1", "default", "default_beside_female", "M1_equals_m_linear",
+             "median_subnormal", "plateau_point", "M1", "default", "default_beside_female", "M1_equals_m_linear",
              "unbalanced", "alpha2"],
     )
     def test_out_of_range_scenario_exits_2(self, capsys, tmp_path, text, message):

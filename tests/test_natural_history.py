@@ -50,11 +50,14 @@ class TestEarlyPeakCurve:
         assert early_peak_core(0.0, viral) == 0.0
 
     def test_steep_rise_stays_finite(self, viral):
-        # r**(alpha1 - 1) and exp((1 - alpha1) * (r - 1)) each overflow here
-        steep = dataclasses.replace(viral, rise_shape=1000.0)
-        assert early_peak_core(0.0, steep) == 0.0
-        assert early_peak_core(steep.peak_time, steep) == steep.peak_log_vl
-        assert np.all(np.isfinite(early_peak_core(np.linspace(0.0, 20.0, 101), steep)))
+        # r**(alpha1 - 1) and exp((1 - alpha1) * (r - 1)) each overflow here;
+        # at 1e308 the exponent itself does, to -inf, with no warning
+        for rise_shape in (1000.0, 1e308):
+            steep = dataclasses.replace(viral, rise_shape=rise_shape)
+            assert early_peak_core(0.0, steep) == 0.0
+            assert early_peak_core(steep.peak_time, steep) == steep.peak_log_vl
+            grid = np.linspace(0.0, 20.0, 101)
+            assert np.all(np.isfinite(early_peak_core(grid, steep)))
 
     def test_maximum_at_peak_time(self, viral):
         # derivative changes sign across the peak and nowhere else nearby
@@ -205,6 +208,11 @@ class TestTerminalPeakFactor:
             lo = terminal_peak_core(6.0 - d, 7.0, viral.terminal_width, 1.0)
             hi = terminal_peak_core(6.0 + d, 7.0, viral.terminal_width, 1.0)
             assert lo == pytest.approx(hi, rel=1e-14)
+
+    def test_huge_width_is_zero(self):
+        # -width * d**2 overflows to -inf, whose exp is exactly 0, with no warning
+        ia = np.array([0.0, 3.0])
+        assert terminal_peak_core(ia, 7.0, 1e307, 1.0).tolist() == [0.0, 0.0]
 
     def test_value(self, viral):
         got = terminal_peak_core(3.0, 7.0, viral.terminal_width, 1.0)
@@ -364,6 +372,10 @@ class TestParamValidation:
         ]:
             with pytest.raises(DomainError):
                 ViralLoadParams(**{**good, key: bad})
+        # a plateau point past the double range would freeze the age warp at
+        # rate 0 and make every viral load nan
+        with pytest.raises(DomainError, match="plateau point beyond double range"):
+            ViralLoadParams(**{**good, "peak_time": 1e307, "rise_shape": 1.000000001})
 
     def test_transmission_invariants(self):
         TransmissionParams.from_anchors(0.008, 0.001, 5.0, 3.0)

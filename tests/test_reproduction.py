@@ -624,8 +624,10 @@ class TestConfigValidation:
             dataclasses.replace(female, viral=hot)
 
     def test_quadrature_spec_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(tol=0.0)
+        # an infinite tol would call every integral converged at level 1
+        for bad in (0.0, math.inf):
+            with pytest.raises(DomainError):
+                QuadratureSpec(tol=bad)
         # convergence compares two levels: one refinement is the least
         for bad in (-1, 0):
             with pytest.raises(DomainError, match=r"must be in \[1, "):
