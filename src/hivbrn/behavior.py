@@ -63,8 +63,9 @@ def activity_fraction_core(ia: np.ndarray, iad: np.ndarray, p: ActivityParams):
     """Unchecked :func:`activity_fraction` for 0 <= ia <= iad; divides only
     on live courses, iad > terminal_lead."""
     tau, phi = p.terminal_lead, p.residual_fraction
-    # A and B times the power of two 2**e nearest 1 / max(iad, tau1): exact,
-    # so the ratio keeps its bits, and no term overflows at any pair of ages
+    # A and B times 2**e, the power of two in (1/(2m), 1/m] for
+    # m = max(iad, tau1): exact, so the ratio keeps its bits, and no term
+    # overflows at any pair of ages
     e = -np.frexp(np.maximum(iad, tau))[1]
     a = phi * (iad - ia) * np.ldexp(iad - tau, e)
     b = (1.0 - phi) * tau * np.ldexp(ia, e)

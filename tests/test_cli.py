@@ -153,8 +153,8 @@ class TestEval:
             ("[male]\nalpha2 = 800\n", "warp_rate (alpha2) gives an age-warp rate"),
         ],
         ids=["order", "max_refine", "max_refine_zero", "samples", "omega", "median",
-             "median_subnormal", "plateau_point", "M1", "default", "default_beside_female", "M1_equals_m_linear",
-             "unbalanced", "alpha2"],
+             "median_subnormal", "plateau_point", "M1", "default",
+             "default_beside_female", "M1_equals_m_linear", "unbalanced", "alpha2"],
     )
     def test_out_of_range_scenario_exits_2(self, capsys, tmp_path, text, message):
         # limit + 1 is refused while the scenario is parsed, before any
