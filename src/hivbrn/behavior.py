@@ -63,11 +63,12 @@ def activity_fraction_core(ia: np.ndarray, iad: np.ndarray, p: ActivityParams):
     """Unchecked :func:`activity_fraction` for 0 <= ia <= iad; divides only
     on live courses, iad > terminal_lead."""
     tau, phi = p.terminal_lead, p.residual_fraction
-    # A and B times 2**e, the power of two in (1/(2m), 1/m] for
-    # m = max(iad, tau1): exact, so the ratio keeps its bits, and no term
-    # overflows at any pair of ages
+    # every age times 2**e, the power of two in (1/(2m), 1/m] for
+    # m = max(iad, tau1): exact, so the ratio keeps its bits, no scaled age
+    # exceeds 1, and no product carries an absolute age into underflow
     e = -np.frexp(np.maximum(iad, tau))[1]
-    a = phi * (iad - ia) * np.ldexp(iad - tau, e)
-    b = (1.0 - phi) * tau * np.ldexp(ia, e)
+    ia, iad, tau = np.ldexp(ia, e), np.ldexp(iad, e), np.ldexp(tau, e)
+    a = phi * (iad - ia) * (iad - tau)
+    b = (1.0 - phi) * tau * ia
     total = a + b
     return np.divide(a, total, out=np.zeros(np.shape(total)), where=iad > tau)

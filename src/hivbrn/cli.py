@@ -30,7 +30,7 @@ from . import __version__
 from .behavior import activity_fraction_core
 from .errors import DomainError, QuadratureFailure, ScenarioError
 from .mc_oracle import estimate_sex_integral
-from .natural_history import link_core, log_viral_load_core
+from .natural_history import cloglog_core, linear_load_core, log_viral_load_core
 from .reproduction import (
     composite_r0,
     evaluate_brn,
@@ -159,7 +159,7 @@ def cmd_trajectory(scenario: Scenario, args) -> str:
     # a last age that rounds past --iad is clamped to it
     ia = np.minimum(np.arange(int(steps) + 1) * args.step, args.iad)
     lvl = log_viral_load_core(ia, args.iad, profile.viral, profile.x_plateau)
-    ptr = link_core(lvl, profile.transmission)
+    ptr = cloglog_core(linear_load_core(lvl), profile.transmission)
     g = activity_fraction_core(ia, args.iad, profile.activity)
     nca = profile.activity.annual_acts * g
     columns = ["ia", "LVl", "ptr", "ptr_x1000", "G", "NCA"]

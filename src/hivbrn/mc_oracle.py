@@ -33,7 +33,7 @@ import numpy as np
 # bench/tracing.py wraps activity_fraction and transmission_prob here
 from .behavior import activity_fraction, activity_fraction_core
 from .errors import DomainError
-from .reproduction import PopulationConfig, SexProfile, graded_edges, inner_integral
+from .reproduction import PopulationConfig, SexProfile, graded_edges, inner_integrals
 from .survival import survival_quantile_core
 from .natural_history import transmission_prob, transmission_prob_core
 
@@ -135,7 +135,8 @@ def _inner_table(profile: SexProfile, omega: float) -> tuple[np.ndarray, np.ndar
     edges = tau + (top - tau) * graded_edges(TABLE_LEVEL, both_ends=False)[1:]
     for splits in range(MAX_SPLITS + 1):
         ages = 0.5 * (edges[1:] + edges[:-1]) + 0.5 * np.diff(edges) * _CHEB[:, None]
-        values = inner_integral(ages.ravel(), profile, TABLE_LEVEL).reshape(ages.shape)
+        rows = inner_integrals(ages.ravel(), profile, [profile.transmission], TABLE_LEVEL)
+        values = rows[0].reshape(ages.shape)
         # degree TABLE_NODES - 1 through TABLE_NODES points: the interpolant
         coefs = np.polynomial.chebyshev.chebfit(_CHEB, values, TABLE_NODES - 1)
         # the last two coefficients estimate what the degree misses: a
@@ -149,7 +150,7 @@ def _inner_table(profile: SexProfile, omega: float) -> tuple[np.ndarray, np.ndar
 def _tabulated_inner(
     iad: np.ndarray, profile: SexProfile, table: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """``inner_integral`` per age at death up to omega from
+    """The inner integral ``J`` per age at death up to omega from
     :func:`_inner_table`: 0 up to tau1, the ``DIRECT_LEVEL`` rule on the
     first graded panel, and the interpolant on the rest."""
     edges, coefs = table
@@ -158,7 +159,8 @@ def _tabulated_inner(
     on = iad > edges[0]
     direct = (iad > profile.activity.terminal_lead) & ~on
     if direct.any():
-        out[direct] = inner_integral(iad[direct], profile, DIRECT_LEVEL)
+        rows = inner_integrals(iad[direct], profile, [profile.transmission], DIRECT_LEVEL)
+        out[direct] = rows[0]
     y = iad[on]
     # edges[k] < y <= edges[k + 1], so every panel used has a positive width;
     # the last panel also takes an age that omega exceeds its end by rounding

@@ -86,8 +86,9 @@ class ViralLoadParams:
             raise DomainError("need peak_log_vl (M1) > plateau_log_vl (m) > 0")
         if not self.terminal_log_vl > self.plateau_log_vl:
             raise DomainError("need terminal_log_vl (M2) > plateau_log_vl (m)")
-        # the plateau point and the rate at which age_warp_core saturates
-        # must be doubles
+        # the plateau point, the rate at which age_warp_core saturates and
+        # the linear load at the top log load must be doubles: a flat link
+        # (slope 0) times an infinite load is nan
         x_plateau = solve_plateau_point(self)
         if not x_plateau < math.inf:
             raise DomainError(
@@ -96,11 +97,14 @@ class ViralLoadParams:
             )
         with np.errstate(over="ignore"):
             rate = (1.0 + np.exp(self.warp_rate)) / x_plateau
+            top = linear_load_core(max(self.peak_log_vl, self.terminal_log_vl))
         if not rate < math.inf:
             raise DomainError(
                 "warp_rate (alpha2) gives an age-warp rate (1 + exp(alpha2)) / "
                 "x_plateau beyond double range"
             )
+        if not top < math.inf:
+            raise DomainError("the linear viral load 10**max(M1, M2) would overflow")
 
 
 @dataclass(frozen=True)
@@ -242,12 +246,7 @@ def transmission_prob_core(
     ia, iad, viral: ViralLoadParams, link: TransmissionParams, x_plateau: float
 ) -> np.ndarray:
     """Unchecked :func:`transmission_prob` for 0 <= ia <= iad."""
-    return link_core(log_viral_load_core(ia, iad, viral, x_plateau), link)
-
-
-def link_core(lvl, link: TransmissionParams):
-    """Per-act probability at log10 viral load ``lvl``: :func:`cloglog_core`
-    of :func:`linear_load_core`."""
+    lvl = log_viral_load_core(ia, iad, viral, x_plateau)
     return cloglog_core(linear_load_core(lvl), link)
 
 
@@ -273,4 +272,5 @@ def peak_transmission_prob(
     overflowing link saturates at 1.
     """
     with np.errstate(over="ignore"):
-        return float(link_core(max(viral.peak_log_vl, viral.terminal_log_vl), link))
+        top = max(viral.peak_log_vl, viral.terminal_log_vl)
+        return float(cloglog_core(linear_load_core(top), link))

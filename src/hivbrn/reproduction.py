@@ -167,11 +167,12 @@ class PopulationConfig:
                     f"{balanced:g} by act balance, not {delta_m:g}"
                 )
         for prof in (self.female, self.male):
-            # survival_density_core divides ages up to omega by the scale
-            if not self.omega / prof.survival.scale < math.inf:
+            # survival_density_core divides ages up to omega, and beta, by the scale
+            a, b = prof.survival.scale, prof.survival.shape
+            if not max(self.omega, b) / a < math.inf:
                 raise DomainError(
-                    f"omega={self.omega:g} over the {prof.label} survival scale "
-                    f"{prof.survival.scale:g} is beyond double range"
+                    f"omega={self.omega:g} or beta={b:g} over the {prof.label} "
+                    f"survival scale {a:g} is beyond double range"
                 )
             mass = tail_mass(self.omega, prof.survival)
             if mass >= MAX_TAIL_MASS:
@@ -251,11 +252,6 @@ def inner_integrals(
         for row, link in zip(out, links):
             row += (g * cloglog_core(load, link)) @ weights
     return out * iad
-
-
-def inner_integral(iad: np.ndarray, profile: SexProfile, level: int) -> np.ndarray:
-    """:func:`inner_integrals` under the profile's own link."""
-    return inner_integrals(iad, profile, [profile.transmission], level)[0]
 
 
 def link_integrals(

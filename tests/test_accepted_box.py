@@ -30,6 +30,8 @@ LOG10_RANGES = dict(
     ptr_lo=(-300, -2.192), delta=(-300, 308.2), phi=(-300, 0.0),
     beta=(0.333, 2.648),
 )
+# M2 under a flat link: up to where 10**M2 overflows, and far past it
+LOAD_M2_LOG10, FLAT_M2_LOG10 = math.log10(308.25), 308.2
 # the horizon's accepted range under the baseline male profile
 OMEGA_LOG10 = (1.596, 124.28)
 # alpha1 - 1 from the first double above 1; a positive alpha2 up to the
@@ -45,6 +47,12 @@ def log_uniform(lo, hi):
 @st.composite
 def scenario_texts(draw):
     keys = {key: draw(log_uniform(*bounds)) for key, bounds in LOG10_RANGES.items()}
+    if draw(st.booleans()):
+        # a flat link (slope 0): the probability cap no longer bounds M2; one
+        # branch stays where 10**M2 is a double, so that enough draws are accepted
+        keys["ptr_hi"] = keys["ptr_lo"]
+        lo, hi = LOG10_RANGES["M2"][0], FLAT_M2_LOG10
+        keys["M2"] = draw(st.one_of(log_uniform(lo, LOAD_M2_LOG10), log_uniform(lo, hi)))
     keys["alpha1"] = 1.0 + draw(log_uniform(*ALPHA1_LOG10))
     keys["alpha2"] = draw(
         st.one_of(log_uniform(-300, 308.2).map(lambda v: -v), log_uniform(-300, ALPHA2_LOG10))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,16 @@ class TestActivityFraction:
         # phi*(iad - ia)*(iad - tau1) alone would overflow on this course
         g = activity_fraction(np.array([0.0, 0.5e300, 1e300]), 1e300, params)
         assert g.tolist() == [1.0, 1.0, 0.0]
+
+    def test_tiny_phi_just_past_tiny_lead(self):
+        # phi*(iad - ia)*(iad - tau1) in absolute ages underflows to 0 on this
+        # course, and B is 0 at ia = 0: G is still 1 there, not 0/0
+        p = ActivityParams(annual_acts=1.0, residual_fraction=1e-300, terminal_lead=1e-30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            g = activity_fraction(np.array([0.0, 1e-30]), 1.000001e-30, p)
+        assert np.isfinite(g).all()
+        assert g[0] == 1.0
 
     def test_unit_interval_on_grid(self, params):
         for iad in np.linspace(1.01, 40.0, 60):

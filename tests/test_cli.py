@@ -144,8 +144,18 @@ class TestEval:
             ("[population]\nomega = 1e300\n", "overflow"),
             ("[female]\nmedian = 1e-300\n", "overflow"),
             ("[female]\nmedian = 1e-310\n", "female survival scale"),
+            # beta over a subnormal scale overflows where omega over it does not
+            (
+                "".join(
+                    f"[{sex}]\nmedian = 4e-311\nbeta = 2.85\ntau1 = 1e-250\n"
+                    for sex in ("female", "male")
+                ) + "[population]\nomega = 1e-210\n",
+                "survival scale",
+            ),
             ("[female]\nia1 = 1e307\nalpha1 = 1.000000001\n", "plateau point"),
             ("[female]\nM1 = 400\nM2 = 400\n", "overflow"),
+            # a flat link (slope 0) times an infinite linear load is nan
+            ("[female]\nM2 = 400\nptr_lo = 0.008\n", "overflow"),
             ("[DEFAULT]\ndelta = 500\n", "line 1: unknown section [DEFAULT]"),
             ("[female]\nphi = 0.5\n[DEFAULT]\ndelta = 500\n", "line 3: unknown section"),
             ("[female]\nM1 = 1e-17\nm = 5e-18\n", "10**peak_log_vl (M1)"),
@@ -153,8 +163,9 @@ class TestEval:
             ("[male]\nalpha2 = 800\n", "warp_rate (alpha2) gives an age-warp rate"),
         ],
         ids=["order", "max_refine", "max_refine_zero", "samples", "omega", "median",
-             "median_subnormal", "plateau_point", "M1", "default",
-             "default_beside_female", "M1_equals_m_linear", "unbalanced", "alpha2"],
+             "median_subnormal", "beta_over_subnormal_scale", "plateau_point", "M1",
+             "flat_link", "default", "default_beside_female", "M1_equals_m_linear",
+             "unbalanced", "alpha2"],
     )
     def test_out_of_range_scenario_exits_2(self, capsys, tmp_path, text, message):
         # limit + 1 is refused while the scenario is parsed, before any
