@@ -63,12 +63,15 @@ def activity_fraction_core(ia: np.ndarray, iad: np.ndarray, p: ActivityParams):
     """Unchecked :func:`activity_fraction` for 0 <= ia <= iad; divides only
     on live courses, iad > terminal_lead."""
     tau, phi = p.terminal_lead, p.residual_fraction
-    # every age times 2**e, the power of two in (1/(2m), 1/m] for
-    # m = max(iad, tau1): exact, so the ratio keeps its bits, no scaled age
-    # exceeds 1, and no product carries an absolute age into underflow
     e = -np.frexp(np.maximum(iad, tau))[1]
-    ia, iad, tau = np.ldexp(ia, e), np.ldexp(iad, e), np.ldexp(tau, e)
-    a = phi * (iad - ia) * (iad - tau)
-    b = (1.0 - phi) * tau * ia
-    total = a + b
-    return np.divide(a, total, out=np.zeros(np.shape(total)), where=iad > tau)
+    if min(phi, tau) >= 1e-100:  # every product G can show stays normal (README)
+        a = phi * (iad - ia) * np.ldexp(iad - tau, e)
+        b = (1.0 - phi) * tau * np.ldexp(ia, e)
+    else:  # split the factors by frexp so that none underflows (README)
+        (mp, mq, mt), (kp, kq, kt) = np.frexp([phi, 1.0 - phi, tau])
+        mw, kw = np.frexp(iad - tau)
+        d = np.maximum(kw + (kp - kq - kt), -1126)  # no live course has less
+        s = np.minimum(np.maximum(d, -960), 0)
+        a = mp * np.ldexp(iad - ia, e) * np.ldexp(mw, s)
+        b = mq * mt * np.ldexp(ia, e + np.maximum(s - d, -960))
+    return np.divide(a, a + b, out=np.zeros(np.shape(a)), where=iad > tau)

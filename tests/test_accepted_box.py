@@ -22,10 +22,10 @@ from hivbrn.reproduction import MAX_TAIL_MASS, _graded_rule
 from hivbrn.survival import survival_density_core
 
 # log10 bounds of each female key's accepted range with every other key at
-# its baseline value, floored at 1e-300: a key may reach its bound only
-# through a refusal, which the properties skip
+# its baseline value, floored at 1e-300 (tau1 at the least subnormal): a key
+# may reach its bound only through a refusal, which the properties skip
 LOG10_RANGES = dict(
-    ia1=(-300, 307.5), M1=(0.649, 2.438), m=(-300, 0.649), tau1=(-300, 308.2),
+    ia1=(-300, 307.5), M1=(0.649, 2.438), m=(-300, 0.649), tau1=(-323.3, 308.2),
     M2=(0.544, 0.754), alpha3=(-300, 308.2), ptr_hi=(-2.928, 0.0),
     ptr_lo=(-300, -2.192), delta=(-300, 308.2), phi=(-300, 0.0),
     beta=(0.333, 2.648),
@@ -85,8 +85,9 @@ def test_kernels_on_level1_mesh(text):
     assume(omega > tau)
     outer, _ = _graded_rule(1, both_ends=False)
     inner, _ = _graded_rule(1, both_ends=True)
+    # the mesh plus both ends of each course, infection and death
     y = (tau + (omega - tau) * outer).reshape(-1, 1)
-    x = inner.reshape(1, -1) * y
+    x = np.concatenate(([0.0], inner.ravel(), [1.0])).reshape(1, -1) * y
     with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
         g = activity_fraction_core(x, y, prof.activity)
         ptr = transmission_prob_core(x, y, prof.viral, prof.transmission, prof.x_plateau)
@@ -94,6 +95,7 @@ def test_kernels_on_level1_mesh(text):
     for values in (g, ptr, density):
         assert np.isfinite(values).all()
     assert ((g >= 0) & (g <= 1)).all()
+    assert (g[:, 0] == (y[:, 0] > tau)).all() and not g[:, -1].any()
     assert ((ptr >= 0) & (ptr <= 1)).all()
 
 

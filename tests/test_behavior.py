@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -45,15 +44,20 @@ class TestActivityFraction:
         g = activity_fraction(np.array([0.0, 0.5e300, 1e300]), 1e300, params)
         assert g.tolist() == [1.0, 1.0, 0.0]
 
-    def test_tiny_phi_just_past_tiny_lead(self):
-        # phi*(iad - ia)*(iad - tau1) in absolute ages underflows to 0 on this
-        # course, and B is 0 at ia = 0: G is still 1 there, not 0/0
-        p = ActivityParams(annual_acts=1.0, residual_fraction=1e-300, terminal_lead=1e-30)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            g = activity_fraction(np.array([0.0, 1e-30]), 1.000001e-30, p)
-        assert np.isfinite(g).all()
-        assert g[0] == 1.0
+    @pytest.mark.parametrize(
+        "phi, tau, iad",
+        [
+            # phi*(iad - ia)*(iad - tau1) in absolute ages underflows to 0
+            (1e-300, 1e-30, 1.000001e-30),
+            # (1 - phi)*tau1 is under 2**-1074 of phi*(iad - tau1)
+            (PHI, 1e-300, 1e30),
+            (PHI, 2e-323, 7.0),
+        ],
+    )
+    def test_extreme_course_ends(self, phi, tau, iad):
+        # G is 1 at infection and 0 at death, not 0/0 at either end
+        p = ActivityParams(annual_acts=1.0, residual_fraction=phi, terminal_lead=tau)
+        assert activity_fraction(np.array([0.0, iad]), iad, p).tolist() == [1.0, 0.0]
 
     def test_unit_interval_on_grid(self, params):
         for iad in np.linspace(1.01, 40.0, 60):
@@ -71,13 +75,16 @@ class TestActivityFraction:
             g = activity_fraction(np.linspace(0.0, iad, 2_000), iad, params)
             assert np.all(np.diff(g) <= 1e-15)
 
-    @pytest.mark.parametrize("phi, tau", [(PHI, TAU), (1e-300, TAU), (PHI, 1e-300)])
+    @pytest.mark.parametrize(
+        "phi, tau", [(PHI, TAU), (1e-300, TAU), (PHI, 1e-300), (1e-300, 1e-300)]
+    )
     def test_near_death_vs_highprec_oracle(self, phi, tau):
         # 1 - ia/iad from 1e-15 to 1e-1, against the rational form at 50
-        # digits; a G below the normal range keeps only absolute accuracy
+        # digits, up to courses of 1e30 years; a G below the normal range
+        # keeps only absolute accuracy
         mp = pytest.importorskip("mpmath")
         p = ActivityParams(annual_acts=208.0, residual_fraction=phi, terminal_lead=tau)
-        for iad in (1.5, 7.0, 40.0):
+        for iad in (1.5, 7.0, 40.0, 1e10, 1e30):
             for gap in 10.0 ** np.arange(-15, 0):
                 ia = iad * (1.0 - gap)
                 with mp.workdps(50):
