@@ -181,6 +181,12 @@ class PopulationConfig:
                     f"for {prof.label}; must be < {MAX_TAIL_MASS:g}"
                 )
 
+    @cached_property
+    def _integrals(self) -> "dict[QuadratureSpec, tuple[float, float]]":
+        """``(I_f, I_m)`` by quadrature, filled by :func:`sex_integrals`; in
+        the instance's ``__dict__``, so ``==``, ``hash`` and ``replace`` skip it."""
+        return {}
+
 
 class Verdict(enum.Enum):
     EPIDEMIC = "epidemic"
@@ -328,11 +334,20 @@ def sex_integrals(
     config: PopulationConfig, quad: QuadratureSpec | None = None
 ) -> tuple[float, float]:
     """``(I_f, I_m)``: both sexes' :func:`sex_integral` over ``config.omega``,
-    the one pair every threshold number comes from."""
-    return (
-        sex_integral(config.female, config.omega, quad),
-        sex_integral(config.male, config.omega, quad),
-    )
+    the one pair every threshold number comes from.
+
+    Computed once per config and quadrature (``None`` is ``QuadratureSpec()``)
+    and kept on the config, so a later call returns the first call's values.
+    A failure is raised, not kept: the next call integrates again.
+    """
+    quad = quad or QuadratureSpec()
+    memo = config._integrals
+    if quad not in memo:
+        memo[quad] = (
+            sex_integral(config.female, config.omega, quad),
+            sex_integral(config.male, config.omega, quad),
+        )
+    return memo[quad]
 
 
 def sex_brn(delta: float, integral: float) -> float:
@@ -369,8 +384,9 @@ def composite_r0(r_fm: float, r_mf: float) -> float:
 def evaluate_brn(
     config: PopulationConfig, quad: QuadratureSpec | None = None
 ) -> BrnResult:
-    """Run both sex integrals and assemble the full threshold record, with
-    the one verdict: ISA against I0 (R0 against 1 only rounds differently)."""
+    """Assemble the full threshold record from :func:`sex_integrals`, which
+    integrates once per config and quadrature, with the one verdict: ISA
+    against I0 (R0 against 1 only rounds differently)."""
     integral_f, integral_m = sex_integrals(config, quad)
     delta_f = config.female.activity.annual_acts
     delta_m = config.male.activity.annual_acts
@@ -454,14 +470,15 @@ def sensitivity_sweep(
     """I0 under rescaled transmission probabilities.
 
     ``scale_function`` multiplies the per-act probability pointwise by each
-    factor, which gives exactly the base I0 over the factor;
+    factor, which gives exactly the base I0 over the factor, from the
+    :func:`sex_integrals` pair that the config keeps;
     ``scale_endpoints`` rescales the two anchor probabilities and re-derives
     the link, which is only approximately linear.  :func:`scaled_links`
     checks every factor before any integral.  The endpoint sweep then
-    integrates each sex once with every factor's link on one shared mesh per
-    level (:func:`link_integrals`), female first: a failure is the first
-    failing female factor's, else the first failing male factor's, and a
-    female failure leaves the male integrals unrun.
+    integrates each sex once per call, with every factor's link on one
+    shared mesh per level (:func:`link_integrals`), female first: a failure
+    is the first failing female factor's, else the first failing male
+    factor's, and a female failure leaves the male integrals unrun.
     """
     links = scaled_links(config, scale_factors, mode)
     if not scale_factors:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -578,6 +580,85 @@ class TestSensitivity:
         ):
             sensitivity_sweep(pop, [60.0, 0.5, 0.1], "scale_endpoints", quad)
         assert calls == ["female"]
+
+
+class TestPairMemo:
+    """A config computes its ``(I_f, I_m)`` once per quadrature and keeps
+    the pair; a new config, another quadrature or a failure integrates again."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        original = reproduction.link_integrals
+
+        def counted(profile, *args, **kwargs):
+            calls.append(profile.label)
+            return original(profile, *args, **kwargs)
+
+        monkeypatch.setattr(reproduction, "link_integrals", counted)
+        return calls
+
+    def test_one_pair_per_config_and_quadrature(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        scenario = parse_scenario("")
+        pop = scenario.population
+        before = (scenario.config_hash(), hash(pop))
+        result = evaluate_brn(pop)
+        swept = sensitivity_sweep(pop, [0.5, 2.0], "scale_function")
+        assert calls == ["female", "male"]
+        assert swept == [(0.5, result.i0 / 0.5), (2.0, result.i0 / 2.0)]
+        # None stands for the default spec: one entry
+        pair = sex_integrals(pop, QuadratureSpec())
+        assert pair == (result.integral_f, result.integral_m)
+        assert calls == ["female", "male"]
+        # a new config of the same text integrates again, to the same values
+        fresh = parse_scenario("").population
+        assert sex_integrals(fresh) == pair
+        assert calls == ["female", "male"] * 2
+        assert sex_integrals(dataclasses.replace(pop)) == pair
+        assert calls == ["female", "male"] * 3
+        sex_integrals(pop, QuadratureSpec(tol=1e-7))
+        assert calls == ["female", "male"] * 4
+        # the kept pairs are no part of the config's identity
+        assert fresh == pop
+        assert (scenario.config_hash(), hash(pop)) == before
+
+    def test_failure_is_not_kept(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        scenario = parse_scenario("[quadrature]\ntol = 1e-16\nmax_refine = 1\n")
+        messages = []
+        for _ in range(2):
+            with pytest.raises(QuadratureFailure) as failed:
+                evaluate_brn(scenario.population, scenario.quadrature)
+            messages.append(str(failed.value))
+        # the female integral fails first, so the male one never runs
+        assert calls == ["female", "female"]
+        assert messages[0] == messages[1]
+
+    def test_threads_racing_on_one_config_agree(self):
+        # a race on the kept pair at most computes the same bits twice
+        pop = parse_scenario("").population
+        reference = sex_integrals(parse_scenario("").population)
+        start = threading.Barrier(4)
+        results = []
+
+        def run():
+            start.wait(timeout=30)
+            results.append(sex_integrals(pop))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [reference] * 4
+        assert sex_integrals(pop) == reference
 
 
 class TestBalance:
