@@ -587,7 +587,7 @@ class TestPairMemo:
     the pair; a new config, another quadrature or a failure integrates again."""
 
     @staticmethod
-    def counted(monkeypatch):
+    def count_link_calls(monkeypatch):
         calls = []
         original = reproduction.link_integrals
 
@@ -599,7 +599,7 @@ class TestPairMemo:
         return calls
 
     def test_one_pair_per_config_and_quadrature(self, monkeypatch):
-        calls = self.counted(monkeypatch)
+        calls = self.count_link_calls(monkeypatch)
         scenario = parse_scenario("")
         pop = scenario.population
         before = (scenario.config_hash(), hash(pop))
@@ -624,7 +624,7 @@ class TestPairMemo:
         assert (scenario.config_hash(), hash(pop)) == before
 
     def test_failure_is_not_kept(self, monkeypatch):
-        calls = self.counted(monkeypatch)
+        calls = self.count_link_calls(monkeypatch)
         scenario = parse_scenario("[quadrature]\ntol = 1e-16\nmax_refine = 1\n")
         messages = []
         for _ in range(2):
