@@ -33,7 +33,7 @@ import numpy as np
 # bench/tracing.py wraps activity_fraction and transmission_prob here
 from .behavior import activity_fraction, activity_fraction_core
 from .errors import DomainError
-from .reproduction import PopulationConfig, SexProfile, graded_edges, inner_integrals
+from .reproduction import PopulationConfig, SexProfile, graded_edges, inner_blocks, inner_integrals
 from .survival import survival_quantile_core
 from .natural_history import transmission_prob, transmission_prob_core
 
@@ -135,7 +135,9 @@ def _inner_table(profile: SexProfile, omega: float) -> tuple[np.ndarray, np.ndar
     edges = tau + (top - tau) * graded_edges(TABLE_LEVEL, both_ends=False)[1:]
     for splits in range(MAX_SPLITS + 1):
         ages = 0.5 * (edges[1:] + edges[:-1]) + 0.5 * np.diff(edges) * _CHEB[:, None]
-        rows = inner_integrals(ages.ravel(), profile, [profile.transmission], TABLE_LEVEL)
+        iad = ages.ravel()
+        blocks = inner_blocks(iad, profile, TABLE_LEVEL)
+        rows = inner_integrals(iad, blocks, [profile.transmission], TABLE_LEVEL)
         values = rows[0].reshape(ages.shape)
         # degree TABLE_NODES - 1 through TABLE_NODES points: the interpolant
         coefs = np.polynomial.chebyshev.chebfit(_CHEB, values, TABLE_NODES - 1)
@@ -159,7 +161,9 @@ def _tabulated_inner(
     on = iad > edges[0]
     direct = (iad > profile.activity.terminal_lead) & ~on
     if direct.any():
-        rows = inner_integrals(iad[direct], profile, [profile.transmission], DIRECT_LEVEL)
+        ages = iad[direct]
+        blocks = inner_blocks(ages, profile, DIRECT_LEVEL)
+        rows = inner_integrals(ages, blocks, [profile.transmission], DIRECT_LEVEL)
         out[direct] = rows[0]
     y = iad[on]
     # edges[k] < y <= edges[k + 1], so every panel used has a positive width;

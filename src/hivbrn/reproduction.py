@@ -21,7 +21,9 @@ decline, never on the contact rates, so the R0 = 1 locus in the
 Transmission variants of one sex profile, such as the endpoint factors of a
 sensitivity sweep, differ only in the cloglog link: they share one mesh per
 level, on which ``G``, the viral load and the survival density are computed
-once (:func:`link_integrals`).
+once (:func:`link_integrals`).  A population keeps those link-free blocks
+for its first levels, so its threshold pair and a later endpoint sweep
+build them once per sex and level.
 """
 
 from __future__ import annotations
@@ -79,6 +81,11 @@ ORDER = 24
 
 # each graded level adds panels in both directions: a cap that bounds time
 MAX_REFINE = 16
+
+# a config keeps its link-free blocks up to this level: (15 + 40 + 77) * 576
+# nodes x 2 arrays x 8 B, about 1.2 MB per sex, where levels 0 to 8 would
+# hold 19 MB; no case of the benchmark's box refines past level 2
+MAX_KEPT_LEVEL = 2
 
 
 @dataclass(frozen=True)
@@ -187,6 +194,15 @@ class PopulationConfig:
         the instance's ``__dict__``, so ``==``, ``hash`` and ``replace`` skip it."""
         return {}
 
+    @cached_property
+    def _blocks(self) -> "dict[str, dict]":
+        """Per sex label, the link-free blocks of :func:`link_integrals` by
+        level up to ``MAX_KEPT_LEVEL``, filled by :func:`sex_integrals` and
+        the endpoint sweep.  They depend on the profile, ``omega`` and the
+        level only, so they serve every link and quadrature; like
+        ``_integrals``, ``==``, ``hash`` and ``replace`` skip them."""
+        return {"female": {}, "male": {}}
+
 
 class Verdict(enum.Enum):
     EPIDEMIC = "epidemic"
@@ -238,23 +254,37 @@ def _graded_rule(level: int, both_ends: bool) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def inner_blocks(
+    iad: np.ndarray, profile: SexProfile, level: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per inner panel of the level-``level`` mesh, ``G`` and the linear
+    viral load on its ``iad.size * ORDER`` nodes ``x``, placed as fractions
+    of each age at death ``iad``: the link-free part of
+    :func:`inner_integrals`.  The nodes satisfy 0 <= x <= iad, so the
+    unchecked cores are called."""
+    col = iad[:, None]
+    blocks = []
+    for nodes in _graded_rule(level, both_ends=True)[0]:
+        x = nodes * col
+        g = activity_fraction_core(x, col, profile.activity)
+        load = linear_load_core(log_viral_load_core(x, col, profile.viral, profile.x_plateau))
+        blocks.append((g, load))
+    return blocks
+
+
 def inner_integrals(
-    iad: np.ndarray, profile: SexProfile, links: "list[TransmissionParams]", level: int
+    iad: np.ndarray,
+    blocks: "list[tuple[np.ndarray, np.ndarray]]",
+    links: "list[TransmissionParams]",
+    level: int,
 ) -> np.ndarray:
     """``int_0^iad G(x, iad) * ptr(x, iad) dx`` for each age at death under
     each link, shape ``(len(links), iad.size)``, by ``ORDER``-node
-    Gauss-Legendre on the level-``level`` panels as fractions of ``iad``.
-    Per panel, ``G`` and the linear viral load are computed once on the
-    ``iad.size * ORDER`` nodes, then each link adds one cloglog pass.  The
-    nodes satisfy 0 <= x <= iad, so the unchecked cores are called."""
-    col = iad[:, None]
+    Gauss-Legendre on the level-``level`` panels as fractions of ``iad``,
+    from that level's :func:`inner_blocks`: each link adds one cloglog pass
+    per panel."""
     out = np.zeros((len(links), iad.size))
-    for nodes, weights in zip(*_graded_rule(level, both_ends=True)):
-        x = nodes * col
-        g = activity_fraction_core(x, col, profile.activity)
-        load = linear_load_core(
-            log_viral_load_core(x, col, profile.viral, profile.x_plateau)
-        )
+    for (g, load), weights in zip(blocks, _graded_rule(level, both_ends=True)[1]):
         for row, link in zip(out, links):
             row += (g * cloglog_core(load, link)) @ weights
     return out * iad
@@ -265,6 +295,7 @@ def link_integrals(
     links: "list[TransmissionParams]",
     omega: float,
     quad: QuadratureSpec | None = None,
+    blocks: dict | None = None,
 ) -> list[float]:
     """:func:`sex_integral` of ``profile`` under each link in ``links``, on one
     shared mesh per level: the links differ only in the cloglog pass of
@@ -273,6 +304,12 @@ def link_integrals(
     Raises the :class:`QuadratureFailure` of the first failing link, in link
     order, once every link has run out of levels or converged; its ``link``
     is that link's index.
+
+    ``blocks``, if given, is a dict that keeps each level's link-free work,
+    the survival density and :func:`inner_blocks` on the outer nodes, for
+    ``profile`` and ``omega`` (``PopulationConfig._blocks``): a level it
+    holds is read, and a level up to ``MAX_KEPT_LEVEL`` it lacks is stored,
+    even when a link then fails.
     """
     quad = quad or QuadratureSpec()
     if not 0 < omega < math.inf:
@@ -290,8 +327,13 @@ def link_integrals(
         # the integrand vanishes for y <= tau1: outer panels span [tau1, omega]
         nodes, weights = _graded_rule(level, both_ends=False)
         y = (tau + (omega - tau) * nodes).ravel()
-        inner = inner_integrals(y, profile, [links[k] for k in todo], level)
-        density = survival_density_core(y, profile.survival)
+        kept = blocks.get(level) if blocks is not None else None
+        if kept is None:
+            kept = (survival_density_core(y, profile.survival), inner_blocks(y, profile, level))
+            if blocks is not None and level <= MAX_KEPT_LEVEL:
+                blocks[level] = kept
+        density, panels = kept
+        inner = inner_integrals(y, panels, [links[k] for k in todo], level)
         for k, row in zip(todo, inner):
             total = (omega - tau) * float(weights.ravel() @ (density * row))
             # the integrand is positive past tau1: a zero total missed the mass or underflowed
@@ -338,14 +380,18 @@ def sex_integrals(
 
     Computed once per config and quadrature (``None`` is ``QuadratureSpec()``)
     and kept on the config, so a later call returns the first call's values.
-    A failure is raised, not kept: the next call integrates again.
+    A failure is raised, not kept: the next call integrates again.  Each
+    sex's :func:`link_integrals` reads and fills that sex's link-free blocks
+    on the config, which an endpoint sweep shares.
     """
     quad = quad or QuadratureSpec()
     memo = config._integrals
     if quad not in memo:
-        memo[quad] = (
-            sex_integral(config.female, config.omega, quad),
-            sex_integral(config.male, config.omega, quad),
+        memo[quad] = tuple(
+            link_integrals(
+                prof, [prof.transmission], config.omega, quad, config._blocks[prof.label]
+            )[0]
+            for prof in (config.female, config.male)
         )
     return memo[quad]
 
@@ -478,7 +524,10 @@ def sensitivity_sweep(
     integrates each sex once per call, with every factor's link on one
     shared mesh per level (:func:`link_integrals`), female first: a failure
     is the first failing female factor's, else the first failing male
-    factor's, and a female failure leaves the male integrals unrun.
+    factor's, and a female failure leaves the male integrals unrun.  The
+    meshes' link-free blocks are the config's, which :func:`sex_integrals`
+    shares, so after :func:`evaluate_brn` only the cloglog passes run on
+    levels up to ``MAX_KEPT_LEVEL``.
     """
     links = scaled_links(config, scale_factors, mode)
     if not scale_factors:
@@ -490,7 +539,9 @@ def sensitivity_sweep(
     integrals = []
     for prof, sex_links in zip((config.female, config.male), links):
         try:
-            integrals.append(link_integrals(prof, sex_links, config.omega, quad))
+            integrals.append(
+                link_integrals(prof, sex_links, config.omega, quad, config._blocks[prof.label])
+            )
         except QuadratureFailure as exc:
             factor = scale_factors[exc.link]
             raise QuadratureFailure(f"{_scaled(prof.label, factor)}: {exc}") from exc

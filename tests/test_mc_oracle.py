@@ -21,7 +21,7 @@ from hivbrn import (
 )
 from hivbrn.behavior import activity_fraction_core
 from hivbrn.natural_history import transmission_prob_core
-from hivbrn.reproduction import inner_integrals
+from hivbrn.reproduction import inner_blocks, inner_integrals
 from hivbrn.survival import SurvivalParams, survival_quantile_core
 
 from conftest import PARAM_BOX
@@ -248,7 +248,7 @@ class TestInnerTable:
         ))
         ages[ages > omega] = 0.0
         # level 10, well above TABLE_LEVEL, so that the fill's own error shows
-        ref = inner_integrals(ages, profile, [profile.transmission], 10)[0]
+        ref = inner_integrals(ages, inner_blocks(ages, profile, 10), [profile.transmission], 10)[0]
         err = np.abs(mc._tabulated_inner(ages, profile, table) - ref)
         assert err.max() <= 1e-7 * ref[:1000].mean()
 

@@ -636,20 +636,30 @@ class TestPairMemo:
         assert messages[0] == messages[1]
 
     def test_threads_racing_on_one_config_agree(self):
-        # a race on the kept pair at most computes the same bits twice
+        # a race on the kept pair and blocks at most computes the same bits
+        # twice: threads run evaluate_brn and an endpoint sweep on one config
         pop = parse_scenario("").population
-        reference = sex_integrals(parse_scenario("").population)
-        start = threading.Barrier(4)
-        results = []
+        reference = {
+            "brn": evaluate_brn(parse_scenario("").population),
+            "sweep": sensitivity_sweep(parse_scenario("").population, [0.5, 2.0], "scale_endpoints"),
+        }
+        tasks = [
+            ("brn", lambda: evaluate_brn(pop)),
+            ("sweep", lambda: sensitivity_sweep(pop, [0.5, 2.0], "scale_endpoints")),
+        ] * 2
+        start = threading.Barrier(len(tasks))
+        results = {}
 
-        def run():
+        def run(i, task):
             start.wait(timeout=30)
-            results.append(sex_integrals(pop))
+            results[i] = task()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=run) for _ in range(4)]
+            threads = [
+                threading.Thread(target=run, args=(i, task)) for i, (_, task) in enumerate(tasks)
+            ]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -657,8 +667,83 @@ class TestPairMemo:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert results == [reference] * 4
-        assert sex_integrals(pop) == reference
+        assert results == {i: reference[name] for i, (name, _) in enumerate(tasks)}
+        brn = reference["brn"]
+        assert sex_integrals(pop) == (brn.integral_f, brn.integral_m)
+
+
+class TestBlockMemo:
+    """A config keeps each sex's link-free blocks, ``G`` and the viral load
+    per level up to ``MAX_KEPT_LEVEL``: its pair and its endpoint sweeps
+    build them once, and every value keeps a fresh config's bits."""
+
+    FACTORS = [0.5, 2.0]
+
+    @staticmethod
+    def count_kernel_calls(monkeypatch):
+        calls = []
+        original = reproduction.activity_fraction_core
+
+        def counted(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(reproduction, "activity_fraction_core", counted)
+        return calls
+
+    def sweep(self, pop):
+        return sensitivity_sweep(pop, self.FACTORS, "scale_endpoints")
+
+    @pytest.mark.parametrize("sweep_first", [False, True], ids=["brn-first", "sweep-first"])
+    def test_pair_and_endpoint_sweep_share_the_blocks(self, monkeypatch, sweep_first):
+        brn = evaluate_brn(parse_scenario("").population)
+        swept = self.sweep(parse_scenario("").population)
+        calls = self.count_kernel_calls(monkeypatch)
+        evaluate_brn(parse_scenario("").population)
+        alone = len(calls)
+        assert alone > 0
+        calls.clear()
+        pop = parse_scenario("").population
+        if sweep_first:
+            got_swept, got_brn = self.sweep(pop), evaluate_brn(pop)
+        else:
+            got_brn, got_swept = evaluate_brn(pop), self.sweep(pop)
+        # the baseline's links all converge at level 1, so the second
+        # caller builds no block
+        assert len(calls) == alone
+        assert got_brn == brn
+        assert got_swept == swept
+        assert {sex: sorted(kept) for sex, kept in pop._blocks.items()} == {
+            "female": [0, 1], "male": [0, 1]
+        }
+
+    def test_sex_integral_keeps_no_blocks(self, monkeypatch, population):
+        calls = self.count_kernel_calls(monkeypatch)
+        first = sex_integral(population.female, population.omega)
+        once = len(calls)
+        assert once > 0
+        assert sex_integral(population.female, population.omega) == first
+        assert len(calls) == 2 * once
+
+    def test_deep_levels_are_not_kept(self):
+        # this shape refines to level 8: only levels 0 to 2 stay on the config
+        pop = parse_scenario("[female]\nbeta = 20\n").population
+        result = evaluate_brn(pop)
+        assert set(pop._blocks["female"]) == {0, 1, 2}
+        assert max(pop._blocks["male"]) <= reproduction.MAX_KEPT_LEVEL
+        assert result.integral_f == sex_integral(pop.female, pop.omega)
+
+    def test_blocks_are_no_part_of_the_config(self):
+        scenario = parse_scenario("")
+        pop = scenario.population
+        before = (scenario.config_hash(), hash(pop))
+        self.sweep(pop)
+        assert pop._blocks["female"] and pop._blocks["male"]
+        assert (scenario.config_hash(), hash(pop)) == before
+        assert pop == parse_scenario("").population
+        copy = dataclasses.replace(pop)
+        assert copy == pop
+        assert copy._blocks == {"female": {}, "male": {}}
 
 
 class TestBalance:
