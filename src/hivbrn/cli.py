@@ -34,8 +34,6 @@ from .natural_history import cloglog_core, linear_load_core, log_viral_load_core
 from .reproduction import (
     composite_r0,
     evaluate_brn,
-    index_i0,
-    scaled_links,
     sensitivity_sweep,
     sex_brn,
     sex_integral,
@@ -174,19 +172,19 @@ def cmd_phase(scenario: Scenario, args) -> str:
     all_factors = [1.0] + [f for f in factors if f != 1.0]
     if len(all_factors) * grid.size > MAX_ROWS:
         raise ScenarioError(f"--factors and --grid give more than {MAX_ROWS} rows")
-    # every factor is checked before any integral
-    scaled_links(pop, all_factors, "scale_function")
+    # the sweep checks every factor before any integral; factor 1 leads
+    pairs = sensitivity_sweep(pop, all_factors, "scale_function", scenario.quadrature)
     int_f, int_m = sex_integrals(pop, scenario.quadrature)
-    i0 = index_i0(int_f, int_m)
     columns = ["series", "factor", "delta_m", "delta_f", "r_fm", "r_mf", "r0"]
     delta_m = grid.tolist()
-    # the R0 = 1 locus, at I0 / factor under pointwise scaling; in Python
-    # floats an overflow gives inf without a warning
+    # the R0 = 1 locus at each factor's I0; in Python floats an overflow
+    # gives inf without a warning
     rows = [
-        ["hyperbola", factor, dm, (i0 / factor) * (i0 / factor) / dm, None, None, None]
-        for factor in all_factors
+        ["hyperbola", factor, dm, i0 * i0 / dm, None, None, None]
+        for factor, i0 in pairs
         for dm in delta_m
     ]
+    i0 = pairs[0][1]
     rows.append(["fixed_point", 1.0, i0, i0, None, None, None])
     for dm in FEASIBLE_DELTA_M:
         for df in FEASIBLE_DELTA_F:

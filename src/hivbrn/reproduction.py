@@ -21,9 +21,9 @@ decline, never on the contact rates, so the R0 = 1 locus in the
 Transmission variants of one sex profile, such as the endpoint factors of a
 sensitivity sweep, differ only in the cloglog link: they share one mesh per
 level, on which ``G``, the viral load and the survival density are computed
-once (:func:`link_integrals`).  A population keeps those link-free blocks
-for its first levels, so its threshold pair and a later endpoint sweep
-build them once per sex and level.
+once (:func:`link_integrals`).  A population keeps, per sex and level, its
+own link's total and the first levels' blocks, so its threshold pair at any
+tolerance and a later endpoint sweep compute each once.
 """
 
 from __future__ import annotations
@@ -189,18 +189,12 @@ class PopulationConfig:
                 )
 
     @cached_property
-    def _integrals(self) -> "dict[QuadratureSpec, tuple[float, float]]":
-        """``(I_f, I_m)`` by quadrature, filled by :func:`sex_integrals`; in
-        the instance's ``__dict__``, so ``==``, ``hash`` and ``replace`` skip it."""
-        return {}
-
-    @cached_property
-    def _blocks(self) -> "dict[str, dict]":
-        """Per sex label, the link-free blocks of :func:`link_integrals` by
-        level up to ``MAX_KEPT_LEVEL``, filled by :func:`sex_integrals` and
-        the endpoint sweep.  They depend on the profile, ``omega`` and the
-        level only, so they serve every link and quadrature; like
-        ``_integrals``, ``==``, ``hash`` and ``replace`` skip them."""
+    def _levels(self) -> "dict[str, dict]":
+        """Per sex label, the ``memo`` of :func:`link_integrals` by level,
+        filled by :func:`sex_integrals` and the endpoint sweep.  What it keeps
+        depends on the profile, ``omega`` and the level only, so it serves
+        every quadrature; in the instance's ``__dict__``, so ``==``, ``hash``
+        and ``replace`` skip it."""
         return {"female": {}, "male": {}}
 
 
@@ -295,7 +289,7 @@ def link_integrals(
     links: "list[TransmissionParams]",
     omega: float,
     quad: QuadratureSpec | None = None,
-    blocks: dict | None = None,
+    memo: dict | None = None,
 ) -> list[float]:
     """:func:`sex_integral` of ``profile`` under each link in ``links``, on one
     shared mesh per level: the links differ only in the cloglog pass of
@@ -305,18 +299,20 @@ def link_integrals(
     order, once every link has run out of levels or converged; its ``link``
     is that link's index.
 
-    ``blocks``, if given, is a dict that keeps each level's link-free work,
-    the survival density and :func:`inner_blocks` on the outer nodes, for
-    ``profile`` and ``omega`` (``PopulationConfig._blocks``): a level it
-    holds is read, and a level up to ``MAX_KEPT_LEVEL`` it lacks is stored,
-    even when a link then fails.
+    ``memo`` (``PopulationConfig._levels[sex]``, else a throwaway dict) keeps
+    per level the total of the profile's own link and, up to
+    ``MAX_KEPT_LEVEL``, the link-free blocks: the survival density and
+    :func:`inner_blocks` on the outer nodes.  A level's kept work is read and
+    its missing work stored, even when a link then fails.
     """
     quad = quad or QuadratureSpec()
+    memo = {} if memo is None else memo
     if not 0 < omega < math.inf:
         raise DomainError("omega must be finite and > 0")
     tau = profile.activity.terminal_lead
     if omega <= tau:
         return [0.0] * len(links)
+    own = [link == profile.transmission for link in links]
     values = [None] * len(links)
     prev = [0.0] * len(links)
     err = [math.inf] * len(links)
@@ -327,15 +323,22 @@ def link_integrals(
         # the integrand vanishes for y <= tau1: outer panels span [tau1, omega]
         nodes, weights = _graded_rule(level, both_ends=False)
         y = (tau + (omega - tau) * nodes).ravel()
-        kept = blocks.get(level) if blocks is not None else None
-        if kept is None:
-            kept = (survival_density_core(y, profile.survival), inner_blocks(y, profile, level))
-            if blocks is not None and level <= MAX_KEPT_LEVEL:
-                blocks[level] = kept
-        density, panels = kept
-        inner = inner_integrals(y, panels, [links[k] for k in todo], level)
-        for k, row in zip(todo, inner):
-            total = (omega - tau) * float(weights.ravel() @ (density * row))
+        kept = memo.setdefault(level, {})
+        totals = {k: kept["total"] for k in todo if own[k] and "total" in kept}
+        rest = [k for k in todo if k not in totals]
+        if rest:
+            density, panels = kept.get("blocks") or (
+                survival_density_core(y, profile.survival), inner_blocks(y, profile, level)
+            )
+            if level <= MAX_KEPT_LEVEL:
+                kept["blocks"] = density, panels
+            inner = inner_integrals(y, panels, [links[k] for k in rest], level)
+            for k, row in zip(rest, inner):
+                totals[k] = (omega - tau) * float(weights.ravel() @ (density * row))
+                if own[k]:
+                    kept["total"] = totals[k]
+        for k in todo:
+            total = totals[k]
             # the integrand is positive past tau1: a zero total missed the mass or underflowed
             if level and total > 0:
                 err[k] = abs(total - prev[k]) / total
@@ -345,14 +348,11 @@ def link_integrals(
     if None not in values:
         return values
     k = values.index(None)
-    cause = (
-        "the integrand underflows to 0 at every node with" if density.any()
-        else "the mesh never reached the"
-    )
-    reason = (
-        f"relative error {err[k]:.2e} above target {quad.tol:g}" if math.isfinite(err[k])
-        else f"no level's total was positive: {cause} survival mass below omega {omega:g}"
-    )
+    reason = f"relative error {err[k]:.2e} above target {quad.tol:g}"
+    if not math.isfinite(err[k]):
+        reached = survival_density_core(y, profile.survival).any()
+        cause = "the integrand underflows to 0 at every node with" if reached else "the mesh never reached the"
+        reason = f"no level's total was positive: {cause} survival mass below omega {omega:g}"
     raise QuadratureFailure(f"{reason} after {quad.max_refine} graded levels", k)
 
 
@@ -378,22 +378,15 @@ def sex_integrals(
     """``(I_f, I_m)``: both sexes' :func:`sex_integral` over ``config.omega``,
     the one pair every threshold number comes from.
 
-    Computed once per config and quadrature (``None`` is ``QuadratureSpec()``)
-    and kept on the config, so a later call returns the first call's values.
-    A failure is raised, not kept: the next call integrates again.  Each
-    sex's :func:`link_integrals` reads and fills that sex's link-free blocks
-    on the config, which an endpoint sweep shares.
+    Each sex's :func:`link_integrals` reads and fills its levels on the
+    config.  Their totals serve every ``quad``, so a later call integrates
+    only the levels the config lacks, and a failure is raised again from
+    kept totals.
     """
-    quad = quad or QuadratureSpec()
-    memo = config._integrals
-    if quad not in memo:
-        memo[quad] = tuple(
-            link_integrals(
-                prof, [prof.transmission], config.omega, quad, config._blocks[prof.label]
-            )[0]
-            for prof in (config.female, config.male)
-        )
-    return memo[quad]
+    return tuple(
+        link_integrals(prof, [prof.transmission], config.omega, quad, config._levels[prof.label])[0]
+        for prof in (config.female, config.male)
+    )
 
 
 def sex_brn(delta: float, integral: float) -> float:
@@ -413,7 +406,15 @@ def index_i0(integral_f: float, integral_m: float) -> float:
     product = integral_f * integral_m
     if product == 0.0:
         raise DomainError("the product of the sex integrals underflows to 0")
-    return product ** -0.5
+    # where the product overflows, I0 is still in range
+    return product ** -0.5 if product < math.inf else integral_f ** -0.5 * integral_m ** -0.5
+
+
+def _geometric_mean(a: float, b: float) -> float:
+    """``sqrt(a * b)``, or ``sqrt(a) * sqrt(b)`` where the product overflows
+    although the mean is in range."""
+    product = a * b
+    return math.sqrt(product) if product < math.inf else math.sqrt(a) * math.sqrt(b)
 
 
 def composite_r0(r_fm: float, r_mf: float) -> float:
@@ -424,15 +425,14 @@ def composite_r0(r_fm: float, r_mf: float) -> float:
     """
     if r_fm < 0 or r_mf < 0:
         raise DomainError("reproduction numbers must be >= 0")
-    return math.sqrt(r_fm * r_mf)
+    return _geometric_mean(r_fm, r_mf)
 
 
 def evaluate_brn(
     config: PopulationConfig, quad: QuadratureSpec | None = None
 ) -> BrnResult:
-    """Assemble the full threshold record from :func:`sex_integrals`, which
-    integrates once per config and quadrature, with the one verdict: ISA
-    against I0 (R0 against 1 only rounds differently)."""
+    """Assemble the full threshold record from :func:`sex_integrals`, with
+    the one verdict: ISA against I0 (R0 against 1 only rounds differently)."""
     integral_f, integral_m = sex_integrals(config, quad)
     delta_f = config.female.activity.annual_acts
     delta_m = config.male.activity.annual_acts
@@ -440,10 +440,10 @@ def evaluate_brn(
     r_mf = sex_brn(delta_m, integral_m)
     i0 = index_i0(integral_f, integral_m)
     r0 = composite_r0(r_fm, r_mf)
-    isa = math.sqrt(delta_m * delta_f)
-    for name, value in (("R0", r0), ("ISA", isa)):
-        if not math.isfinite(value):
-            raise DomainError(f"{name} is beyond double range")
+    # the deltas are finite, and so is ISA; an R0 from an overflowing r_fm is not
+    isa = _geometric_mean(delta_m, delta_f)
+    if not math.isfinite(r0):
+        raise DomainError("R0 is beyond double range")
     if abs(isa - i0) <= CRITICAL_BAND * i0:
         verdict = Verdict.CRITICAL
     else:
@@ -524,10 +524,10 @@ def sensitivity_sweep(
     integrates each sex once per call, with every factor's link on one
     shared mesh per level (:func:`link_integrals`), female first: a failure
     is the first failing female factor's, else the first failing male
-    factor's, and a female failure leaves the male integrals unrun.  The
-    meshes' link-free blocks are the config's, which :func:`sex_integrals`
+    factor's, and a female failure leaves the male integrals unrun.  It
+    reads and fills the config's levels, which :func:`sex_integrals`
     shares, so after :func:`evaluate_brn` only the cloglog passes run on
-    levels up to ``MAX_KEPT_LEVEL``.
+    levels up to ``MAX_KEPT_LEVEL``; it keeps no total of a scaled link.
     """
     links = scaled_links(config, scale_factors, mode)
     if not scale_factors:
@@ -540,7 +540,7 @@ def sensitivity_sweep(
     for prof, sex_links in zip((config.female, config.male), links):
         try:
             integrals.append(
-                link_integrals(prof, sex_links, config.omega, quad, config._blocks[prof.label])
+                link_integrals(prof, sex_links, config.omega, quad, config._levels[prof.label])
             )
         except QuadratureFailure as exc:
             factor = scale_factors[exc.link]

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,6 +17,8 @@ from hivbrn.mc_oracle import MAX_SAMPLES
 from hivbrn.reproduction import MAX_REFINE
 
 ROOT = Path(__file__).resolve().parents[1]
+# integrals near 1e157 in both sexes: I_f * I_m overflows, I0 does not
+HUGE = "[female]\nmedian = 1e160\n[male]\nmedian = 1e160\n[population]\nomega = 1e161\n"
 
 
 def run(capsys, *argv):
@@ -743,9 +746,10 @@ class TestOutputRange:
         ids=["eval-deltas", "phase-grid", "phase-factor", "sweep-factor"],
     )
     def test_beyond_double_range_refused(self, capsys, tmp_path, argv, expected, fmt):
-        # both deltas at 1e300 overflow R0 and ISA; the flags overflow a row
+        # both deltas at 1e200 times integrals near 1e157 overflow R0; the
+        # flags overflow a row
         big = tmp_path / "big.ini"
-        big.write_text("[female]\ndelta = 1e300\n\n[male]\ndelta = 1e300\n")
+        big.write_text(HUGE.replace("1e160\n", "1e160\ndelta = 1e200\n"))
         argv = [a.format(big=big) for a in argv]
         code, out, err = run(capsys, *argv, "--format", fmt)
         assert code == expected
@@ -753,6 +757,30 @@ class TestOutputRange:
         (line,) = err.splitlines()
         assert line.startswith("hivbrn: ")
         assert not re.search(r"traceback|\binf|\bnan\b", err, re.I)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv", [("eval",), ("phase",), ("sweep",), ("sweep", "--mode", "scale_endpoints")]
+    )
+    def test_overflowing_products_stay_in_range(self, capsys, tmp_path, argv):
+        # I_f * I_m and each corner's r_fm * r_mf overflow, yet I0 is about
+        # 9.7337e-158 and R0 about 8.42e158
+        path = tmp_path / "huge.ini"
+        path.write_text(HUGE)
+        code, out, err = run(capsys, *argv, "--config", str(path))
+        assert (code, err) == (0, "")
+        if argv[0] == "eval":
+            result = json.loads(out)["result"]
+            assert result["i0"] == pytest.approx(9.7337e-158, rel=1e-4, abs=0)
+            assert result["r0"] == pytest.approx(8.42e158, rel=1e-3)
+        elif argv[0] == "phase":
+            corners = [row for row in rows_of(out) if row["series"] == "corner"]
+            assert len(corners) == 4
+            assert all(0 < float(row["r0"]) < math.inf for row in corners)
+        else:
+            i0 = {float(row["factor"]): float(row["i0"]) for row in rows_of(out)}
+            assert i0[1.0] == pytest.approx(9.7337e-158, rel=1e-4, abs=0)
+            assert all(value > 0 for value in i0.values())
 
 
 class TestScenarioEquivalence:
@@ -806,16 +834,22 @@ class TestScenarioEquivalence:
 def test_sex_integral_calls_per_command(capsys, monkeypatch, argv, calls):
     # every threshold number comes from one (I_f, I_m) pair per population;
     # the endpoint sweep integrates each sex once, with every factor's link;
-    # simulate integrates only the sexes it simulates.  sex_integral is the
-    # one-link case of link_integrals, so the core's calls count them all
-    seen = []
-    original = reproduction.link_integrals
+    # simulate integrates only the sexes it simulates.  Every integral runs
+    # its links' level-0 pass right after that level's blocks for its sex
+    seen, sexes = [], []
+    build, integrate = reproduction.inner_blocks, reproduction.inner_integrals
 
-    def counted(profile, links, *args):
-        seen.append((profile.label, len(links)))
-        return original(profile, links, *args)
+    def built(iad, profile, level):
+        sexes.append(profile.label)
+        return build(iad, profile, level)
 
-    monkeypatch.setattr(reproduction, "link_integrals", counted)
+    def passed(iad, blocks, links, level):
+        if level == 0:
+            seen.append((sexes[-1], len(links)))
+        return integrate(iad, blocks, links, level)
+
+    monkeypatch.setattr(reproduction, "inner_blocks", built)
+    monkeypatch.setattr(reproduction, "inner_integrals", passed)
     assert run(capsys, *argv)[0] == 0
     assert seen == calls
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import sys
@@ -46,6 +47,8 @@ INT_M_REFERENCE = 0.012666651010154186
 
 CORNER = "[female]\nalpha1 = 1.02\n[male]\nalpha1 = 1.02\n[quadrature]\ntol = 1e-7\n"
 PEAK = "[female]\nalpha3 = 200\nM2 = 5.4\n[male]\nalpha3 = 200\nM2 = 5.4\n"
+# integrals near 1e157 in both sexes: I_f * I_m overflows, I0 does not
+HUGE = "[female]\nmedian = 1e160\n[male]\nmedian = 1e160\n[population]\nomega = 1e161\n"
 CSW_CLIENTS = (Path(__file__).parents[1] / "scenarios" / "csw_clients.ini").read_text()
 
 
@@ -349,6 +352,9 @@ class TestIndices:
 
     def test_i0_unit(self):
         assert index_i0(1.0, 1.0) == 1.0
+        # a finite product keeps its one root; an overflowing one takes two
+        assert index_i0(0.3, 0.7) == (0.3 * 0.7) ** -0.5
+        assert index_i0(1.027e157, 1.027e157) == pytest.approx(1 / 1.027e157, rel=1e-15, abs=0)
 
     def test_i0_from_rounded_corners(self):
         # arithmetic on the corner-implied integrals is self-consistent
@@ -371,6 +377,8 @@ class TestIndices:
         assert isa(82.0, 82.0) == 82.0
         assert isa(26.0, 256.1) == pytest.approx(81.6, abs=0.1)
         assert isa(0.0, 300.0) == 0.0
+        # delta_m * delta_f overflows, the mean does not
+        assert isa(1e200, 4e200) == pytest.approx(2e200, rel=1e-15)
         with pytest.raises(DomainError):
             isa(-1.0, 10.0)
 
@@ -378,6 +386,8 @@ class TestIndices:
         assert composite_r0(2.47, 0.33) == pytest.approx(0.90, abs=0.01)
         assert composite_r0(5.55, 1.32) == pytest.approx(2.70, abs=0.02)
         assert composite_r0(1.0, 1.0) == 1.0
+        assert composite_r0(2.47, 0.33) == math.sqrt(2.47 * 0.33)
+        assert composite_r0(1e200, 1e160) == pytest.approx(1e180, rel=1e-15)
         with pytest.raises(DomainError):
             composite_r0(-0.1, 1.0)
 
@@ -429,13 +439,30 @@ class TestEvaluateAndThreshold:
         assert result.r_fm == pytest.approx(300.0 * result.integral_f, rel=1e-12)
         assert result.r_mf == pytest.approx(40.0 * result.integral_m, rel=1e-12)
 
+    @pytest.mark.parametrize("delta", [1e200], ids=["r0"])
+    def test_beyond_double_range_raises(self, delta):
+        # integrals near 1e157 times delta overflow r_fm and r_mf, and R0 with
+        # them; ISA, from finite deltas, stays in range
+        pop = parse_scenario(HUGE).population
+        with pytest.raises(DomainError, match="^R0 is beyond double range$"):
+            evaluate_brn(with_deltas(pop, delta, delta))
+
     @pytest.mark.parametrize(
-        "delta, name", [(1e300, "R0"), (2e154, "ISA")], ids=["r0", "isa-only"]
+        "text, delta", [("", 2e154), ("", 1e300), (HUGE, None)], ids=["isa", "r0", "integrals"]
     )
-    def test_beyond_double_range_raises(self, population, delta, name):
-        # at 2e154 only ISA overflows: delta_m * delta_f does, r_fm * r_mf not
-        with pytest.raises(DomainError, match=f"{name} is beyond double range"):
-            evaluate_brn(with_deltas(population, delta, delta))
+    def test_overflowing_products_keep_their_roots(self, text, delta):
+        # ISA, R0 or I0 in range although delta_m * delta_f, r_fm * r_mf or
+        # I_f * I_m overflows
+        pop = parse_scenario(text).population
+        if delta:
+            pop = with_deltas(pop, delta, delta)
+        result = evaluate_brn(pop)
+        root = math.sqrt(result.integral_f) * math.sqrt(result.integral_m)
+        isa = pop.female.activity.annual_acts  # the male delta is the same
+        assert result.isa == pytest.approx(isa, rel=1e-15)
+        assert result.r0 == pytest.approx(isa * root, rel=1e-15)
+        assert result.i0 == pytest.approx(1 / root, rel=1e-15, abs=0)
+        assert result.r0 == pytest.approx(result.isa / result.i0, rel=1e-15)
 
     def test_index_ratio_and_r0_agree_to_ulps(self, baseline_integrals):
         # the verdict reads ISA against I0 alone; R0 against 1 is the same
@@ -582,70 +609,127 @@ class TestSensitivity:
         assert calls == ["female"]
 
 
-class TestPairMemo:
-    """A config computes its ``(I_f, I_m)`` once per quadrature and keeps
-    the pair; a new config, another quadrature or a failure integrates again."""
+class TestBlockMemo:
+    """A config keeps, per sex and level, its own link's total and, up to
+    ``MAX_KEPT_LEVEL``, the link-free blocks ``G`` and the viral load: its
+    pair, at any quadrature, and its endpoint sweeps compute each once, and
+    every value keeps a fresh config's bits."""
+
+    FACTORS = [0.5, 2.0]
+    HARD = "[quadrature]\ntol = 1e-16\nmax_refine = 1\n"
 
     @staticmethod
-    def count_link_calls(monkeypatch):
+    def count_kernel_calls(monkeypatch):
         calls = []
-        original = reproduction.link_integrals
+        original = reproduction.activity_fraction_core
 
-        def counted(profile, *args, **kwargs):
-            calls.append(profile.label)
-            return original(profile, *args, **kwargs)
+        def counted(*args):
+            calls.append(None)
+            return original(*args)
 
-        monkeypatch.setattr(reproduction, "link_integrals", counted)
+        monkeypatch.setattr(reproduction, "activity_fraction_core", counted)
         return calls
 
-    def test_one_pair_per_config_and_quadrature(self, monkeypatch):
-        calls = self.count_link_calls(monkeypatch)
+    @staticmethod
+    def record_work(monkeypatch):
+        """Each block build as ``(sex, level)`` and each per-link pass as
+        ``(level, links)``, in call order."""
+        work = {"blocks": [], "passes": []}
+        build, integrate = reproduction.inner_blocks, reproduction.inner_integrals
+
+        def built(iad, profile, level):
+            work["blocks"].append((profile.label, level))
+            return build(iad, profile, level)
+
+        def passed(iad, blocks, links, level):
+            work["passes"].append((level, len(links)))
+            return integrate(iad, blocks, links, level)
+
+        monkeypatch.setattr(reproduction, "inner_blocks", built)
+        monkeypatch.setattr(reproduction, "inner_integrals", passed)
+        return work
+
+    def sweep(self, pop):
+        return sensitivity_sweep(pop, self.FACTORS, "scale_endpoints")
+
+    def test_one_pair_per_config(self, monkeypatch):
+        work = self.record_work(monkeypatch)
         scenario = parse_scenario("")
         pop = scenario.population
         before = (scenario.config_hash(), hash(pop))
         result = evaluate_brn(pop)
-        swept = sensitivity_sweep(pop, [0.5, 2.0], "scale_function")
-        assert calls == ["female", "male"]
+        once = copy.deepcopy(work)
+        assert [sex for sex, _ in once["blocks"]] == ["female", "female", "male", "male"]
+        swept = sensitivity_sweep(pop, self.FACTORS, "scale_function")
         assert swept == [(0.5, result.i0 / 0.5), (2.0, result.i0 / 2.0)]
-        # None stands for the default spec: one entry
+        # None stands for the default spec
         pair = sex_integrals(pop, QuadratureSpec())
         assert pair == (result.integral_f, result.integral_m)
-        assert calls == ["female", "male"]
+        assert work == once
         # a new config of the same text integrates again, to the same values
         fresh = parse_scenario("").population
         assert sex_integrals(fresh) == pair
-        assert calls == ["female", "male"] * 2
+        assert work == {name: 2 * done for name, done in once.items()}
         assert sex_integrals(dataclasses.replace(pop)) == pair
-        assert calls == ["female", "male"] * 3
-        sex_integrals(pop, QuadratureSpec(tol=1e-7))
-        assert calls == ["female", "male"] * 4
-        # the kept pairs are no part of the config's identity
+        assert work == {name: 3 * done for name, done in once.items()}
+        # the kept levels are no part of the config's identity
         assert fresh == pop
         assert (scenario.config_hash(), hash(pop)) == before
 
-    def test_failure_is_not_kept(self, monkeypatch):
-        calls = self.count_link_calls(monkeypatch)
-        scenario = parse_scenario("[quadrature]\ntol = 1e-16\nmax_refine = 1\n")
-        messages = []
-        for _ in range(2):
+    def test_another_tolerance_builds_only_new_levels(self, monkeypatch):
+        # the totals of levels 0 and 1 serve tol 1e-9 too
+        pop = parse_scenario("").population
+        evaluate_brn(pop)
+        work = self.record_work(monkeypatch)
+        tight = QuadratureSpec(tol=1e-9)
+        pair = sex_integrals(pop, tight)
+        kept = copy.deepcopy(work)
+        work["blocks"].clear()
+        work["passes"].clear()
+        assert pair == sex_integrals(parse_scenario("").population, tight)
+        assert kept["blocks"] == [(sex, level) for sex, level in work["blocks"] if level > 1]
+        assert kept["passes"] == [(level, n) for level, n in work["passes"] if level > 1]
+        assert kept["blocks"]
+
+    @pytest.mark.parametrize(
+        "text, edit",
+        [
+            (HARD, None),
+            ("", lambda pop: dataclasses.replace(pop, omega=1e15)),
+            ("", lambda pop: dataclasses.replace(pop, female=scaled_profile(pop.female, 1e-320))),
+        ],
+        ids=["relative-error", "unreached-mass", "underflow"],
+    )
+    def test_failure_is_raised_again_from_kept_totals(self, monkeypatch, text, edit):
+        work = self.record_work(monkeypatch)
+        scenario = parse_scenario(text)
+        pop = edit(scenario.population) if edit else scenario.population
+
+        def failure(integrate, *args):
             with pytest.raises(QuadratureFailure) as failed:
-                evaluate_brn(scenario.population, scenario.quadrature)
-            messages.append(str(failed.value))
-        # the female integral fails first, so the male one never runs
-        assert calls == ["female", "female"]
-        assert messages[0] == messages[1]
+                integrate(*args, scenario.quadrature)
+            return str(failed.value)
+
+        message = failure(evaluate_brn, pop)
+        once = copy.deepcopy(work)
+        # the female integral fails first, so the male one never runs, and
+        # the retry reads every level's total: no kernel call, the same text
+        assert {sex for sex, _ in once["blocks"]} == {"female"}
+        assert failure(evaluate_brn, pop) == message
+        assert work == once
+        assert failure(sex_integral, pop.female, pop.omega) == message
 
     def test_threads_racing_on_one_config_agree(self):
-        # a race on the kept pair and blocks at most computes the same bits
-        # twice: threads run evaluate_brn and an endpoint sweep on one config
+        # a race on the kept levels at most computes the same bits twice:
+        # threads run evaluate_brn and an endpoint sweep on one config
         pop = parse_scenario("").population
         reference = {
             "brn": evaluate_brn(parse_scenario("").population),
-            "sweep": sensitivity_sweep(parse_scenario("").population, [0.5, 2.0], "scale_endpoints"),
+            "sweep": self.sweep(parse_scenario("").population),
         }
         tasks = [
             ("brn", lambda: evaluate_brn(pop)),
-            ("sweep", lambda: sensitivity_sweep(pop, [0.5, 2.0], "scale_endpoints")),
+            ("sweep", lambda: self.sweep(pop)),
         ] * 2
         start = threading.Barrier(len(tasks))
         results = {}
@@ -671,29 +755,6 @@ class TestPairMemo:
         brn = reference["brn"]
         assert sex_integrals(pop) == (brn.integral_f, brn.integral_m)
 
-
-class TestBlockMemo:
-    """A config keeps each sex's link-free blocks, ``G`` and the viral load
-    per level up to ``MAX_KEPT_LEVEL``: its pair and its endpoint sweeps
-    build them once, and every value keeps a fresh config's bits."""
-
-    FACTORS = [0.5, 2.0]
-
-    @staticmethod
-    def count_kernel_calls(monkeypatch):
-        calls = []
-        original = reproduction.activity_fraction_core
-
-        def counted(*args):
-            calls.append(None)
-            return original(*args)
-
-        monkeypatch.setattr(reproduction, "activity_fraction_core", counted)
-        return calls
-
-    def sweep(self, pop):
-        return sensitivity_sweep(pop, self.FACTORS, "scale_endpoints")
-
     @pytest.mark.parametrize("sweep_first", [False, True], ids=["brn-first", "sweep-first"])
     def test_pair_and_endpoint_sweep_share_the_blocks(self, monkeypatch, sweep_first):
         brn = evaluate_brn(parse_scenario("").population)
@@ -705,7 +766,12 @@ class TestBlockMemo:
         calls.clear()
         pop = parse_scenario("").population
         if sweep_first:
-            got_swept, got_brn = self.sweep(pop), evaluate_brn(pop)
+            got_swept = self.sweep(pop)
+            # the scaled links keep no total
+            assert [set(kept) for levels in pop._levels.values() for kept in levels.values()] == [
+                {"blocks"}
+            ] * 4
+            got_brn = evaluate_brn(pop)
         else:
             got_brn, got_swept = evaluate_brn(pop), self.sweep(pop)
         # the baseline's links all converge at level 1, so the second
@@ -713,9 +779,9 @@ class TestBlockMemo:
         assert len(calls) == alone
         assert got_brn == brn
         assert got_swept == swept
-        assert {sex: sorted(kept) for sex, kept in pop._blocks.items()} == {
-            "female": [0, 1], "male": [0, 1]
-        }
+        for sex in ("female", "male"):
+            assert sorted(pop._levels[sex]) == [0, 1]
+            assert [set(kept) for kept in pop._levels[sex].values()] == [{"blocks", "total"}] * 2
 
     def test_sex_integral_keeps_no_blocks(self, monkeypatch, population):
         calls = self.count_kernel_calls(monkeypatch)
@@ -726,11 +792,15 @@ class TestBlockMemo:
         assert len(calls) == 2 * once
 
     def test_deep_levels_are_not_kept(self):
-        # this shape refines to level 8: only levels 0 to 2 stay on the config
+        # this shape refines to level 8: every level keeps its total, only
+        # levels 0 to 2 their blocks
         pop = parse_scenario("[female]\nbeta = 20\n").population
         result = evaluate_brn(pop)
-        assert set(pop._blocks["female"]) == {0, 1, 2}
-        assert max(pop._blocks["male"]) <= reproduction.MAX_KEPT_LEVEL
+        female = pop._levels["female"]
+        assert sorted(female) == list(range(9))
+        assert {level for level, kept in female.items() if "blocks" in kept} == {0, 1, 2}
+        assert all("total" in kept for kept in female.values())
+        assert max(pop._levels["male"]) <= reproduction.MAX_KEPT_LEVEL
         assert result.integral_f == sex_integral(pop.female, pop.omega)
 
     def test_blocks_are_no_part_of_the_config(self):
@@ -738,12 +808,12 @@ class TestBlockMemo:
         pop = scenario.population
         before = (scenario.config_hash(), hash(pop))
         self.sweep(pop)
-        assert pop._blocks["female"] and pop._blocks["male"]
+        assert pop._levels["female"] and pop._levels["male"]
         assert (scenario.config_hash(), hash(pop)) == before
         assert pop == parse_scenario("").population
         copy = dataclasses.replace(pop)
         assert copy == pop
-        assert copy._blocks == {"female": {}, "male": {}}
+        assert copy._levels == {"female": {}, "male": {}}
 
 
 class TestBalance:
