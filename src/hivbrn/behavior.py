@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_finite, checked_call
+from .errors import check_ranges, checked_call
 
 __all__ = ["ActivityParams", "activity_fraction"]
 
@@ -32,13 +32,7 @@ class ActivityParams:
     terminal_lead: float
 
     def __post_init__(self):
-        check_finite(self)
-        if self.annual_acts < 0:
-            raise DomainError("annual_acts (delta) must be >= 0")
-        if not 0 < self.residual_fraction < 1:
-            raise DomainError("residual_fraction (phi) must be in (0, 1)")
-        if not self.terminal_lead > 0:
-            raise DomainError("terminal_lead (tau1) must be > 0")
+        check_ranges(self, annual_acts="delta", residual_fraction="phi", terminal_lead="tau1")
 
 
 def activity_fraction(ia, iad, p: ActivityParams):
@@ -61,17 +55,11 @@ def activity_fraction(ia, iad, p: ActivityParams):
 
 def activity_fraction_core(ia: np.ndarray, iad: np.ndarray, p: ActivityParams):
     """Unchecked :func:`activity_fraction` for 0 <= ia <= iad; divides only
-    on live courses, iad > terminal_lead."""
+    on live courses, iad > terminal_lead.  There, inside the parameter
+    box, ``A`` is 0 or between about 1e-44 and 1e6 and ``B`` at most 1e6:
+    neither overflows, and a ``B`` that underflows is negligible beside
+    ``A``."""
     tau, phi = p.terminal_lead, p.residual_fraction
-    e = -np.frexp(np.maximum(iad, tau))[1]
-    if min(phi, tau) >= 1e-100:  # every product G can show stays normal (README)
-        a = phi * (iad - ia) * np.ldexp(iad - tau, e)
-        b = (1.0 - phi) * tau * np.ldexp(ia, e)
-    else:  # split the factors by frexp so that none underflows (README)
-        (mp, mq, mt), (kp, kq, kt) = np.frexp([phi, 1.0 - phi, tau])
-        mw, kw = np.frexp(iad - tau)
-        d = np.maximum(kw + (kp - kq - kt), -1126)  # no live course has less
-        s = np.minimum(np.maximum(d, -960), 0)
-        a = mp * np.ldexp(iad - ia, e) * np.ldexp(mw, s)
-        b = mq * mt * np.ldexp(ia, e + np.maximum(s - d, -960))
+    a = phi * (iad - ia) * (iad - tau)
+    b = (1.0 - phi) * tau * ia
     return np.divide(a, a + b, out=np.zeros(np.shape(a)), where=iad > tau)

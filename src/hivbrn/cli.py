@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .behavior import activity_fraction_core
-from .errors import DomainError, QuadratureFailure, ScenarioError
+from .errors import RANGES, DomainError, QuadratureFailure, ScenarioError
 from .mc_oracle import estimate_sex_integral
 from .natural_history import cloglog_core, linear_load_core, log_viral_load_core
 from .reproduction import (
@@ -122,9 +122,18 @@ def _parse_grid(raw: str) -> np.ndarray:
         start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise ScenarioError(f"invalid grid {raw!r}; expected start:stop:count") from exc
-    if not (0 < start < math.inf and 0 < stop < math.inf and 0 < count <= MAX_ROWS):
-        raise ScenarioError(f"grid needs finite ends > 0 and 1 <= count <= {MAX_ROWS}")
+    # delta_m is a contact rate, so a grid end lies in the delta range, less 0
+    top = RANGES["delta"][1]
+    if not (0 < start <= top and 0 < stop <= top and 0 < count <= MAX_ROWS):
+        raise ScenarioError(f"grid needs ends in (0, {top:g}] and 1 <= count <= {MAX_ROWS}")
     return np.linspace(start, stop, count)
+
+
+def _fixed(value: float, places: int) -> str:
+    """``value`` to ``places`` decimals, or to 6 significant digits where
+    those would show no nonzero digit or more than 6 before the point."""
+    text = f"{value:.{places}f}"
+    return f"{value:.6g}" if abs(value) >= 1e6 or (value and not float(text)) else text
 
 
 def cmd_eval(scenario: Scenario, args) -> str:
@@ -132,11 +141,11 @@ def cmd_eval(scenario: Scenario, args) -> str:
     fields = {**asdict(result), "verdict": result.verdict.value}
     if args.format == "table":
         lines = [
-            f"R_fm     {result.r_fm:.3f}",
-            f"R_mf     {result.r_mf:.3f}",
-            f"R0       {result.r0:.3f}",
-            f"I0       {result.i0:.2f}",
-            f"ISA      {result.isa:.2f}",
+            f"R_fm     {_fixed(result.r_fm, 3)}",
+            f"R_mf     {_fixed(result.r_mf, 3)}",
+            f"R0       {_fixed(result.r0, 3)}",
+            f"I0       {_fixed(result.i0, 2)}",
+            f"ISA      {_fixed(result.isa, 2)}",
             f"verdict  {fields['verdict']}",
         ]
         return "\n".join(lines) + "\n"

@@ -32,7 +32,7 @@ import numpy as np
 
 # bench/tracing.py wraps activity_fraction and transmission_prob here
 from .behavior import activity_fraction, activity_fraction_core
-from .errors import DomainError
+from .errors import DomainError, check_range
 from .reproduction import PopulationConfig, SexProfile, graded_edges, inner_blocks, inner_integrals
 from .survival import survival_quantile_core
 from .natural_history import transmission_prob, transmission_prob_core
@@ -254,8 +254,7 @@ def estimate_sex_integral(
     targets exactly ``sex_integral(profile, omega)``.  ``workers`` > 1
     distributes blocks over processes without changing the result.
     """
-    if not 0 < omega < np.inf:
-        raise DomainError("omega must be finite and > 0")
+    check_range(omega, "omega")
     acts = profile.activity.annual_acts * profile.peak_prob * omega
     if spec.act_process == "poisson_thinning" and not 0 < acts <= MAX_ACTS_PER_COURSE:
         raise DomainError(

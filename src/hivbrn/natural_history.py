@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_finite, checked_call
+from .errors import DomainError, check_range, check_ranges, checked_call
 
 __all__ = [
     "ViralLoadParams",
@@ -73,38 +73,10 @@ class ViralLoadParams:
     terminal_width: float
 
     def __post_init__(self):
-        check_finite(self)
-        if not self.peak_time > 0:
-            raise DomainError("peak_time (ia1) must be > 0")
-        if not self.terminal_lead > 0:
-            raise DomainError("terminal_lead (tau1) must be > 0")
-        if not self.rise_shape > 1:
-            raise DomainError("rise_shape (alpha1) must be > 1")
-        if not self.terminal_width > 0:
-            raise DomainError("terminal_width (alpha3) must be > 0")
-        if not (self.peak_log_vl > self.plateau_log_vl > 0):
-            raise DomainError("need peak_log_vl (M1) > plateau_log_vl (m) > 0")
-        if not self.terminal_log_vl > self.plateau_log_vl:
-            raise DomainError("need terminal_log_vl (M2) > plateau_log_vl (m)")
-        # the plateau point, the rate at which age_warp_core saturates and
-        # the linear load at the top log load must be doubles: a flat link
-        # (slope 0) times an infinite load is nan
-        x_plateau = solve_plateau_point(self)
-        if not x_plateau < math.inf:
-            raise DomainError(
-                "peak_time (ia1), rise_shape (alpha1), M1 and m give a plateau "
-                "point beyond double range"
-            )
-        with np.errstate(over="ignore"):
-            rate = (1.0 + np.exp(self.warp_rate)) / x_plateau
-            top = linear_load_core(max(self.peak_log_vl, self.terminal_log_vl))
-        if not rate < math.inf:
-            raise DomainError(
-                "warp_rate (alpha2) gives an age-warp rate (1 + exp(alpha2)) / "
-                "x_plateau beyond double range"
-            )
-        if not top < math.inf:
-            raise DomainError("the linear viral load 10**max(M1, M2) would overflow")
+        check_ranges(self, peak_time="ia1", peak_log_vl="M1", plateau_log_vl="m", terminal_lead="tau1",
+                     terminal_log_vl="M2", rise_shape="alpha1", warp_rate="alpha2", terminal_width="alpha3")
+        if not self.plateau_log_vl < min(self.peak_log_vl, self.terminal_log_vl):
+            raise DomainError("need peak_log_vl (M1) and terminal_log_vl (M2) > plateau_log_vl (m)")
 
 
 @dataclass(frozen=True)
@@ -122,13 +94,9 @@ class TransmissionParams:
     slope: float
 
     def __post_init__(self):
-        check_finite(self)
-        if not (0 < self.prob_at_plateau <= self.prob_at_peak < 1):
-            raise DomainError(
-                "need 0 < prob_at_plateau (ptr_lo) <= prob_at_peak (ptr_hi) < 1"
-            )
-        if self.slope < 0:
-            raise DomainError("slope must be >= 0")
+        _check_anchors(self.prob_at_peak, self.prob_at_plateau)
+        if not (math.isfinite(self.intercept) and 0 <= self.slope < math.inf):
+            raise DomainError("need a finite intercept and a finite slope >= 0")
 
     @classmethod
     def from_anchors(
@@ -141,10 +109,7 @@ class TransmissionParams:
         """Closed-form link through ``prob_at_peak`` at ``10**peak_log_vl`` and
         ``prob_at_plateau`` at ``10**plateau_log_vl``; equal anchors give
         slope = 0 (flat infectivity)."""
-        if not (0 < prob_at_plateau <= prob_at_peak < 1):
-            raise DomainError(
-                "need 0 < prob_at_plateau (ptr_lo) <= prob_at_peak (ptr_hi) < 1"
-            )
+        _check_anchors(prob_at_peak, prob_at_plateau)
         vl_hi, vl_lo = 10.0**peak_log_vl, 10.0**plateau_log_vl
         if not vl_hi > vl_lo:
             raise DomainError("need 10**peak_log_vl (M1) > 10**plateau_log_vl (m)")
@@ -155,15 +120,21 @@ class TransmissionParams:
         return cls(prob_at_peak, prob_at_plateau, float(intercept), float(slope))
 
 
+def _check_anchors(prob_at_peak: float, prob_at_plateau: float) -> None:
+    check_range(prob_at_peak, "ptr_hi", "prob_at_peak")
+    check_range(prob_at_plateau, "ptr_lo", "prob_at_plateau")
+    if not prob_at_plateau <= prob_at_peak:
+        raise DomainError("need prob_at_plateau (ptr_lo) <= prob_at_peak (ptr_hi)")
+
+
 def early_peak_core(x: np.ndarray, p: ViralLoadParams) -> np.ndarray:
     """Gamma-shaped curve, maximal ``peak_log_vl`` exactly at ``peak_time``, for
     x >= 0: ``peak_log_vl * r**(rise_shape-1) * exp((1-rise_shape)*(r-1))``
     with ``r = x/peak_time``, as one exponential
-    ``exp((rise_shape-1) * (log r - r + 1))``: finite for any rise_shape, and
-    exactly the limit 0 at x = 0 through ``log 0 = -inf``."""
+    ``exp((rise_shape-1) * (log r - r + 1))``, whose exponent is never
+    positive, and exactly the limit 0 at x = 0 through ``log 0 = -inf``."""
     r = x / p.peak_time
-    # past the double range the exponent is -inf, and the curve exactly 0
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore"):
         log_r = np.log(r)
         return p.peak_log_vl * np.exp((p.rise_shape - 1.0) * (log_r - r + 1.0))
 
@@ -197,23 +168,21 @@ def age_warp_core(ia: np.ndarray, warp_rate: float, x_plateau: float) -> np.ndar
     The rescaled logistic ``x_plateau * (1 + 1/e) * (1/(1 + e*t) - 1/(1 + e))``
     with ``e = exp(warp_rate)`` and ``t = exp(-ia * (1 + e) / x_plateau)``,
     in the one closed form ``x_plateau * (1 - t) / (1 + e*t)``: no difference
-    of near-equal terms for a negative warp_rate, and no overflow for any
-    warp_rate whose rate ``(1 + e) / x_plateau`` is finite, which
-    :class:`ViralLoadParams` requires.  Once ``t`` falls below half an ulp
-    the map rounds to ``x_plateau`` itself."""
+    of near-equal terms for a negative warp_rate.  Inside the parameter box
+    the rate ``(1 + e) / x_plateau`` is below about 1e25 and ages are at
+    most 1e3, so the exponent cannot overflow.  Once ``t`` falls below half
+    an ulp the map rounds to ``x_plateau`` itself."""
     e = math.exp(warp_rate)
-    # past the double range the exponent is -inf, and t exactly 0
-    with np.errstate(over="ignore"):
-        t = np.exp(ia * -((1.0 + e) / x_plateau))
+    t = np.exp(ia * -((1.0 + e) / x_plateau))
     return x_plateau * (1.0 - t) / (1.0 + e * t)
 
 
 def terminal_peak_core(ia, iad, width: float, lead: float) -> np.ndarray:
     """Gaussian blend weight of inverse width ``width`` (``terminal_width``),
-    equal to 1 exactly at ia = iad - lead; defined for any real ages."""
-    # past the double range the exponent is -inf, and the weight exactly 0
-    with np.errstate(over="ignore"):
-        return np.exp(-width * (ia - iad + lead) ** 2)
+    equal to 1 exactly at ia = iad - lead.  Inside the parameter box the
+    exponent is at least -1e10 (width 1e4, at most 1e3 years from the
+    peak), so it cannot overflow."""
+    return np.exp(-width * (ia - iad + lead) ** 2)
 
 
 def log_viral_load_core(ia, iad, p: ViralLoadParams, x_plateau: float) -> np.ndarray:

@@ -37,7 +37,7 @@ import numpy as np
 
 # bench/tracing.py wraps activity_fraction, transmission_prob, survival_density here
 from .behavior import ActivityParams, activity_fraction, activity_fraction_core
-from .errors import DomainError, QuadratureFailure
+from .errors import RANGES, DomainError, QuadratureFailure, check_range
 from .natural_history import (
     TransmissionParams,
     ViralLoadParams,
@@ -158,8 +158,7 @@ class PopulationConfig:
     def __post_init__(self):
         if self.female.label != "female" or self.male.label != "male":
             raise DomainError("profiles must carry their own sex labels")
-        if not 0 < self.omega < math.inf:
-            raise DomainError("omega must be finite and > 0")
+        check_range(self.omega, "omega")
         for pop in (self.pop_female, self.pop_male):
             if pop is not None and not pop > 0:
                 raise DomainError("population sizes must be > 0")
@@ -174,13 +173,6 @@ class PopulationConfig:
                     f"{balanced:g} by act balance, not {delta_m:g}"
                 )
         for prof in (self.female, self.male):
-            # survival_density_core divides ages up to omega, and beta, by the scale
-            a, b = prof.survival.scale, prof.survival.shape
-            if not max(self.omega, b) / a < math.inf:
-                raise DomainError(
-                    f"omega={self.omega:g} or beta={b:g} over the {prof.label} "
-                    f"survival scale {a:g} is beyond double range"
-                )
             mass = tail_mass(self.omega, prof.survival)
             if mass >= MAX_TAIL_MASS:
                 raise DomainError(
@@ -307,8 +299,7 @@ def link_integrals(
     """
     quad = quad or QuadratureSpec()
     memo = {} if memo is None else memo
-    if not 0 < omega < math.inf:
-        raise DomainError("omega must be finite and > 0")
+    check_range(omega, "omega")
     tau = profile.activity.terminal_lead
     if omega <= tau:
         return [0.0] * len(links)
@@ -399,22 +390,16 @@ def sex_brn(delta: float, integral: float) -> float:
 def index_i0(integral_f: float, integral_m: float) -> float:
     """Critical act rate ``(I_f * I_m)**-0.5`` (acts/year).
 
-    Undefined when either integral vanishes (no transmission, no threshold).
+    Undefined when either integral vanishes (no transmission, no threshold);
+    each is at most its horizon, so the product cannot overflow.
     """
-    if integral_f <= 0 or integral_m <= 0:
-        raise DomainError("both sex integrals must be > 0 for a threshold")
+    top = RANGES["omega"][1]
+    if not (0 < integral_f <= top and 0 < integral_m <= top):
+        raise DomainError(f"both sex integrals must be in (0, {top:g}] for a threshold")
     product = integral_f * integral_m
     if product == 0.0:
         raise DomainError("the product of the sex integrals underflows to 0")
-    # where the product overflows, I0 is still in range
-    return product ** -0.5 if product < math.inf else integral_f ** -0.5 * integral_m ** -0.5
-
-
-def _geometric_mean(a: float, b: float) -> float:
-    """``sqrt(a * b)``, or ``sqrt(a) * sqrt(b)`` where the product overflows
-    although the mean is in range."""
-    product = a * b
-    return math.sqrt(product) if product < math.inf else math.sqrt(a) * math.sqrt(b)
+    return product ** -0.5
 
 
 def composite_r0(r_fm: float, r_mf: float) -> float:
@@ -425,7 +410,7 @@ def composite_r0(r_fm: float, r_mf: float) -> float:
     """
     if r_fm < 0 or r_mf < 0:
         raise DomainError("reproduction numbers must be >= 0")
-    return _geometric_mean(r_fm, r_mf)
+    return math.sqrt(r_fm * r_mf)
 
 
 def evaluate_brn(
@@ -440,10 +425,7 @@ def evaluate_brn(
     r_mf = sex_brn(delta_m, integral_m)
     i0 = index_i0(integral_f, integral_m)
     r0 = composite_r0(r_fm, r_mf)
-    # the deltas are finite, and so is ISA; an R0 from an overflowing r_fm is not
-    isa = _geometric_mean(delta_m, delta_f)
-    if not math.isfinite(r0):
-        raise DomainError("R0 is beyond double range")
+    isa = math.sqrt(delta_m * delta_f)
     if abs(isa - i0) <= CRITICAL_BAND * i0:
         verdict = Verdict.CRITICAL
     else:

@@ -2,7 +2,8 @@
 
 :func:`default_values` is the schema: a scenario may set only its sections
 and keys, each parsed as the type of its baseline value (int, text, or a
-finite float for a float or None).  Missing keys fall back to the baseline,
+finite float for a float or None), and a physical parameter must lie in its
+range in :data:`hivbrn.errors.RANGES`.  Missing keys fall back to the baseline,
 so an empty file (or no file at all) reproduces the baseline analysis
 exactly.  ``#`` or ``;`` anywhere starts a comment that runs to the end of
 the line; what is left of a line, with its indentation ignored, is blank, a
@@ -27,7 +28,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .behavior import ActivityParams
-from .errors import DomainError, ScenarioError
+from .errors import RANGES, DomainError, ScenarioError, check_range
 from .mc_oracle import SimulationSpec
 from .natural_history import TransmissionParams, ViralLoadParams
 from .reproduction import PopulationConfig, QuadratureSpec, SexProfile
@@ -185,8 +186,13 @@ def parse_scenario(text: str) -> Scenario:
             if (section, key) in seen:
                 raise ScenarioError(f"repeated key {key!r} in [{section}]", lineno)
             seen.add((section, key))
-            baseline = values[section][key]
-            values[section][key] = _convert(section, key, raw.strip(), baseline, lineno)
+            value = _convert(section, key, raw.strip(), values[section][key], lineno)
+            if key in RANGES:
+                try:
+                    check_range(value, key)
+                except DomainError as exc:
+                    raise ScenarioError(f"[{section}] {exc}", lineno) from exc
+            values[section][key] = value
 
     return _resolve(values)
 

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, check_finite, checked_call
+from .errors import DomainError, check_ranges, checked_call
 
 __all__ = ["SurvivalParams", "survival_density", "tail_mass"]
 
@@ -29,16 +29,12 @@ class SurvivalParams:
     shape: float
 
     def __post_init__(self):
-        check_finite(self)
-        if not self.median > 0:
-            raise DomainError("median must be > 0")
-        if not self.shape > 0:
-            raise DomainError("shape (beta) must be > 0")
+        check_ranges(self, median="median", shape="beta")
 
     @cached_property
     def scale(self) -> float:
-        """Weibull scale ``median * ln(2)**(-1/shape)``; a tiny shape raises
-        OverflowError."""
+        """Weibull scale ``median * ln(2)**(-1/shape)``, from the median to
+        about 39 medians at the least shape, 0.1."""
         return self.median * math.log(2.0) ** (-1.0 / self.shape)
 
 

@@ -20,6 +20,19 @@ PARAM_BOX = dict(
     median=(7.0, 11.0),
 )
 
+# scenarios at and past the edge of the box, shared by the CLI and library
+# tests: integrals near 1e157 in both sexes, whose product overflowed, and
+# whose median is refused
+HUGE = "[female]\nmedian = 1e160\n[male]\nmedian = 1e160\n[population]\nomega = 1e161\n"
+# integrals near 280 in both sexes, about the largest the box allows, and an
+# I0 near 0.0036 that a table's 2 decimals showed as 0.00
+LONG = "".join(
+    f"[{sex}]\nmedian = 300\nptr_hi = 0.99\nptr_lo = 0.9\nphi = 0.99\n" for sex in ("female", "male")
+) + "[population]\nomega = 1000\n"
+# a terminal lead of 5 years on courses that end near 2 years: the outer
+# mesh starts at tau1, past every age at death with a positive density
+UNREACHED = "[female]\nmedian = 2\nbeta = 10\ntau1 = 5\n"
+
 
 @pytest.fixture(scope="session")
 def population():

@@ -1,7 +1,10 @@
-"""Properties over the whole accepted scenario box, not just the valid one of
-the benchmark: every kernel stays finite and in range on the quadrature's
-level-1 mesh, and every command ends in exit 0, 2 or 3 with at most one
-line on stderr, with RuntimeWarning raised as an error."""
+"""Properties over the whole double range of every scenario key, not just
+the valid box of the benchmark: a value outside its key's range in
+``RANGES`` is refused with exit 2 and one line naming the key; inside the
+box every kernel stays finite and in range on the quadrature's level-1
+mesh, with overflow, division by zero and invalid operations raised as
+errors, and every command ends in exit 0, 2 or 3 with at most one line on
+stderr, with RuntimeWarning raised as an error."""
 
 import io
 import math
@@ -17,55 +20,86 @@ from hypothesis import strategies as st
 from hivbrn import ScenarioError, parse_scenario
 from hivbrn.behavior import activity_fraction_core
 from hivbrn.cli import main
+from hivbrn.errors import RANGES
 from hivbrn.natural_history import transmission_prob_core
 from hivbrn.reproduction import MAX_TAIL_MASS, _graded_rule
 from hivbrn.survival import survival_density_core
 
-# log10 bounds of each female key's accepted range with every other key at
-# its baseline value, floored at 1e-300 (tau1 at the least subnormal): a key
-# may reach its bound only through a refusal, which the properties skip
-LOG10_RANGES = dict(
-    ia1=(-300, 307.5), M1=(0.649, 2.438), m=(-300, 0.649), tau1=(-323.3, 308.2),
-    M2=(0.544, 0.754), alpha3=(-300, 308.2), ptr_hi=(-2.928, 0.0),
-    ptr_lo=(-300, -2.192), delta=(-300, 308.2), phi=(-300, 0.0),
-    beta=(0.333, 2.648),
+# the per-sex keys in the order a scenario text writes them, then omega
+SEX_KEYS = (
+    "ia1", "m", "M1", "M2", "tau1", "alpha1", "alpha2", "alpha3",
+    "ptr_hi", "ptr_lo", "delta", "phi", "beta", "median",
 )
-# M2 under a flat link: up to where 10**M2 overflows, and far past it
-LOAD_M2_LOG10, FLAT_M2_LOG10 = math.log10(308.25), 308.2
-# the horizon's accepted range under the baseline male profile
-OMEGA_LOG10 = (1.596, 124.28)
-# alpha1 - 1 from the first double above 1; a positive alpha2 up to the
-# exp(alpha2) that overflows
-ALPHA1_LOG10 = (-15.65, 308.2)
-ALPHA2_LOG10 = 2.851
+# the least positive log10 a draw reaches, near the least subnormal
+LOG10_TINY = -323.3
+
+
+def inside(key, value):
+    low, high, brackets = RANGES[key]
+    above = value > low if brackets[0] == "(" else value >= low
+    below = value < high if brackets[1] == ")" else value <= high
+    return above and below
 
 
 def log_uniform(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0**e)
 
 
+def in_range(key):
+    """A value of ``key`` inside its range, log10 uniform where the range is
+    positive and uniform where it is not, an open end moved in by one ulp;
+    alpha1 - 1 is log10 uniform, so that draws reach the singular
+    alpha1 -> 1."""
+    low, high, brackets = RANGES[key]
+    if key == "alpha1":
+        return log_uniform(math.log10(2.0**-52), math.log10(high - 1.0)).map(lambda v: 1.0 + v)
+    if brackets[0] == "(":
+        low = math.nextafter(low, math.inf)
+    if brackets[1] == ")":
+        high = math.nextafter(high, -math.inf)
+    if low < 0:
+        return st.floats(low, high)
+    log_low = math.log10(low) if low > 0 else LOG10_TINY
+    return log_uniform(log_low, math.log10(high)).map(lambda v: min(max(v, low), high))
+
+
 @st.composite
-def scenario_texts(draw):
-    keys = {key: draw(log_uniform(*bounds)) for key, bounds in LOG10_RANGES.items()}
+def box_keys(draw):
+    """Every per-sex key and omega inside the box, drawn so that most of the
+    draws pass the relational checks too."""
+    keys = {key: draw(in_range(key)) for key in ("ia1", "tau1", "alpha1", "alpha2", "alpha3", "delta", "phi", "beta")}
+    m = keys["m"] = draw(in_range("m"))
+    # M1 and M2 above m; M2 up to M1, or anywhere above m, where the link
+    # may lift the peak probability to 1
+    for key, top in (("M1", 10.0), ("M2", draw(st.sampled_from((None, 10.0))))):
+        top = top or keys["M1"]
+        load = m + (top - m) * draw(st.floats(0.0, 1.0))
+        keys[key] = min(max(load, math.nextafter(m, math.inf)), 10.0)
+    ptr = sorted(draw(in_range("ptr_hi")) for _ in range(2))
     if draw(st.booleans()):
-        # a flat link (slope 0): the probability cap no longer bounds M2; one
-        # branch stays where 10**M2 is a double, so that enough draws are accepted
-        keys["ptr_hi"] = keys["ptr_lo"]
-        lo, hi = LOG10_RANGES["M2"][0], FLAT_M2_LOG10
-        keys["M2"] = draw(st.one_of(log_uniform(lo, LOAD_M2_LOG10), log_uniform(lo, hi)))
-    keys["alpha1"] = 1.0 + draw(log_uniform(*ALPHA1_LOG10))
-    keys["alpha2"] = draw(
-        st.one_of(log_uniform(-300, 308.2).map(lambda v: -v), log_uniform(-300, ALPHA2_LOG10))
-    )
-    omega = draw(log_uniform(*OMEGA_LOG10))
+        ptr[0] = ptr[1]  # a flat link (slope 0)
+    keys["ptr_lo"], keys["ptr_hi"] = ptr
+    omega = keys["omega"] = draw(in_range("omega"))
     # the median through the horizon's tail exponent (omega / scale)**beta,
-    # log-uniform over the exponents the tail-mass check accepts: drawn on
-    # its own, almost every median would be refused
-    exponent = draw(st.floats(math.log10(-math.log(MAX_TAIL_MASS)), 308.25))
-    beta = keys["beta"]
+    # log10 uniform over the exponents that the tail-mass check accepts and
+    # that keep the median in its range: drawn on its own, almost every
+    # median would be refused
+    beta, log_omega, log_ln2 = keys["beta"], math.log10(omega), math.log10(math.log(2.0))
+    lo = max(math.log10(-math.log(MAX_TAIL_MASS)) + 1e-9, beta * (log_omega - 3.0) + log_ln2)
+    hi = min(308.25, beta * (log_omega + 3.0) + log_ln2)
+    assume(lo < hi)
+    exponent = draw(st.floats(lo, hi))
     keys["median"] = omega * 10.0 ** (-exponent / beta) * math.log(2.0) ** (1.0 / beta)
-    lines = [f"{key} = {value!r}" for key, value in keys.items()]
-    return "\n".join(["[female]", *lines, "[population]", f"omega = {omega!r}", ""])
+    return keys
+
+
+def scenario_text(keys, female=None):
+    """Both sexes at ``keys``, the female section overridden by ``female``."""
+    sections = []
+    for sex, values in (("female", {**keys, **(female or {})}), ("male", keys)):
+        sections += [f"[{sex}]", *(f"{key} = {values[key]!r}" for key in SEX_KEYS)]
+    omega = (female or {}).get("omega", keys["omega"])
+    return "\n".join([*sections, "[population]", f"omega = {omega!r}", ""])
 
 
 def accepted(text):
@@ -76,9 +110,9 @@ def accepted(text):
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=150)
-@given(scenario_texts())
-def test_kernels_on_level1_mesh(text):
-    scenario = accepted(text)
+@given(box_keys())
+def test_kernels_on_level1_mesh(keys):
+    scenario = accepted(scenario_text(keys))
     prof = scenario.population.female
     tau, omega = prof.activity.terminal_lead, scenario.population.omega
     # only courses longer than tau1 are integrated
@@ -99,14 +133,27 @@ def test_kernels_on_level1_mesh(text):
     assert ((ptr >= 0) & (ptr <= 1)).all()
 
 
-@settings(database=None, derandomize=True, deadline=None, max_examples=25)
+@settings(database=None, derandomize=True, deadline=None, max_examples=50)
 @given(
-    scenario_texts(),
+    box_keys(),
+    st.one_of(
+        st.just({}),
+        st.dictionaries(
+            st.sampled_from((*SEX_KEYS, "omega")),
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=3,
+        ),
+    ),
     st.sampled_from(
         (["eval"], ["trajectory"], ["simulate", "--sex", "female", "--samples", "512"])
     ),
 )
-def test_cli_ends_in_one_line(text, argv):
+def test_cli_ends_in_one_line(keys, anywhere, argv):
+    # some female keys or omega drawn over the whole double range: the first
+    # of them in the text that leaves its range is refused, by name, before
+    # any integral
+    text = scenario_text(keys, anywhere)
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.ini"
@@ -116,3 +163,8 @@ def test_cli_ends_in_one_line(text, argv):
             code = main([*argv, "--config", str(path)])
     assert code in (0, 2, 3)
     assert len(err.getvalue().splitlines()) == (code != 0)
+    outside = [key for key in (*SEX_KEYS, "omega") if not inside(key, anywhere.get(key, keys[key]))]
+    if outside:
+        section = "population" if outside[0] == "omega" else "female"
+        assert code == 2
+        assert f"[{section}] {outside[0]} must be in " in err.getvalue()

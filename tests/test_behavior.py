@@ -7,6 +7,8 @@ from hivbrn import ActivityParams, DomainError, activity_fraction
 
 PHI = 0.61
 TAU = 1.0
+# the box's least phi and tau1 and its longest course, in years
+PHI_MIN, TAU_MIN, AGE_MAX = 1e-6, 1e-3, 1e3
 
 
 @pytest.fixture(scope="module")
@@ -35,29 +37,44 @@ class TestActivityFraction:
             assert activity_fraction(ia, 0.8, params) == 0.0
         # death exactly at the terminal lead also counts as a short course
         assert activity_fraction(0.5, TAU, params) == 0.0
-        # under a lead of 1e308 years, with no overflow on the way to 0
-        p = ActivityParams(annual_acts=1.0, residual_fraction=PHI, terminal_lead=1e308)
+        # a lead of 1e308 years is refused; under the box's longest lead, 0
+        with pytest.raises(DomainError, match=r"terminal_lead \(tau1\) must be in \[0.001, 1000\]"):
+            ActivityParams(annual_acts=1.0, residual_fraction=PHI, terminal_lead=1e308)
+        p = ActivityParams(annual_acts=1.0, residual_fraction=PHI, terminal_lead=AGE_MAX)
         assert not activity_fraction(np.linspace(0.0, 7.0, 8), 7.0, p).any()
 
     def test_long_course_does_not_overflow(self, params):
-        # phi*(iad - ia)*(iad - tau1) alone would overflow on this course
-        g = activity_fraction(np.array([0.0, 0.5e300, 1e300]), 1e300, params)
-        assert g.tolist() == [1.0, 1.0, 0.0]
+        # a course of 1e300 years is refused, where phi*(iad - ia)*(iad - tau1)
+        # would overflow; the box's longest course keeps every digit
+        with pytest.raises(DomainError, match=r"iad \(age\) must be in \[0, 1000\]"):
+            activity_fraction(0.0, 1e300, params)
+        with pytest.raises(DomainError, match=r"ia \(age\) must be in \[0, 1000\]"):
+            activity_fraction(1e300, AGE_MAX, params)
+        g = activity_fraction(np.array([0.0, 0.5 * AGE_MAX, AGE_MAX]), AGE_MAX, params)
+        expected = PHI * 0.5 * (AGE_MAX - TAU) / (PHI * 0.5 * (AGE_MAX - TAU) + (1 - PHI) * 0.5)
+        assert g.tolist() == [1.0, pytest.approx(expected, rel=1e-15), 0.0]
 
     @pytest.mark.parametrize(
         "phi, tau, iad",
         [
-            # phi*(iad - ia)*(iad - tau1) in absolute ages underflows to 0
+            # phi*(iad - ia)*(iad - tau1) in absolute ages underflowed to 0
             (1e-300, 1e-30, 1.000001e-30),
-            # (1 - phi)*tau1 is under 2**-1074 of phi*(iad - tau1)
+            # (1 - phi)*tau1 was under 2**-1074 of phi*(iad - tau1)
             (PHI, 1e-300, 1e30),
             (PHI, 2e-323, 7.0),
         ],
     )
     def test_extreme_course_ends(self, phi, tau, iad):
-        # G is 1 at infection and 0 at death, not 0/0 at either end
-        p = ActivityParams(annual_acts=1.0, residual_fraction=phi, terminal_lead=tau)
-        assert activity_fraction(np.array([0.0, iad]), iad, p).tolist() == [1.0, 0.0]
+        # such a phi or tau1 is refused, naming its key; at the box's corner
+        # nearest to it, G is 1 at infection and 0 at death, not 0/0 at
+        # either end, on a course barely past tau1 and on the longest one,
+        # which stand in for iad
+        with pytest.raises(DomainError, match=r"\((phi|tau1)\) must be in "):
+            ActivityParams(annual_acts=1.0, residual_fraction=phi, terminal_lead=tau)
+        p = ActivityParams(1.0, max(phi, PHI_MIN), TAU_MIN)
+        for course in (TAU_MIN * (1.0 + 1e-6), AGE_MAX):
+            g = activity_fraction(np.array([0.0, course]), course, p)
+            assert g.tolist() == [1.0, 0.0]
 
     def test_unit_interval_on_grid(self, params):
         for iad in np.linspace(1.01, 40.0, 60):
@@ -80,11 +97,18 @@ class TestActivityFraction:
     )
     def test_near_death_vs_highprec_oracle(self, phi, tau):
         # 1 - ia/iad from 1e-15 to 1e-1, against the rational form at 50
-        # digits, up to courses of 1e30 years; a G below the normal range
-        # keeps only absolute accuracy
+        # digits, up to the box's longest course; a phi or tau1 of 1e-300 is
+        # refused, and the box's least value is checked in its place
         mp = pytest.importorskip("mpmath")
+        if tau < TAU_MIN:
+            with pytest.raises(DomainError, match=r"\(tau1\)"):
+                ActivityParams(annual_acts=208.0, residual_fraction=PHI, terminal_lead=tau)
+        if phi < PHI_MIN:
+            with pytest.raises(DomainError, match=r"\(phi\)"):
+                ActivityParams(annual_acts=208.0, residual_fraction=phi, terminal_lead=TAU)
+        phi, tau = max(phi, PHI_MIN), max(tau, TAU_MIN)
         p = ActivityParams(annual_acts=208.0, residual_fraction=phi, terminal_lead=tau)
-        for iad in (1.5, 7.0, 40.0, 1e10, 1e30):
+        for iad in (1.5, 7.0, 40.0, AGE_MAX):
             for gap in 10.0 ** np.arange(-15, 0):
                 ia = iad * (1.0 - gap)
                 with mp.workdps(50):

@@ -16,9 +16,9 @@ from hivbrn.cli import main
 from hivbrn.mc_oracle import MAX_SAMPLES
 from hivbrn.reproduction import MAX_REFINE
 
+from conftest import HUGE, LONG, UNREACHED
+
 ROOT = Path(__file__).resolve().parents[1]
-# integrals near 1e157 in both sexes: I_f * I_m overflows, I0 does not
-HUGE = "[female]\nmedian = 1e160\n[male]\nmedian = 1e160\n[population]\nomega = 1e161\n"
 
 
 def run(capsys, *argv):
@@ -83,6 +83,30 @@ class TestEval:
         assert "I0       81.57" in out
         assert "verdict  epidemic" in out
 
+    def test_table_cells_keep_their_digits(self, capsys, tmp_path):
+        # 2 or 3 decimals at ordinary magnitudes, 6 significant digits where
+        # those would show 0.00 or an integer of more than 6 digits
+        cfg = tmp_path / "long.ini"
+        cfg.write_text(LONG.replace("phi = 0.99\n", "phi = 0.99\ndelta = 1e4\n"))
+        code, out, err = run(capsys, "eval", "--format", "table", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        result = evaluate_brn(parse_scenario(cfg.read_text()).population)
+        assert result.i0 < 0.005 and result.r0 >= 1e6
+        cells = dict(line.split(maxsplit=1) for line in out.splitlines())
+        assert cells["I0"] == f"{result.i0:.6g}" and float(cells["I0"]) > 0
+        assert cells["R0"] == f"{result.r0:.6g}" and "e+06" in cells["R0"]
+        assert cells["ISA"] == "10000.00"
+
+    def test_table_of_deltas_past_the_box_exits_2(self, capsys, tmp_path):
+        # both deltas at 1e200 wrote R0 as a 199-digit integer; now refused
+        cfg = tmp_path / "big.ini"
+        cfg.write_text(LONG.replace("phi = 0.99\n", "phi = 0.99\ndelta = 1e200\n"))
+        code, out, err = run(capsys, "eval", "--format", "table", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == (
+            "hivbrn: configuration error: line 6: [female] delta must be in [0, 10000]\n"
+        )
+
     def test_csv_format_round_trips(self, capsys, population):
         code, out, _ = run(capsys, "eval", "--format", "csv")
         assert code == 0
@@ -121,8 +145,15 @@ class TestEval:
     @pytest.mark.parametrize("alpha2", ["-40", "-800"])
     def test_steep_negative_age_warp(self, capsys, tmp_path, alpha2):
         # the age warp has no cancellation for a negative alpha2: at -40 it
-        # once gave R0 0.7049, subcritical; -800 makes exp(alpha2) 0 exactly
+        # once gave R0 0.7049, subcritical.  -800, which made exp(alpha2) 0
+        # exactly, is refused, and the box's edge is evaluated in its place
         cfg = tmp_path / "warp.ini"
+        if float(alpha2) < -50:
+            cfg.write_text(f"[female]\nalpha2 = {alpha2}\n")
+            code, out, err = run(capsys, "eval", "--config", str(cfg))
+            assert (code, out) == (2, "")
+            assert err.endswith("line 2: [female] alpha2 must be in [-50, 50]\n")
+            alpha2 = "-50"
         cfg.write_text(f"[female]\nalpha2 = {alpha2}\n[male]\nalpha2 = {alpha2}\n")
         code, out, err = run(capsys, "eval", "--config", str(cfg))
         assert (code, err) == (0, "")
@@ -144,31 +175,34 @@ class TestEval:
             (f"[quadrature]\nmax_refine = {MAX_REFINE + 1}\n", "max_refine must be in"),
             ("[quadrature]\ntol = 1e-16\nmax_refine = 0\n", "max_refine must be in [1, "),
             (f"[simulation]\nsamples = {MAX_SAMPLES + 1}\n", "samples must be in"),
-            ("[population]\nomega = 1e300\n", "overflow"),
-            ("[female]\nmedian = 1e-300\n", "overflow"),
-            ("[female]\nmedian = 1e-310\n", "female survival scale"),
-            # beta over a subnormal scale overflows where omega over it does not
+            # each value past its key's range is refused on its own line; these
+            # once overflowed the survival scale, the tail mass, the plateau
+            # point or the linear load (a flat link times an infinite load is nan)
+            ("[population]\nomega = 1e300\n", "line 2: [population] omega must be in [0.001, 1000]"),
+            ("[female]\nmedian = 1e-300\n", "line 2: [female] median must be in [0.001, 1000]"),
+            ("[female]\nmedian = 1e-310\n", "line 2: [female] median must be in [0.001, 1000]"),
             (
                 "".join(
                     f"[{sex}]\nmedian = 4e-311\nbeta = 2.85\ntau1 = 1e-250\n"
                     for sex in ("female", "male")
                 ) + "[population]\nomega = 1e-210\n",
-                "survival scale",
+                "line 2: [female] median must be in [0.001, 1000]",
             ),
-            ("[female]\nia1 = 1e307\nalpha1 = 1.000000001\n", "plateau point"),
-            ("[female]\nM1 = 400\nM2 = 400\n", "overflow"),
-            # a flat link (slope 0) times an infinite linear load is nan
-            ("[female]\nM2 = 400\nptr_lo = 0.008\n", "overflow"),
+            ("[female]\nia1 = 1e307\nalpha1 = 1.000000001\n", "line 2: [female] ia1 must be in [0.001, 1000]"),
+            ("[female]\nM1 = 400\nM2 = 400\n", "line 2: [female] M1 must be in [0.001, 10]"),
+            ("[female]\nM2 = 400\nptr_lo = 0.008\n", "line 2: [female] M2 must be in [0.001, 10]"),
             ("[DEFAULT]\ndelta = 500\n", "line 1: unknown section [DEFAULT]"),
             ("[female]\nphi = 0.5\n[DEFAULT]\ndelta = 500\n", "line 3: unknown section"),
-            ("[female]\nM1 = 1e-17\nm = 5e-18\n", "10**peak_log_vl (M1)"),
+            ("[female]\nM1 = 0.0010000000000000002\nm = 0.001\n", "10**peak_log_vl (M1)"),
             ("[population]\npop_female = 1\npop_male = 8\n", "act balance"),
-            ("[male]\nalpha2 = 800\n", "warp_rate (alpha2) gives an age-warp rate"),
+            ("[male]\nalpha2 = 800\n", "line 2: [male] alpha2 must be in [-50, 50]"),
+            # inside the box, the tail mass's power still overflows
+            ("[female]\nbeta = 470\n", "scenario values overflow double precision"),
         ],
         ids=["order", "max_refine", "max_refine_zero", "samples", "omega", "median",
              "median_subnormal", "beta_over_subnormal_scale", "plateau_point", "M1",
              "flat_link", "default", "default_beside_female", "M1_equals_m_linear",
-             "unbalanced", "alpha2"],
+             "unbalanced", "alpha2", "tail_power"],
     )
     def test_out_of_range_scenario_exits_2(self, capsys, tmp_path, text, message):
         # limit + 1 is refused while the scenario is parsed, before any
@@ -202,12 +236,12 @@ class TestEval:
 
     def test_unreached_survival_mass_exits_3(self, capsys, tmp_path):
         cfg = tmp_path / "far.ini"
-        cfg.write_text("[population]\nomega = 1e15\n")
+        cfg.write_text(UNREACHED)
         code, out, err = run(capsys, "eval", "--config", str(cfg))
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1
-        assert "never reached the survival mass below omega 1e+15" in err
+        assert "never reached the survival mass below omega 40 " in err
 
     @pytest.mark.parametrize(
         "argv", [["eval"], ["simulate", "--sex", "female", "--samples", "4096"]],
@@ -462,6 +496,27 @@ class TestPhase:
         assert f"phase: delta_f in row {row} is beyond double range\n" in err
         assert out == ""
 
+    def test_hyperbola_rows_stay_normal(self, capsys, tmp_path):
+        # median 1e170 with omega 1e171 gave an I0 near 1e-167, whose
+        # hyperbola rows underflowed to 0.0: refused with the scenario, and so
+        # is a grid past the delta range; the box's least I0 at its largest
+        # delta_m still gives a normal delta_f
+        cfg = tmp_path / "far.ini"
+        cfg.write_text(HUGE.replace("1e160", "1e170").replace("1e161", "1e171"))
+        code, out, err = run(capsys, "phase", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.endswith("line 2: [female] median must be in [0.001, 1000]\n")
+        code, out, err = run(capsys, "phase", "--grid", "10:1e5:3")
+        assert (code, out) == (2, "")
+        assert "grid needs ends in (0, 10000]" in err
+        cfg.write_text(LONG)
+        code, out, err = run(capsys, "phase", "--factors", "", "--grid", "1:1e4:2", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        i0 = evaluate_brn(parse_scenario(LONG).population).i0
+        delta_f = [float(r["delta_f"]) for r in rows_of(out) if r["series"] == "hyperbola"]
+        assert delta_f == [i0 * i0 / 1.0, i0 * i0 / 1e4]
+        assert delta_f[-1] > 1e-9
+
     def test_nonpositive_factor_exits_2(self, capsys):
         code, out, err = run(capsys, "phase", "--factors", "0")
         assert code == 2
@@ -604,7 +659,7 @@ class TestSweep:
             ("0.5,1e-320,2", "female transmission probability scaled by 9.99989e-321: "
              "no level's total was positive: the integrand underflows"),
             ("5e-324", "female transmission probability scaled by 4.94066e-324: "
-             "need 0 < prob_at_plateau"),
+             "prob_at_peak (ptr_hi) must be in (0, 1)"),
         ],
         ids=["product", "integrand", "anchor"],
     )
@@ -714,12 +769,15 @@ class TestSimulate:
             assert (row["abs_diff_over_se"] == "") is blank
 
     def test_long_horizon_matches_quadrature(self, capsys, tmp_path):
-        # at omega 2e7 the coarse outer panels miss the survival mass, so
-        # the first levels sum to 0; the quadrature refines past them
+        # omega 2e7, where the coarse outer panels missed the survival mass,
+        # is refused; the box's longest horizon matches the quadrature
         path = tmp_path / "long.ini"
-        path.write_text(
-            "[population]\nomega = 2e7\n\n[simulation]\nact_process = expected_value\n"
-        )
+        text = "[population]\nomega = 2e7\n\n[simulation]\nact_process = expected_value\n"
+        path.write_text(text)
+        code, out, err = run(capsys, "simulate", "--config", str(path), "--samples", "8192")
+        assert (code, out) == (2, "")
+        assert "line 2: [population] omega must be in [0.001, 1000]" in err
+        path.write_text(text.replace("2e7", "1e3"))
         code, out, _ = run(
             capsys, "simulate", "--config", str(path), "--samples", "8192"
         )
@@ -738,7 +796,7 @@ class TestOutputRange:
     @pytest.mark.parametrize(
         "argv, expected",
         [
-            (("eval", "--config", "{big}"), 3),
+            (("eval", "--config", "{big}"), 2),
             (("phase", "--grid", "1e-320:1:2", "--factors", ""), 2),
             (("phase", "--factors", "1e-320"), 2),
             (("sweep", "--factors", "1e-320"), 2),
@@ -746,8 +804,8 @@ class TestOutputRange:
         ids=["eval-deltas", "phase-grid", "phase-factor", "sweep-factor"],
     )
     def test_beyond_double_range_refused(self, capsys, tmp_path, argv, expected, fmt):
-        # both deltas at 1e200 times integrals near 1e157 overflow R0; the
-        # flags overflow a row
+        # both deltas at 1e200 times integrals near 1e157 overflowed R0, and
+        # are refused with the scenario; the flags overflow a row
         big = tmp_path / "big.ini"
         big.write_text(HUGE.replace("1e160\n", "1e160\ndelta = 1e200\n"))
         argv = [a.format(big=big) for a in argv]
@@ -763,23 +821,32 @@ class TestOutputRange:
         "argv", [("eval",), ("phase",), ("sweep",), ("sweep", "--mode", "scale_endpoints")]
     )
     def test_overflowing_products_stay_in_range(self, capsys, tmp_path, argv):
-        # I_f * I_m and each corner's r_fm * r_mf overflow, yet I0 is about
-        # 9.7337e-158 and R0 about 8.42e158
+        # I_f * I_m and each corner's r_fm * r_mf overflowed at integrals
+        # near 1e157, whose median is refused; at the box's largest
+        # integrals every product and root is in range
         path = tmp_path / "huge.ini"
         path.write_text(HUGE)
         code, out, err = run(capsys, *argv, "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.endswith("line 2: [female] median must be in [0.001, 1000]\n")
+        path.write_text(LONG)
+        # a factor of 2 would lift ptr_hi 0.99 to 1 or more
+        factors = () if argv[0] == "eval" else ("--factors", "0.5,1")
+        code, out, err = run(capsys, *argv, *factors, "--config", str(path))
         assert (code, err) == (0, "")
+        expected = evaluate_brn(parse_scenario(LONG).population)
+        assert 0.003 < expected.i0 < 0.004
         if argv[0] == "eval":
             result = json.loads(out)["result"]
-            assert result["i0"] == pytest.approx(9.7337e-158, rel=1e-4, abs=0)
-            assert result["r0"] == pytest.approx(8.42e158, rel=1e-3)
+            assert result["i0"] == expected.i0
+            assert result["r0"] == expected.r0 == pytest.approx(82.0 / expected.i0, rel=1e-15)
         elif argv[0] == "phase":
             corners = [row for row in rows_of(out) if row["series"] == "corner"]
             assert len(corners) == 4
             assert all(0 < float(row["r0"]) < math.inf for row in corners)
         else:
             i0 = {float(row["factor"]): float(row["i0"]) for row in rows_of(out)}
-            assert i0[1.0] == pytest.approx(9.7337e-158, rel=1e-4, abs=0)
+            assert i0[1.0] == pytest.approx(expected.i0, rel=0.02)
             assert all(value > 0 for value in i0.values())
 
 

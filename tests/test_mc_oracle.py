@@ -472,10 +472,13 @@ class TestEstimateSexIntegral:
 
     @pytest.mark.filterwarnings("error")
     def test_long_tail_profile(self, female):
-        # beta = 0.05 puts about half the mass past omega = 40, with draws up
-        # to 1e16 years: they count as empty, and the Poisson rate stays
-        # below delta * p_max * omega
-        heavy = dataclasses.replace(female, survival=SurvivalParams(8.6, 0.05))
+        # beta = 0.05 is refused; the box's least shape, 0.1, puts about 45%
+        # of the mass past omega = 40, with draws up to 1e18 years: they
+        # count as empty, and the Poisson rate stays below
+        # delta * p_max * omega
+        with pytest.raises(DomainError, match=r"shape \(beta\) must be in \[0.1, 1000\]"):
+            SurvivalParams(8.6, 0.05)
+        heavy = dataclasses.replace(female, survival=SurvivalParams(8.6, 0.1))
         ref = sex_integral(heavy, 40.0)
         for process in mc.ACT_PROCESSES:
             est = estimate_sex_integral(
@@ -487,9 +490,9 @@ class TestEstimateSexIntegral:
     @pytest.mark.parametrize("omega", [np.nan, np.inf, 0.0, -1.0])
     def test_omega_domain(self, female, omega):
         spec = SimulationSpec(samples=10, seed=1)
-        with pytest.raises(DomainError, match="omega must be finite and > 0"):
+        with pytest.raises(DomainError, match=r"omega must be in \[0.001, 1000\]"):
             estimate_sex_integral(female, spec, omega=omega)
-        with pytest.raises(DomainError, match="omega must be finite and > 0"):
+        with pytest.raises(DomainError, match=r"omega must be in \[0.001, 1000\]"):
             sex_integral(female, omega)
 
     def test_thinning_needs_positive_delta(self, male):
@@ -505,9 +508,12 @@ class TestEstimateSexIntegral:
 
     def test_thinning_act_bound(self, female, population):
         # refused before any draw: twice the bound on the candidate acts per
-        # course, and a delta whose bound overflows; expected_value still runs
+        # course, and the box's largest delta; expected_value still runs.
+        # A delta of 1e300, whose bound overflowed, is refused with its key
+        with pytest.raises(DomainError, match=r"annual_acts \(delta\) must be in \[0, 10000\]"):
+            dataclasses.replace(female.activity, annual_acts=1e300)
         twice = 2 * mc.MAX_ACTS_PER_COURSE / (female.peak_prob * population.omega)
-        for delta in (twice, 1e300):
+        for delta in (twice, 1e4):
             heavy = dataclasses.replace(
                 female, activity=dataclasses.replace(female.activity, annual_acts=delta)
             )

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ XP_BASELINE = 1.6472632291766361
 AGE_WARP_04 = 0.40110325189871377842
 LVL_3_7 = 3.1111428613955612332
 PTR_SECOND_PEAK = 0.0036882209175372670
+# the box's longest age in years, and its widest warp rate
+AGE_MAX, WARP_MAX = 1e3, 50.0
 
 
 @pytest.fixture(scope="module")
@@ -50,13 +53,16 @@ class TestEarlyPeakCurve:
         assert early_peak_core(0.0, viral) == 0.0
 
     def test_steep_rise_stays_finite(self, viral):
-        # r**(alpha1 - 1) and exp((1 - alpha1) * (r - 1)) each overflow here;
-        # at 1e308 the exponent itself does, to -inf, with no warning
-        for rise_shape in (1000.0, 1e308):
-            steep = dataclasses.replace(viral, rise_shape=rise_shape)
-            assert early_peak_core(0.0, steep) == 0.0
-            assert early_peak_core(steep.peak_time, steep) == steep.peak_log_vl
-            grid = np.linspace(0.0, 20.0, 101)
+        # at the box's steepest rise, 1000, r**(alpha1 - 1) and
+        # exp((1 - alpha1) * (r - 1)) each overflow, but their product as one
+        # exponential does not; 1e308 is refused
+        with pytest.raises(DomainError, match=r"rise_shape \(alpha1\) must be in \(1, 1000\]"):
+            dataclasses.replace(viral, rise_shape=1e308)
+        steep = dataclasses.replace(viral, rise_shape=1000.0)
+        assert early_peak_core(0.0, steep) == 0.0
+        assert early_peak_core(steep.peak_time, steep) == steep.peak_log_vl
+        grid = np.linspace(0.0, AGE_MAX, 101)
+        with np.errstate(over="raise", invalid="raise"):
             assert np.all(np.isfinite(early_peak_core(grid, steep)))
 
     def test_maximum_at_peak_time(self, viral):
@@ -146,7 +152,7 @@ class TestAgeWarp:
         assert age_warp_core(0.0, viral.warp_rate, xp) == 0.0
 
     def test_saturates_at_plateau_point(self, viral, xp):
-        assert age_warp_core(1e9, viral.warp_rate, xp) == pytest.approx(xp, rel=1e-12)
+        assert age_warp_core(AGE_MAX, viral.warp_rate, xp) == pytest.approx(xp, rel=1e-12)
 
     def test_value_vs_highprec_oracle(self, viral, xp):
         # 50-digit mpmath evaluation of the same expression
@@ -186,9 +192,13 @@ class TestAgeWarp:
     def test_no_cancellation_over_warp_rates(self, viral, xp, a2):
         # mpmath evaluation of the rescaled logistic, whose difference of
         # near-equal terms lost all digits in doubles from alpha2 about -36;
-        # it cancels |alpha2| / ln 10 digits, so it carries that many more;
-        # at 709.7, ia * rate passes the double range from ia about 1.6
+        # it cancels |alpha2| / ln 10 digits, so it carries that many more.
+        # A rate past the box is refused, and the box's edge is checked
         mp = pytest.importorskip("mpmath")
+        if abs(a2) > WARP_MAX:
+            with pytest.raises(DomainError, match=r"warp_rate \(alpha2\) must be in \[-50, 50\]"):
+                dataclasses.replace(viral, warp_rate=a2)
+            a2 = np.copysign(WARP_MAX, a2)
         mp.mp.dps = 50 + int(abs(a2))
         xs, a = mp.mpf(repr(xp)), mp.mpf(a2)
         e = mp.exp(a)
@@ -209,10 +219,14 @@ class TestTerminalPeakFactor:
             hi = terminal_peak_core(6.0 + d, 7.0, viral.terminal_width, 1.0)
             assert lo == pytest.approx(hi, rel=1e-14)
 
-    def test_huge_width_is_zero(self):
-        # -width * d**2 overflows to -inf, whose exp is exactly 0, with no warning
+    def test_huge_width_is_zero(self, viral):
+        # a width of 1e307 is refused; at the box's narrowest peak, 1e4, the
+        # weight 3 years away underflows to exactly 0, with no overflow
+        with pytest.raises(DomainError, match=r"terminal_width \(alpha3\) must be in \(0, 10000\]"):
+            dataclasses.replace(viral, terminal_width=1e307)
         ia = np.array([0.0, 3.0])
-        assert terminal_peak_core(ia, 7.0, 1e307, 1.0).tolist() == [0.0, 0.0]
+        with np.errstate(over="raise", invalid="raise"):
+            assert terminal_peak_core(ia, 7.0, 1e4, 1.0).tolist() == [0.0, 0.0]
 
     def test_value(self, viral):
         got = terminal_peak_core(3.0, 7.0, viral.terminal_width, 1.0)
@@ -372,10 +386,16 @@ class TestParamValidation:
         ]:
             with pytest.raises(DomainError):
                 ViralLoadParams(**{**good, key: bad})
-        # a plateau point past the double range would freeze the age warp at
-        # rate 0 and make every viral load nan
-        with pytest.raises(DomainError, match="plateau point beyond double range"):
+        # ia1 1e307 gave a plateau point past the double range, which froze
+        # the age warp at rate 0 and made every viral load nan: it is
+        # refused, and at the box's latest peak the plateau point and the
+        # warp rate are finite
+        with pytest.raises(DomainError, match=r"peak_time \(ia1\) must be in \[0.001, 1000\]"):
             ViralLoadParams(**{**good, "peak_time": 1e307, "rise_shape": 1.000000001})
+        late = ViralLoadParams(**{**good, "peak_time": AGE_MAX, "rise_shape": 1.000000001})
+        x_plateau = solve_plateau_point(late)
+        assert late.peak_time < x_plateau < math.inf
+        assert 0 < (1.0 + math.exp(late.warp_rate)) / x_plateau < math.inf
 
     def test_transmission_invariants(self):
         TransmissionParams.from_anchors(0.008, 0.001, 5.0, 3.0)

@@ -36,7 +36,7 @@ from hivbrn.natural_history import transmission_prob, transmission_prob_core
 from hivbrn.survival import survival_density
 from hivbrn.reproduction import CRITICAL_BAND, MAX_REFINE
 
-from conftest import PARAM_BOX
+from conftest import HUGE, LONG, PARAM_BOX, UNREACHED
 
 # Frozen cross-check values from scipy.integrate.quad nested over the same
 # integrand at epsrel=1e-11 (the live oracle below re-derives the female one
@@ -47,8 +47,6 @@ INT_M_REFERENCE = 0.012666651010154186
 
 CORNER = "[female]\nalpha1 = 1.02\n[male]\nalpha1 = 1.02\n[quadrature]\ntol = 1e-7\n"
 PEAK = "[female]\nalpha3 = 200\nM2 = 5.4\n[male]\nalpha3 = 200\nM2 = 5.4\n"
-# integrals near 1e157 in both sexes: I_f * I_m overflows, I0 does not
-HUGE = "[female]\nmedian = 1e160\n[male]\nmedian = 1e160\n[population]\nomega = 1e161\n"
 CSW_CLIENTS = (Path(__file__).parents[1] / "scenarios" / "csw_clients.ini").read_text()
 
 
@@ -153,11 +151,14 @@ class TestSexIntegral:
     @pytest.mark.parametrize("omega", [2e7, 1e8, 1e12])
     def test_long_horizon_is_never_zero(self, population, baseline_integrals, omega):
         # a mesh that misses the survival mass sums to 0, which must not
-        # pass for two agreeing levels
+        # pass for two agreeing levels; a horizon past the box is refused,
+        # and the box's longest one is integrated in its place
         tol = QuadratureSpec().tol
         for prof, at_40 in zip((population.female, population.male), baseline_integrals):
+            with pytest.raises(DomainError, match=r"omega must be in \[0.001, 1000\]"):
+                sex_integral(prof, omega)
             try:
-                value = sex_integral(prof, omega)
+                value = sex_integral(prof, 1e3)
             except QuadratureFailure:
                 continue
             assert abs(value - at_40) <= tol * at_40
@@ -168,14 +169,15 @@ class TestSexIntegral:
                 female, population.omega, QuadratureSpec(tol=1e-16, max_refine=1)
             )
 
-    def test_mesh_missing_the_survival_mass_says_so(self, female):
-        # at omega 1e15 every level's outer panels miss the mass near the
-        # median, so every total is 0 and no relative error exists
+    def test_mesh_missing_the_survival_mass_says_so(self):
+        # every level's outer panels start past the survival mass, so every
+        # total is 0 and no relative error exists
+        female = parse_scenario(UNREACHED).population.female
         with pytest.raises(QuadratureFailure) as err:
-            sex_integral(female, 1e15)
+            sex_integral(female, 40.0)
         assert str(err.value) == (
             "no level's total was positive: the mesh never reached the survival "
-            "mass below omega 1e+15 after 8 graded levels"
+            "mass below omega 40 after 8 graded levels"
         )
 
     def test_underflowing_integrand_says_so(self, female):
@@ -352,9 +354,13 @@ class TestIndices:
 
     def test_i0_unit(self):
         assert index_i0(1.0, 1.0) == 1.0
-        # a finite product keeps its one root; an overflowing one takes two
+        # the product keeps its one root; a sex integral is at most its
+        # horizon, so at the box's longest one the product is still in range,
+        # and integrals whose product overflowed are refused
         assert index_i0(0.3, 0.7) == (0.3 * 0.7) ** -0.5
-        assert index_i0(1.027e157, 1.027e157) == pytest.approx(1 / 1.027e157, rel=1e-15, abs=0)
+        assert index_i0(1e3, 1e3) == pytest.approx(1e-3, rel=1e-15, abs=0)
+        with pytest.raises(DomainError, match=r"sex integrals must be in \(0, 1000\]"):
+            index_i0(1.027e157, 1.027e157)
 
     def test_i0_from_rounded_corners(self):
         # arithmetic on the corner-implied integrals is self-consistent
@@ -377,8 +383,11 @@ class TestIndices:
         assert isa(82.0, 82.0) == 82.0
         assert isa(26.0, 256.1) == pytest.approx(81.6, abs=0.1)
         assert isa(0.0, 300.0) == 0.0
-        # delta_m * delta_f overflows, the mean does not
-        assert isa(1e200, 4e200) == pytest.approx(2e200, rel=1e-15)
+        # deltas whose product overflowed are refused; at the box's largest
+        # the product is in range
+        with pytest.raises(DomainError, match=r"annual_acts \(delta\) must be in \[0, 10000\]"):
+            isa(1e200, 4e200)
+        assert isa(1e4, 2.5e3) == 5e3
         with pytest.raises(DomainError):
             isa(-1.0, 10.0)
 
@@ -387,7 +396,8 @@ class TestIndices:
         assert composite_r0(5.55, 1.32) == pytest.approx(2.70, abs=0.02)
         assert composite_r0(1.0, 1.0) == 1.0
         assert composite_r0(2.47, 0.33) == math.sqrt(2.47 * 0.33)
-        assert composite_r0(1e200, 1e160) == pytest.approx(1e180, rel=1e-15)
+        # the box's largest delta times its longest horizon bounds each number
+        assert composite_r0(1e7, 1e7) == 1e7
         with pytest.raises(DomainError):
             composite_r0(-0.1, 1.0)
 
@@ -441,21 +451,32 @@ class TestEvaluateAndThreshold:
 
     @pytest.mark.parametrize("delta", [1e200], ids=["r0"])
     def test_beyond_double_range_raises(self, delta):
-        # integrals near 1e157 times delta overflow r_fm and r_mf, and R0 with
-        # them; ISA, from finite deltas, stays in range
-        pop = parse_scenario(HUGE).population
-        with pytest.raises(DomainError, match="^R0 is beyond double range$"):
-            evaluate_brn(with_deltas(pop, delta, delta))
+        # integrals near 1e157 times delta overflowed r_fm and r_mf, and R0
+        # with them: both the integrals' median and the delta are refused,
+        # and the box's largest integrals and deltas give a finite R0
+        with pytest.raises(ScenarioError, match=r"line 2: \[female\] median must be in \[0.001, 1000\]"):
+            parse_scenario(HUGE)
+        pop = parse_scenario(LONG).population
+        with pytest.raises(DomainError, match=r"annual_acts \(delta\)"):
+            with_deltas(pop, delta, delta)
+        result = evaluate_brn(with_deltas(pop, 1e4, 1e4))
+        assert 1e6 < result.r0 < 1e7
 
     @pytest.mark.parametrize(
         "text, delta", [("", 2e154), ("", 1e300), (HUGE, None)], ids=["isa", "r0", "integrals"]
     )
     def test_overflowing_products_keep_their_roots(self, text, delta):
-        # ISA, R0 or I0 in range although delta_m * delta_f, r_fm * r_mf or
-        # I_f * I_m overflows
-        pop = parse_scenario(text).population
+        # delta_m * delta_f, r_fm * r_mf or I_f * I_m overflowed at these
+        # deltas or integrals, which are refused; at the box's largest each
+        # product keeps its root
         if delta:
-            pop = with_deltas(pop, delta, delta)
+            with pytest.raises(DomainError, match=r"annual_acts \(delta\)"):
+                with_deltas(parse_scenario(text).population, delta, delta)
+            pop = with_deltas(parse_scenario(LONG).population, 1e4, 1e4)
+        else:
+            with pytest.raises(ScenarioError, match="median must be in"):
+                parse_scenario(text)
+            pop = parse_scenario(LONG).population
         result = evaluate_brn(pop)
         root = math.sqrt(result.integral_f) * math.sqrt(result.integral_m)
         isa = pop.female.activity.annual_acts  # the male delta is the same
@@ -695,7 +716,7 @@ class TestBlockMemo:
         "text, edit",
         [
             (HARD, None),
-            ("", lambda pop: dataclasses.replace(pop, omega=1e15)),
+            (UNREACHED, None),
             ("", lambda pop: dataclasses.replace(pop, female=scaled_profile(pop.female, 1e-320))),
         ],
         ids=["relative-error", "unreached-mass", "underflow"],
