@@ -55,7 +55,9 @@ def check_range(value, key: str, name: str | None = None) -> None:
     low, high, brackets = RANGES[key]
     above = value > low if brackets[0] == "(" else value >= low
     below = value < high if brackets[1] == ")" else value <= high
-    if not np.all(above & below):
+    inside = above & below
+    # a float's comparisons give a bool, which np.all would only wrap
+    if not (inside if isinstance(value, float) else np.all(inside)):
         label = key if name in (None, key) else f"{name} ({key})"
         raise DomainError(f"{label} must be in {brackets[0]}{low:g}, {high:g}{brackets[1]}")
 

@@ -14,11 +14,13 @@ death, the inner integral ``J(iad)``, read from a table built per profile.
 Determinism contract: for a fixed (seed, spec, profile) the estimate is
 bit-identical across runs and across worker counts.  Samples are processed
 in fixed blocks of ``CHUNK_SAMPLES``; block ``c`` draws everything from its
-own Philox substream (key = seed, counter high word = c), so blocks can be
-computed in any order or process and reduced by index.  Blocks go to the
-workers in contiguous batches, and the parent writes each block's values
-into one sample array in index order.  The parent builds the ``J`` table
-and hands the same copy to every block.
+own SFC64 generator, seeded by ``SeedSequence(seed, spawn_key=(c,))``, the
+state numpy's ``spawn`` gives the ``c``-th child of ``SeedSequence(seed)``.
+Its stream depends on (seed, c) alone, so blocks can be computed in any
+order or process and reduced by index.  Blocks go to the workers in
+contiguous batches, and the parent writes each block's values into one
+sample array in index order.  The parent builds the ``J`` table and hands
+the same copy to every block.
 """
 
 from __future__ import annotations
@@ -49,10 +51,11 @@ CHUNK_SAMPLES = 4096
 # 10^7 samples simulate peaked at 115 MB RSS, 276 MB with three such arrays)
 MAX_SAMPLES = 10_000_000
 
-# poisson_thinning holds about 90 B per candidate act in a block, and a course
-# averages at most delta * peak_prob * omega of them: this caps a block of
-# CHUNK_SAMPLES courses near 370 MB (80 MB under the baseline survival law);
-# the baseline's bound is 26 acts
+# poisson_thinning holds about 72 B per candidate act in a block (its
+# traced peak over 0.6 to 1.5 million acts), and a course averages at most
+# delta * peak_prob * omega of them: this caps a block of CHUNK_SAMPLES
+# courses near 300 MB (65 to 71 MB under the baseline survival laws); the
+# baseline's bound is 26 acts
 MAX_ACTS_PER_COURSE = 1000
 
 ACT_PROCESSES = ("poisson_thinning", "expected_value")
@@ -124,6 +127,15 @@ class EstimateResult:
     seed: int
 
 
+def _panel_values(lo: np.ndarray, hi: np.ndarray, profile: SexProfile) -> np.ndarray:
+    """The inner integral by the level-``TABLE_LEVEL`` rule at the Chebyshev
+    points of each panel ``[lo, hi]``, shape (``TABLE_NODES``, panels)."""
+    ages = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _CHEB[:, None]
+    iad = ages.ravel()
+    blocks = inner_blocks(iad, profile, TABLE_LEVEL)
+    return inner_integrals(iad, blocks, [profile.transmission], TABLE_LEVEL)[0].reshape(ages.shape)
+
+
 def _inner_table(profile: SexProfile, omega: float) -> tuple[np.ndarray, np.ndarray]:
     """Panel edges over [tau1, omega] less the first graded panel, and per
     panel the Chebyshev coefficients of the interpolant of the inner
@@ -133,20 +145,22 @@ def _inner_table(profile: SexProfile, omega: float) -> tuple[np.ndarray, np.ndar
     # the first graded panel holds J ~ eps * log(1/eps) in eps = iad - tau1,
     # which no polynomial follows: its draws take the direct rule
     edges = tau + (top - tau) * graded_edges(TABLE_LEVEL, both_ends=False)[1:]
+    values = _panel_values(edges[:-1], edges[1:], profile)
     for splits in range(MAX_SPLITS + 1):
-        ages = 0.5 * (edges[1:] + edges[:-1]) + 0.5 * np.diff(edges) * _CHEB[:, None]
-        iad = ages.ravel()
-        blocks = inner_blocks(iad, profile, TABLE_LEVEL)
-        rows = inner_integrals(iad, blocks, [profile.transmission], TABLE_LEVEL)
-        values = rows[0].reshape(ages.shape)
         # degree TABLE_NODES - 1 through TABLE_NODES points: the interpolant
         coefs = np.polynomial.chebyshev.chebfit(_CHEB, values, TABLE_NODES - 1)
         # the last two coefficients estimate what the degree misses: a
         # panel where they are not negligible against J is halved
-        coarse = np.abs(coefs[-2:]).max(axis=0) > TABLE_TOL * np.abs(values).max()
-        if splits == MAX_SPLITS or not coarse.any():
+        coarse = np.flatnonzero(np.abs(coefs[-2:]).max(axis=0) > TABLE_TOL * np.abs(values).max())
+        if splits == MAX_SPLITS or not coarse.size:
             return edges, coefs
-        edges = np.sort(np.concatenate((edges, 0.5 * (edges[1:] + edges[:-1])[coarse])))
+        # split panel coarse[j] becomes panels coarse[j] + j and the next;
+        # only those halves are integrated, the other panels keep their values
+        edges = np.insert(edges, coarse + 1, 0.5 * (edges[coarse + 1] + edges[coarse]))
+        left = coarse + np.arange(coarse.size)
+        halves = np.concatenate((left, left + 1))
+        values = np.insert(values, coarse + 1, 0.0, axis=1)
+        values[:, halves] = _panel_values(edges[halves], edges[halves + 1], profile)
 
 
 def _tabulated_inner(
@@ -190,11 +204,11 @@ def _chunk_values(
     """Per-sample integral estimates up to ``omega`` for one block of samples;
     ``table`` is the :func:`_inner_table` of ``expected_value`` mode.
 
-    All randomness for block ``chunk`` comes from its own counter-based
+    All randomness for block ``chunk`` comes from its own spawned
     substream, making the result independent of scheduling.
     """
     size = min(spec.samples - chunk * CHUNK_SAMPLES, CHUNK_SAMPLES)
-    rng = np.random.Generator(np.random.Philox(key=spec.seed, counter=[0, 0, 0, chunk]))
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(spec.seed, spawn_key=(chunk,))))
 
     # u == 0 maps to iad == 0 (an empty course); so does a course past omega
     iad = survival_quantile_core(rng.random(size), profile.survival)
@@ -215,19 +229,19 @@ def _chunk_values(
     acts = rng.poisson(lam)
     total = int(acts.sum())
     seg = np.repeat(np.arange(size), acts)
-    iad_rep = np.repeat(iad, acts)
+    iad_rep = iad[seg]
     t = rng.random(total) * iad_rep
     u_act = rng.random(total) * p_max
-    u_thin = rng.random(total)
     # 0 <= t <= iad_rep by construction: the unchecked cores apply; an act
-    # whose transmission uniform fails can never infect, so the activity
-    # kernel runs only on the acts that pass it (about a fifth at baseline)
+    # whose transmission uniform fails can never infect, so its activity
+    # uniform is never drawn and the activity kernel runs only on the acts
+    # that pass (about a fifth at baseline)
     p = transmission_prob_core(
         t, iad_rep, profile.viral, profile.transmission, profile.x_plateau
     )
     keep = np.flatnonzero(u_act < p)
     g = activity_fraction_core(t[keep], iad_rep[keep], profile.activity)
-    infected = keep[u_thin[keep] < g]
+    infected = keep[rng.random(keep.size) < g]
     counts = np.bincount(seg[infected], minlength=size)
     return counts / delta
 

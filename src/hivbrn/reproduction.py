@@ -71,6 +71,10 @@ MAX_TAIL_MASS = 1e-6
 # |ISA - I0| within this relative band counts as critical
 CRITICAL_BAND = 1e-9
 
+# a sex's reproduction number is delta times an integral of at most the
+# horizon: at most the box's largest delta times its longest horizon, 1e7
+MAX_BRN = RANGES["delta"][1] * RANGES["omega"][1]
+
 # geometric ratio between neighbouring graded quadrature panels
 GRADING = 0.15
 
@@ -340,7 +344,10 @@ def link_integrals(
         return values
     k = values.index(None)
     reason = f"relative error {err[k]:.2e} above target {quad.tol:g}"
-    if not math.isfinite(err[k]):
+    if not math.isfinite(err[k]) and tail_mass(tau, profile.survival) == 0.0:
+        # the integral is below the survival mass past tau1, which is 0
+        reason = f"no course outlives tau1 {tau:g}, so none carries activity and every level's total was 0"
+    elif not math.isfinite(err[k]):
         reached = survival_density_core(y, profile.survival).any()
         cause = "the integrand underflows to 0 at every node with" if reached else "the mesh never reached the"
         reason = f"no level's total was positive: {cause} survival mass below omega {omega:g}"
@@ -381,10 +388,14 @@ def sex_integrals(
 
 
 def sex_brn(delta: float, integral: float) -> float:
-    """Sex-specific reproduction number: annual act rate times the integral."""
+    """Sex-specific reproduction number: annual act rate times the integral,
+    at most ``MAX_BRN``."""
     if delta < 0:
         raise DomainError("delta must be >= 0")
-    return delta * integral
+    r = delta * integral
+    if not 0 <= r <= MAX_BRN:
+        raise DomainError(f"delta * integral must be in [0, {MAX_BRN:g}]")
+    return r
 
 
 def index_i0(integral_f: float, integral_m: float) -> float:
@@ -406,10 +417,11 @@ def composite_r0(r_fm: float, r_mf: float) -> float:
     """Composite reproduction number ``sqrt(r_fm * r_mf)``.
 
     Dominant eigenvalue of the 2x2 anti-diagonal next-generation matrix;
-    transmission takes two generations to return to the same sex.
+    transmission takes two generations to return to the same sex.  Each
+    number is at most ``MAX_BRN``, so the product cannot overflow.
     """
-    if r_fm < 0 or r_mf < 0:
-        raise DomainError("reproduction numbers must be >= 0")
+    if not (0 <= r_fm <= MAX_BRN and 0 <= r_mf <= MAX_BRN):
+        raise DomainError(f"reproduction numbers must be in [0, {MAX_BRN:g}]")
     return math.sqrt(r_fm * r_mf)
 
 

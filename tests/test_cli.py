@@ -241,7 +241,7 @@ class TestEval:
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1
-        assert "never reached the survival mass below omega 40 " in err
+        assert "no course outlives tau1 5, so none carries activity " in err
 
     @pytest.mark.parametrize(
         "argv", [["eval"], ["simulate", "--sex", "female", "--samples", "4096"]],

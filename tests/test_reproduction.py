@@ -170,14 +170,15 @@ class TestSexIntegral:
             )
 
     def test_mesh_missing_the_survival_mass_says_so(self):
-        # every level's outer panels start past the survival mass, so every
-        # total is 0 and no relative error exists
+        # the whole survival mass lies before tau1, so every course is too
+        # short to carry activity, every total is 0 and no relative error
+        # exists: the message says so instead of blaming the mesh
         female = parse_scenario(UNREACHED).population.female
         with pytest.raises(QuadratureFailure) as err:
             sex_integral(female, 40.0)
         assert str(err.value) == (
-            "no level's total was positive: the mesh never reached the survival "
-            "mass below omega 40 after 8 graded levels"
+            "no course outlives tau1 5, so none carries activity and every "
+            "level's total was 0 after 8 graded levels"
         )
 
     def test_underflowing_integrand_says_so(self, female):
@@ -347,6 +348,13 @@ class TestSexBrn:
         with pytest.raises(DomainError):
             sex_brn(-1.0, 0.01)
 
+    def test_bounded_by_the_box(self):
+        # the box's largest delta times its longest horizon bounds the number
+        assert sex_brn(1e4, 1e3) == 1e7
+        for delta, integral in ((1e4, 1e3 * (1 + 1e-15)), (1e200, 1e160), (1.0, -0.5), (1.0, math.nan)):
+            with pytest.raises(DomainError, match=r"delta \* integral must be in \[0, 1e\+07\]"):
+                sex_brn(delta, integral)
+
 
 class TestIndices:
     def test_i0_baseline(self, baseline_integrals):
@@ -400,6 +408,10 @@ class TestIndices:
         assert composite_r0(1e7, 1e7) == 1e7
         with pytest.raises(DomainError):
             composite_r0(-0.1, 1.0)
+        # numbers past that bound, whose product overflowed to inf, are refused
+        for pair in ((1e200, 1e160), (1e7 * (1 + 1e-15), 1.0), (1.0, math.nan)):
+            with pytest.raises(DomainError, match=r"reproduction numbers must be in \[0, 1e\+07\]"):
+                composite_r0(*pair)
 
 
 def with_deltas(population, delta_f, delta_m):

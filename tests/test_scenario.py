@@ -1,6 +1,8 @@
 import dataclasses
+import math
 import string
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from hivbrn import (
     load_scenario,
     parse_scenario,
 )
+from hivbrn.errors import DomainError, check_range
 from hivbrn.scenario import default_values
 
 
@@ -128,6 +131,22 @@ class TestRejection:
             parse_scenario(f"[female]\nphi = 0.6\n{key} = {raw}\n")
         assert key in str(err.value)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "value, ok",
+        [(5.0, True), (1e3, True), (1e-3, True), (1e3 * (1 + 1e-15), False),
+         (0.0, False), (-1.0, False), (math.nan, False), (math.inf, False)],
+    )
+    def test_range_check_of_a_float_and_an_array(self, value, ok):
+        # a float (np.float64 is one) takes the direct comparison, an array
+        # np.all; every form gives the same verdict and message
+        for form in (value, np.float64(value), np.array([5.0, value])):
+            if ok:
+                check_range(form, "tau1")
+                continue
+            with pytest.raises(DomainError) as err:
+                check_range(form, "tau1", "terminal_lead")
+            assert str(err.value) == "terminal_lead (tau1) must be in [0.001, 1000]"
 
     def test_bad_integer(self):
         with pytest.raises(ScenarioError) as err:
