@@ -47,7 +47,7 @@ FEASIBLE_DELTA_F = (208.0, 468.0)
 # most rows a trajectory or a phase output may ask for; checked before allocating
 MAX_ROWS = 1_000_000
 # most --factors a phase or sweep may list; sweep's scale_endpoints mode
-# integrates each sex once, adding one link pass per factor on every level
+# integrates each sex once per factor, on the blocks the config keeps
 MAX_FACTORS = 1000
 
 

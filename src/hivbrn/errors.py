@@ -11,15 +11,7 @@ class DomainError(ValueError):
 
 
 class QuadratureFailure(RuntimeError):
-    """The quadrature error target was not met at maximum refinement.
-
-    ``link`` is the 0-based index of the failing link when the integral ran
-    under several transmission links, else None.
-    """
-
-    def __init__(self, message: str, link: int | None = None):
-        self.link = link
-        super().__init__(message)
+    """The quadrature error target was not met at maximum refinement."""
 
 
 class ScenarioError(ValueError):

@@ -133,7 +133,7 @@ def _panel_values(lo: np.ndarray, hi: np.ndarray, profile: SexProfile) -> np.nda
     ages = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _CHEB[:, None]
     iad = ages.ravel()
     blocks = inner_blocks(iad, profile, TABLE_LEVEL)
-    return inner_integrals(iad, blocks, [profile.transmission], TABLE_LEVEL)[0].reshape(ages.shape)
+    return inner_integrals(iad, blocks, profile.transmission, TABLE_LEVEL).reshape(ages.shape)
 
 
 def _inner_table(profile: SexProfile, omega: float) -> tuple[np.ndarray, np.ndarray]:
@@ -177,8 +177,7 @@ def _tabulated_inner(
     if direct.any():
         ages = iad[direct]
         blocks = inner_blocks(ages, profile, DIRECT_LEVEL)
-        rows = inner_integrals(ages, blocks, [profile.transmission], DIRECT_LEVEL)
-        out[direct] = rows[0]
+        out[direct] = inner_integrals(ages, blocks, profile.transmission, DIRECT_LEVEL)
     y = iad[on]
     # edges[k] < y <= edges[k + 1], so every panel used has a positive width;
     # the last panel also takes an age that omega exceeds its end by rounding

@@ -19,11 +19,11 @@ decline, never on the contact rates, so the R0 = 1 locus in the
 (delta_m, delta_f) plane is the fixed hyperbola delta_m * delta_f = I0**2.
 
 Transmission variants of one sex profile, such as the endpoint factors of a
-sensitivity sweep, differ only in the cloglog link: they share one mesh per
-level, on which ``G``, the viral load and the survival density are computed
-once (:func:`link_integrals`).  A population keeps, per sex and level, its
-own link's total and the first levels' blocks, so its threshold pair at any
-tolerance and a later endpoint sweep compute each once.
+sensitivity sweep, differ only in the cloglog link, and each is integrated
+on its own (:func:`link_integrals`).  A population keeps, per sex and level,
+its own link's total and the first levels' link-free blocks (``G``, the
+viral load and the survival density), so its threshold pair at any
+tolerance and every endpoint factor on those levels compute each once.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ MAX_REFINE = 16
 
 # a config keeps its link-free blocks up to this level: (15 + 40 + 77) * 576
 # nodes x 2 arrays x 8 B, about 1.2 MB per sex, where levels 0 to 8 would
-# hold 19 MB; no case of the benchmark's box refines past level 2
+# hold 19 MB; no case of the benchmark's box refines past level 2.  Past it,
+# each endpoint factor rebuilds the blocks of every level it reaches
 MAX_KEPT_LEVEL = 2
 
 
@@ -265,93 +266,76 @@ def inner_blocks(
 def inner_integrals(
     iad: np.ndarray,
     blocks: "list[tuple[np.ndarray, np.ndarray]]",
-    links: "list[TransmissionParams]",
+    link: TransmissionParams,
     level: int,
 ) -> np.ndarray:
     """``int_0^iad G(x, iad) * ptr(x, iad) dx`` for each age at death under
-    each link, shape ``(len(links), iad.size)``, by ``ORDER``-node
-    Gauss-Legendre on the level-``level`` panels as fractions of ``iad``,
-    from that level's :func:`inner_blocks`: each link adds one cloglog pass
-    per panel."""
-    out = np.zeros((len(links), iad.size))
+    ``link``, by ``ORDER``-node Gauss-Legendre on the level-``level`` panels
+    as fractions of ``iad``, from that level's :func:`inner_blocks`: one
+    cloglog pass per panel."""
+    out = np.zeros(iad.size)
     for (g, load), weights in zip(blocks, _graded_rule(level, both_ends=True)[1]):
-        for row, link in zip(out, links):
-            row += (g * cloglog_core(load, link)) @ weights
+        out += (g * cloglog_core(load, link)) @ weights
     return out * iad
 
 
 def link_integrals(
     profile: SexProfile,
-    links: "list[TransmissionParams]",
+    link: TransmissionParams,
     omega: float,
     quad: QuadratureSpec | None = None,
     memo: dict | None = None,
-) -> list[float]:
-    """:func:`sex_integral` of ``profile`` under each link in ``links``, on one
-    shared mesh per level: the links differ only in the cloglog pass of
-    :func:`inner_integrals`.  Each link keeps its own level sequence and
-    convergence test, so each value is bit for bit its one-link integral.
-    Raises the :class:`QuadratureFailure` of the first failing link, in link
-    order, once every link has run out of levels or converged; its ``link``
-    is that link's index.
+) -> float:
+    """:func:`sex_integral` of ``profile`` under ``link``, which may be a
+    scaled variant of its own: only the cloglog pass of
+    :func:`inner_integrals` reads it.
 
     ``memo`` (``PopulationConfig._levels[sex]``, else a throwaway dict) keeps
     per level the total of the profile's own link and, up to
     ``MAX_KEPT_LEVEL``, the link-free blocks: the survival density and
     :func:`inner_blocks` on the outer nodes.  A level's kept work is read and
-    its missing work stored, even when a link then fails.
+    its missing work stored, even when the integral then fails.
     """
     quad = quad or QuadratureSpec()
     memo = {} if memo is None else memo
     check_range(omega, "omega")
     tau = profile.activity.terminal_lead
     if omega <= tau:
-        return [0.0] * len(links)
-    own = [link == profile.transmission for link in links]
-    values = [None] * len(links)
-    prev = [0.0] * len(links)
-    err = [math.inf] * len(links)
+        return 0.0
+    own = link == profile.transmission
+    prev, err = 0.0, math.inf
     for level in range(quad.max_refine + 1):
-        todo = [k for k, value in enumerate(values) if value is None]
-        if not todo:
-            return values
         # the integrand vanishes for y <= tau1: outer panels span [tau1, omega]
         nodes, weights = _graded_rule(level, both_ends=False)
         y = (tau + (omega - tau) * nodes).ravel()
         kept = memo.setdefault(level, {})
-        totals = {k: kept["total"] for k in todo if own[k] and "total" in kept}
-        rest = [k for k in todo if k not in totals]
-        if rest:
+        if own and "total" in kept:
+            total = kept["total"]
+        else:
             density, panels = kept.get("blocks") or (
                 survival_density_core(y, profile.survival), inner_blocks(y, profile, level)
             )
             if level <= MAX_KEPT_LEVEL:
                 kept["blocks"] = density, panels
-            inner = inner_integrals(y, panels, [links[k] for k in rest], level)
-            for k, row in zip(rest, inner):
-                totals[k] = (omega - tau) * float(weights.ravel() @ (density * row))
-                if own[k]:
-                    kept["total"] = totals[k]
-        for k in todo:
-            total = totals[k]
-            # the integrand is positive past tau1: a zero total missed the mass or underflowed
-            if level and total > 0:
-                err[k] = abs(total - prev[k]) / total
-                if err[k] <= quad.tol:
-                    values[k] = total
-            prev[k] = total
-    if None not in values:
-        return values
-    k = values.index(None)
-    reason = f"relative error {err[k]:.2e} above target {quad.tol:g}"
-    if not math.isfinite(err[k]) and tail_mass(tau, profile.survival) == 0.0:
+            inner = inner_integrals(y, panels, link, level)
+            total = (omega - tau) * float(weights.ravel() @ (density * inner))
+            if own:
+                kept["total"] = total
+        # the integrand is positive past tau1: a zero total missed the mass or underflowed
+        if level and total > 0:
+            err = abs(total - prev) / total
+            if err <= quad.tol:
+                return total
+        prev = total
+    reason = f"relative error {err:.2e} above target {quad.tol:g}"
+    if not math.isfinite(err) and tail_mass(tau, profile.survival) == 0.0:
         # the integral is below the survival mass past tau1, which is 0
         reason = f"no course outlives tau1 {tau:g}, so none carries activity and every level's total was 0"
-    elif not math.isfinite(err[k]):
+    elif not math.isfinite(err):
         reached = survival_density_core(y, profile.survival).any()
         cause = "the integrand underflows to 0 at every node with" if reached else "the mesh never reached the"
         reason = f"no level's total was positive: {cause} survival mass below omega {omega:g}"
-    raise QuadratureFailure(f"{reason} after {quad.max_refine} graded levels", k)
+    raise QuadratureFailure(f"{reason} after {quad.max_refine} graded levels")
 
 
 def sex_integral(
@@ -363,11 +347,10 @@ def sex_integral(
     0 <= x <= y <= omega on graded meshes of rising level until two
     consecutive levels agree to ``quad.tol`` relative to the newer total,
     which must be positive; raises :class:`QuadratureFailure` if the budget
-    runs out.  The one-link case of :func:`link_integrals`, whose value and
-    failure it returns and raises as they are.
+    runs out.  :func:`link_integrals` under the profile's own link, keeping
+    nothing.
     """
-    (value,) = link_integrals(profile, [profile.transmission], omega, quad)
-    return value
+    return link_integrals(profile, profile.transmission, omega, quad)
 
 
 def sex_integrals(
@@ -382,7 +365,7 @@ def sex_integrals(
     kept totals.
     """
     return tuple(
-        link_integrals(prof, [prof.transmission], config.omega, quad, config._levels[prof.label])[0]
+        link_integrals(prof, prof.transmission, config.omega, quad, config._levels[prof.label])
         for prof in (config.female, config.male)
     )
 
@@ -514,14 +497,14 @@ def sensitivity_sweep(
     :func:`sex_integrals` pair that the config keeps;
     ``scale_endpoints`` rescales the two anchor probabilities and re-derives
     the link, which is only approximately linear.  :func:`scaled_links`
-    checks every factor before any integral.  The endpoint sweep then
-    integrates each sex once per call, with every factor's link on one
-    shared mesh per level (:func:`link_integrals`), female first: a failure
-    is the first failing female factor's, else the first failing male
-    factor's, and a female failure leaves the male integrals unrun.  It
-    reads and fills the config's levels, which :func:`sex_integrals`
-    shares, so after :func:`evaluate_brn` only the cloglog passes run on
-    levels up to ``MAX_KEPT_LEVEL``; it keeps no total of a scaled link.
+    checks every factor before any integral.  The endpoint sweep then runs
+    one :func:`link_integrals` per sex and factor, female factors first, and
+    stops at the first failure: the first failing female factor's, else the
+    first failing male factor's, so a female failure leaves the male
+    integrals unrun.  Every call reads and fills the config's levels, which
+    :func:`sex_integrals` shares, so the blocks up to ``MAX_KEPT_LEVEL`` are
+    built once per sex and each factor adds only its cloglog passes there;
+    it keeps no total of a scaled link.
     """
     links = scaled_links(config, scale_factors, mode)
     if not scale_factors:
@@ -529,16 +512,13 @@ def sensitivity_sweep(
     if mode == "scale_function":
         i0 = index_i0(*sex_integrals(config, quad))
         return [(factor, i0 / factor) for factor in scale_factors]
-    # one shared mesh per level and sex carries every factor's link
-    integrals = []
-    for prof, sex_links in zip((config.female, config.male), links):
-        try:
-            integrals.append(
-                link_integrals(prof, sex_links, config.omega, quad, config._levels[prof.label])
-            )
-        except QuadratureFailure as exc:
-            factor = scale_factors[exc.link]
-            raise QuadratureFailure(f"{_scaled(prof.label, factor)}: {exc}") from exc
+    integrals = ([], [])
+    for prof, sex_links, out in zip((config.female, config.male), links, integrals):
+        for factor, link in zip(scale_factors, sex_links):
+            try:
+                out.append(link_integrals(prof, link, config.omega, quad, config._levels[prof.label]))
+            except QuadratureFailure as exc:
+                raise QuadratureFailure(f"{_scaled(prof.label, factor)}: {exc}") from exc
     pairs = []
     for factor, f, m in zip(scale_factors, *integrals):
         try:

@@ -884,41 +884,49 @@ class TestScenarioEquivalence:
             )
 
 
+# the baseline's integrals converge at level 1
+FEMALE_BLOCKS = [("female", 0), ("female", 1)]
+BOTH_BLOCKS = FEMALE_BLOCKS + [("male", 0), ("male", 1)]
+
+
 @pytest.mark.parametrize(
-    "argv, calls",
+    "argv, calls, blocks",
     [
-        (("eval",), [("female", 1), ("male", 1)]),
-        (("phase",), [("female", 1), ("male", 1)]),
-        (("sweep",), [("female", 1), ("male", 1)]),
+        (("eval",), ["female", "male"], BOTH_BLOCKS),
+        (("phase",), ["female", "male"], BOTH_BLOCKS),
+        (("sweep",), ["female", "male"], BOTH_BLOCKS),
         (
             ("sweep", "--mode", "scale_endpoints", "--factors", "0.5,1,2"),
-            [("female", 3), ("male", 3)],
+            ["female"] * 3 + ["male"] * 3,
+            BOTH_BLOCKS,
         ),
-        (("simulate", "--samples", "4096", "--sex", "female"), [("female", 1)]),
+        (("simulate", "--samples", "4096", "--sex", "female"), ["female"], FEMALE_BLOCKS),
     ],
     ids=["eval", "phase", "sweep", "scale_endpoints", "simulate_female"],
 )
-def test_sex_integral_calls_per_command(capsys, monkeypatch, argv, calls):
+def test_sex_integral_calls_per_command(capsys, monkeypatch, argv, calls, blocks):
     # every threshold number comes from one (I_f, I_m) pair per population;
-    # the endpoint sweep integrates each sex once, with every factor's link;
-    # simulate integrates only the sexes it simulates.  Every integral runs
-    # its links' level-0 pass right after that level's blocks for its sex
-    seen, sexes = [], []
+    # the endpoint sweep integrates each sex once per factor, yet builds each
+    # sex's blocks once per level, as eval does, so its cost stays flat in
+    # the factor count; simulate integrates only the sexes it simulates.
+    # The last block build before an integral's level-0 pass is of its sex
+    seen, builds = [], []
     build, integrate = reproduction.inner_blocks, reproduction.inner_integrals
 
     def built(iad, profile, level):
-        sexes.append(profile.label)
+        builds.append((profile.label, level))
         return build(iad, profile, level)
 
-    def passed(iad, blocks, links, level):
+    def passed(iad, blocks, link, level):
         if level == 0:
-            seen.append((sexes[-1], len(links)))
-        return integrate(iad, blocks, links, level)
+            seen.append(builds[-1][0])
+        return integrate(iad, blocks, link, level)
 
     monkeypatch.setattr(reproduction, "inner_blocks", built)
     monkeypatch.setattr(reproduction, "inner_integrals", passed)
     assert run(capsys, *argv)[0] == 0
     assert seen == calls
+    assert builds == blocks
 
 
 def test_import_loads_no_process_pool():

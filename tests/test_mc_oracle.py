@@ -251,7 +251,7 @@ class TestInnerTable:
         ))
         ages[ages > omega] = 0.0
         # level 10, well above TABLE_LEVEL, so that the fill's own error shows
-        ref = inner_integrals(ages, inner_blocks(ages, profile, 10), [profile.transmission], 10)[0]
+        ref = inner_integrals(ages, inner_blocks(ages, profile, 10), profile.transmission, 10)
         err = np.abs(mc._tabulated_inner(ages, profile, table) - ref)
         assert err.max() <= 1e-7 * ref[:1000].mean()
 

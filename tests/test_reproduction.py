@@ -576,12 +576,12 @@ class TestSensitivity:
         ids=["baseline", "alpha1-corner", "alpha3-M2", "csw_clients"],
     )
     def test_endpoint_sweep_is_bit_identical_per_factor(self, text, factors, split_level):
-        # the factors share one mesh per level, yet each keeps the value of
-        # its own pair of integrals, bit for bit
+        # the factors share the config's kept blocks, yet each keeps the
+        # value of its own pair of integrals, bit for bit
         scenario = parse_scenario(text)
         pop, quad = scenario.population, scenario.quadrature
         # premise: at split_level some factors' integrals have converged and
-        # some have not, so the shared levels run for a subset of the links
+        # some have not, so the factors stop at different levels
         short = dataclasses.replace(quad, max_refine=split_level)
         settled = [
             settles(prof, factor, pop.omega, short)
@@ -623,7 +623,8 @@ class TestSensitivity:
         assert failed == (tol == 9e-4)
 
     def test_female_failure_leaves_male_integrals_unrun(self, monkeypatch):
-        # at 9e-4 the female factor 0.1 fails, so the male links never run
+        # at 9e-4 the female factor 0.1 fails, the last of the three female
+        # integrals, so no male integral runs
         pop = parse_scenario(PEAK).population
         calls = []
         original = reproduction.link_integrals
@@ -639,7 +640,7 @@ class TestSensitivity:
             match="^female transmission probability scaled by 0.1: relative error 6.22e-03 ",
         ):
             sensitivity_sweep(pop, [60.0, 0.5, 0.1], "scale_endpoints", quad)
-        assert calls == ["female"]
+        assert calls == ["female"] * 3
 
 
 class TestBlockMemo:
@@ -665,8 +666,8 @@ class TestBlockMemo:
 
     @staticmethod
     def record_work(monkeypatch):
-        """Each block build as ``(sex, level)`` and each per-link pass as
-        ``(level, links)``, in call order."""
+        """Each block build as ``(sex, level)`` and each one-link pass as
+        its level, in call order."""
         work = {"blocks": [], "passes": []}
         build, integrate = reproduction.inner_blocks, reproduction.inner_integrals
 
@@ -674,9 +675,9 @@ class TestBlockMemo:
             work["blocks"].append((profile.label, level))
             return build(iad, profile, level)
 
-        def passed(iad, blocks, links, level):
-            work["passes"].append((level, len(links)))
-            return integrate(iad, blocks, links, level)
+        def passed(iad, blocks, link, level):
+            work["passes"].append(level)
+            return integrate(iad, blocks, link, level)
 
         monkeypatch.setattr(reproduction, "inner_blocks", built)
         monkeypatch.setattr(reproduction, "inner_integrals", passed)
@@ -721,7 +722,7 @@ class TestBlockMemo:
         work["passes"].clear()
         assert pair == sex_integrals(parse_scenario("").population, tight)
         assert kept["blocks"] == [(sex, level) for sex, level in work["blocks"] if level > 1]
-        assert kept["passes"] == [(level, n) for level, n in work["passes"] if level > 1]
+        assert kept["passes"] == [level for level in work["passes"] if level > 1]
         assert kept["blocks"]
 
     @pytest.mark.parametrize(
