@@ -46,8 +46,7 @@ FEASIBLE_DELTA_M = (26.0, 104.0)
 FEASIBLE_DELTA_F = (208.0, 468.0)
 # most rows a trajectory or a phase output may ask for; checked before allocating
 MAX_ROWS = 1_000_000
-# most --factors a phase or sweep may list; sweep's scale_endpoints mode
-# integrates each sex once per factor, on the blocks the config keeps
+# most --factors a phase or sweep may list; each costs at most one integral per sex
 MAX_FACTORS = 1000
 
 

@@ -21,9 +21,9 @@ decline, never on the contact rates, so the R0 = 1 locus in the
 Transmission variants of one sex profile, such as the endpoint factors of a
 sensitivity sweep, differ only in the cloglog link, and each is integrated
 on its own (:func:`link_integrals`).  A population keeps, per sex and level,
-its own link's total and the first levels' link-free blocks (``G``, the
-viral load and the survival density), so its threshold pair at any
-tolerance and every endpoint factor on those levels compute each once.
+every such link's total and the first levels' link-free blocks (``G``, the
+viral load and the survival density): at any tolerance it integrates each
+link on a level once, and its endpoint factors share those blocks.
 """
 
 from __future__ import annotations
@@ -178,6 +178,11 @@ class PopulationConfig:
                     f"{balanced:g} by act balance, not {delta_m:g}"
                 )
         for prof in (self.female, self.male):
+            try:
+                (self.omega / prof.survival.scale) ** prof.survival.shape
+            except OverflowError:
+                raise DomainError(f"{prof.label} beta={prof.survival.shape:g} overflows (omega/scale)**beta "
+                                  f"at omega={self.omega:g}; the survival density needs it finite") from None
             mass = tail_mass(self.omega, prof.survival)
             if mass >= MAX_TAIL_MASS:
                 raise DomainError(
@@ -189,7 +194,7 @@ class PopulationConfig:
     def _levels(self) -> "dict[str, dict]":
         """Per sex label, the ``memo`` of :func:`link_integrals` by level,
         filled by :func:`sex_integrals` and the endpoint sweep.  What it keeps
-        depends on the profile, ``omega`` and the level only, so it serves
+        depends on the link, profile, ``omega`` and level only, so it serves
         every quadrature; in the instance's ``__dict__``, so ``==``, ``hash``
         and ``replace`` skip it."""
         return {"female": {}, "male": {}}
@@ -291,8 +296,8 @@ def link_integrals(
     :func:`inner_integrals` reads it.
 
     ``memo`` (``PopulationConfig._levels[sex]``, else a throwaway dict) keeps
-    per level the total of the profile's own link and, up to
-    ``MAX_KEPT_LEVEL``, the link-free blocks: the survival density and
+    per level each link's total, keyed by the link, and, up to
+    ``MAX_KEPT_LEVEL``, under ``"blocks"`` the survival density and
     :func:`inner_blocks` on the outer nodes.  A level's kept work is read and
     its missing work stored, even when the integral then fails.
     """
@@ -302,25 +307,21 @@ def link_integrals(
     tau = profile.activity.terminal_lead
     if omega <= tau:
         return 0.0
-    own = link == profile.transmission
     prev, err = 0.0, math.inf
     for level in range(quad.max_refine + 1):
         # the integrand vanishes for y <= tau1: outer panels span [tau1, omega]
         nodes, weights = _graded_rule(level, both_ends=False)
         y = (tau + (omega - tau) * nodes).ravel()
         kept = memo.setdefault(level, {})
-        if own and "total" in kept:
-            total = kept["total"]
-        else:
+        if link not in kept:
             density, panels = kept.get("blocks") or (
                 survival_density_core(y, profile.survival), inner_blocks(y, profile, level)
             )
             if level <= MAX_KEPT_LEVEL:
                 kept["blocks"] = density, panels
             inner = inner_integrals(y, panels, link, level)
-            total = (omega - tau) * float(weights.ravel() @ (density * inner))
-            if own:
-                kept["total"] = total
+            kept[link] = (omega - tau) * float(weights.ravel() @ (density * inner))
+        total = kept[link]
         # the integrand is positive past tau1: a zero total missed the mass or underflowed
         if level and total > 0:
             err = abs(total - prev) / total
@@ -502,9 +503,8 @@ def sensitivity_sweep(
     stops at the first failure: the first failing female factor's, else the
     first failing male factor's, so a female failure leaves the male
     integrals unrun.  Every call reads and fills the config's levels, which
-    :func:`sex_integrals` shares, so the blocks up to ``MAX_KEPT_LEVEL`` are
-    built once per sex and each factor adds only its cloglog passes there;
-    it keeps no total of a scaled link.
+    :func:`sex_integrals` shares: the blocks up to ``MAX_KEPT_LEVEL`` are
+    built once per sex, and each link's total once per level.
     """
     links = scaled_links(config, scale_factors, mode)
     if not scale_factors:

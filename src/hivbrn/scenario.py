@@ -133,8 +133,6 @@ def _resolve(values: dict[str, dict]) -> Scenario:
         )
     except DomainError as exc:
         raise ScenarioError(str(exc)) from exc
-    except OverflowError as exc:
-        raise ScenarioError("scenario values overflow double precision") from exc
 
 
 def _convert(section: str, key: str, raw: str, baseline, line: int):

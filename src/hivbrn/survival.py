@@ -47,10 +47,11 @@ def survival_density_core(x, p: SurvivalParams):
     """Unchecked :func:`survival_density` for x >= 0.  Past ``x = a``,
     ``z**(b-1)`` with ``z = x/a`` is below ``z**b``, which a valid horizon
     keeps finite, so a steep shape cannot overflow beside an ``exp`` that
-    underflows to 0."""
+    underflows to 0.  At x = 0 a shape below 1 gives ``inf``, the limit."""
     a, b = p.scale, p.shape
     z = x / a
-    return b / a * (z ** (b - 1.0) * np.exp(-(z**b)))
+    with np.errstate(divide="ignore"):
+        return b / a * (z ** (b - 1.0) * np.exp(-(z**b)))
 
 
 def survival_quantile_core(u, p: SurvivalParams):
@@ -60,7 +61,9 @@ def survival_quantile_core(u, p: SurvivalParams):
 
 
 def tail_mass(horizon: float, p: SurvivalParams) -> float:
-    """Probability of dying later than ``horizon`` years after infection."""
-    if horizon < 0:
+    """Probability of dying later than ``horizon`` years after infection; a
+    power that overflows, quietly to ``inf`` as a numpy scalar, leaves 0."""
+    if not horizon >= 0:
         raise DomainError("horizon must be >= 0")
-    return float(np.exp(-((horizon / p.scale) ** p.shape)))
+    with np.errstate(over="ignore"):
+        return float(np.exp(-(np.float64(horizon / p.scale) ** p.shape)))

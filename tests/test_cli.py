@@ -196,8 +196,8 @@ class TestEval:
             ("[female]\nM1 = 0.0010000000000000002\nm = 0.001\n", "10**peak_log_vl (M1)"),
             ("[population]\npop_female = 1\npop_male = 8\n", "act balance"),
             ("[male]\nalpha2 = 800\n", "line 2: [male] alpha2 must be in [-50, 50]"),
-            # inside the box, the tail mass's power still overflows
-            ("[female]\nbeta = 470\n", "scenario values overflow double precision"),
+            # inside the box, the survival density's power still overflows
+            ("[female]\nbeta = 470\n", "female beta=470 overflows (omega/scale)**beta at omega=40"),
         ],
         ids=["order", "max_refine", "max_refine_zero", "samples", "omega", "median",
              "median_subnormal", "beta_over_subnormal_scale", "plateau_point", "M1",

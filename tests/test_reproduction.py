@@ -34,7 +34,7 @@ from hivbrn import (
 from hivbrn.behavior import activity_fraction, activity_fraction_core
 from hivbrn.natural_history import transmission_prob, transmission_prob_core
 from hivbrn.survival import survival_density
-from hivbrn.reproduction import CRITICAL_BAND, MAX_REFINE
+from hivbrn.reproduction import CRITICAL_BAND, MAX_REFINE, scaled_links
 
 from conftest import HUGE, LONG, PARAM_BOX, UNREACHED
 
@@ -644,10 +644,10 @@ class TestSensitivity:
 
 
 class TestBlockMemo:
-    """A config keeps, per sex and level, its own link's total and, up to
-    ``MAX_KEPT_LEVEL``, the link-free blocks ``G`` and the viral load: its
-    pair, at any quadrature, and its endpoint sweeps compute each once, and
-    every value keeps a fresh config's bits."""
+    """A config keeps, per sex and level, the total of every link integrated
+    on it and, up to ``MAX_KEPT_LEVEL``, the link-free blocks ``G`` and the
+    viral load: its pair, at any quadrature, and its endpoint sweeps compute
+    each once, and every value keeps a fresh config's bits."""
 
     FACTORS = [0.5, 2.0]
     HARD = "[quadrature]\ntol = 1e-16\nmax_refine = 1\n"
@@ -726,32 +726,56 @@ class TestBlockMemo:
         assert kept["blocks"]
 
     @pytest.mark.parametrize(
-        "text, edit",
+        "text, edit, factors",
         [
-            (HARD, None),
-            (UNREACHED, None),
-            ("", lambda pop: dataclasses.replace(pop, female=scaled_profile(pop.female, 1e-320))),
+            (HARD, None, None),
+            (UNREACHED, None, None),
+            ("", lambda pop: dataclasses.replace(pop, female=scaled_profile(pop.female, 1e-320)), None),
+            # the endpoint sweep's last female factor fails
+            (PEAK + "[quadrature]\ntol = 9e-4\n", None, [60.0, 0.5, 0.1]),
         ],
-        ids=["relative-error", "unreached-mass", "underflow"],
+        ids=["relative-error", "unreached-mass", "underflow", "scaled-factor"],
     )
-    def test_failure_is_raised_again_from_kept_totals(self, monkeypatch, text, edit):
+    def test_failure_is_raised_again_from_kept_totals(self, monkeypatch, text, edit, factors):
         work = self.record_work(monkeypatch)
         scenario = parse_scenario(text)
         pop = edit(scenario.population) if edit else scenario.population
+        if factors is None:
+            integrate, female, named = evaluate_brn, pop.female, ""
+        else:
+            def integrate(pop, quad):
+                return sensitivity_sweep(pop, factors, "scale_endpoints", quad)
+
+            female = scaled_profile(pop.female, factors[-1])
+            named = f"female transmission probability scaled by {factors[-1]:g}: "
 
         def failure(integrate, *args):
             with pytest.raises(QuadratureFailure) as failed:
                 integrate(*args, scenario.quadrature)
             return str(failed.value)
 
-        message = failure(evaluate_brn, pop)
+        message = failure(integrate, pop)
         once = copy.deepcopy(work)
         # the female integral fails first, so the male one never runs, and
         # the retry reads every level's total: no kernel call, the same text
         assert {sex for sex, _ in once["blocks"]} == {"female"}
-        assert failure(evaluate_brn, pop) == message
+        assert failure(integrate, pop) == message
         assert work == once
-        assert failure(sex_integral, pop.female, pop.omega) == message
+        assert message == named + failure(sex_integral, female, pop.omega)
+
+    def test_kept_factors_integrate_nothing(self, monkeypatch):
+        # every scaled link keeps its totals: a second sweep on one config
+        # and a repeated factor make no pass, and give the first sweep's bits
+        work = self.record_work(monkeypatch)
+        pop = parse_scenario("").population
+        swept = self.sweep(pop)
+        once = copy.deepcopy(work)
+        assert once["passes"]
+        assert self.sweep(pop) == swept
+        assert work == once
+        doubled = sensitivity_sweep(parse_scenario("").population, [0.5, *self.FACTORS], "scale_endpoints")
+        assert doubled == [swept[0], *swept]
+        assert work == {name: 2 * done for name, done in once.items()}
 
     def test_threads_racing_on_one_config_agree(self):
         # a race on the kept levels at most computes the same bits twice:
@@ -799,12 +823,13 @@ class TestBlockMemo:
         assert alone > 0
         calls.clear()
         pop = parse_scenario("").population
+        links = dict(zip(("female", "male"), scaled_links(pop, self.FACTORS, "scale_endpoints")))
         if sweep_first:
             got_swept = self.sweep(pop)
-            # the scaled links keep no total
+            # the scaled links keep their totals
             assert [set(kept) for levels in pop._levels.values() for kept in levels.values()] == [
-                {"blocks"}
-            ] * 4
+                {"blocks", *links["female"]}
+            ] * 2 + [{"blocks", *links["male"]}] * 2
             got_brn = evaluate_brn(pop)
         else:
             got_brn, got_swept = evaluate_brn(pop), self.sweep(pop)
@@ -813,9 +838,11 @@ class TestBlockMemo:
         assert len(calls) == alone
         assert got_brn == brn
         assert got_swept == swept
-        for sex in ("female", "male"):
-            assert sorted(pop._levels[sex]) == [0, 1]
-            assert [set(kept) for kept in pop._levels[sex].values()] == [{"blocks", "total"}] * 2
+        for prof in (pop.female, pop.male):
+            levels = pop._levels[prof.label]
+            assert sorted(levels) == [0, 1]
+            kept = {"blocks", prof.transmission, *links[prof.label]}
+            assert [set(level) for level in levels.values()] == [kept] * 2
 
     def test_sex_integral_keeps_no_blocks(self, monkeypatch, population):
         calls = self.count_kernel_calls(monkeypatch)
@@ -833,7 +860,7 @@ class TestBlockMemo:
         female = pop._levels["female"]
         assert sorted(female) == list(range(9))
         assert {level for level, kept in female.items() if "blocks" in kept} == {0, 1, 2}
-        assert all("total" in kept for kept in female.values())
+        assert all(pop.female.transmission in kept for kept in female.values())
         assert max(pop._levels["male"]) <= reproduction.MAX_KEPT_LEVEL
         assert result.integral_f == sex_integral(pop.female, pop.omega)
 

@@ -107,6 +107,15 @@ class TestDensity:
             got = survival_density(x, p)
             assert np.all(np.abs(got - old) <= 4 * np.spacing(old))
 
+    @pytest.mark.parametrize("shape, expected", [(0.5, np.inf), (1.0, None), (2.5, 0.0)])
+    def test_value_at_zero(self, shape, expected):
+        # the limit at x = 0, without a divide-by-zero warning: infinite
+        # below shape 1, 1/a at shape 1, 0 above
+        p = SurvivalParams(median=8.6, shape=shape)
+        expected = 1.0 / p.scale if expected is None else expected
+        assert survival_density(0.0, p) == expected
+        assert np.array_equal(survival_density(np.zeros(3), p), np.full(3, expected))
+
     def test_nonnegative(self, male_survival):
         x = np.linspace(0.0, 80.0, 500)
         assert np.all(survival_density(x, male_survival) >= 0.0)
@@ -163,8 +172,13 @@ class TestTailMass:
     def test_horizon_truncation_negligible(self, male_survival, female_survival):
         assert tail_mass(40.0, male_survival) < 1e-6
         assert tail_mass(40.0, female_survival) < 1e-6
-        with pytest.raises(DomainError, match="horizon must be >= 0"):
-            tail_mass(-1.0, male_survival)
+        for bad in (-1.0, np.nan):
+            with pytest.raises(DomainError, match="horizon must be >= 0"):
+                tail_mass(bad, male_survival)
+
+    def test_overflowing_power_leaves_no_mass(self):
+        # (40/a)**470 overflows a double; exp(-inf) is 0
+        assert tail_mass(40.0, SurvivalParams(median=8.6, shape=470.0)) == 0.0
 
     def test_complements_cdf(self, male_survival):
         # oracle: scipy's textbook Weibull CDF
