@@ -10,6 +10,7 @@ carry no activity at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -20,19 +21,19 @@ __all__ = ["ActivityParams", "activity_fraction"]
 
 @dataclass(frozen=True)
 class ActivityParams:
-    """Contact-rate parameters for one sex.
-
-    ``annual_acts`` is the scenario key ``delta``, ``residual_fraction`` is
-    ``phi`` and ``terminal_lead`` is ``tau1`` (shared with the viral-load
+    """Contact-rate parameters for one sex; ``KEYS`` maps each field to its
+    scenario key (``terminal_lead`` is shared with the viral-load
     trajectory).
     """
+
+    KEYS: ClassVar[dict] = dict(annual_acts="delta", residual_fraction="phi", terminal_lead="tau1")
 
     annual_acts: float
     residual_fraction: float
     terminal_lead: float
 
     def __post_init__(self):
-        check_ranges(self, annual_acts="delta", residual_fraction="phi", terminal_lead="tau1")
+        check_ranges(self)
 
 
 def activity_fraction(ia, iad, p: ActivityParams):

@@ -54,10 +54,10 @@ def check_range(value, key: str, name: str | None = None) -> None:
         raise DomainError(f"{label} must be in {brackets[0]}{low:g}, {high:g}{brackets[1]}")
 
 
-def check_ranges(params, **keys: str) -> None:
-    """:func:`check_range` of each named field of a parameter dataclass
-    under its scenario key, in the order given."""
-    for name, key in keys.items():
+def check_ranges(params) -> None:
+    """:func:`check_range` of each field of a parameter record under the
+    scenario key its class's ``KEYS`` maps it to, in field order."""
+    for name, key in params.KEYS.items():
         check_range(getattr(params, name), key, name)
 
 

@@ -265,8 +265,11 @@ def estimate_sex_integral(
     drawn from the Weibull law; a course that outlives ``omega`` counts as
     empty, and the act rate ``delta`` is divided out, so the estimate
     targets exactly ``sex_integral(profile, omega)``.  ``workers`` > 1
-    distributes blocks over processes without changing the result.
+    distributes blocks over processes without changing the result; it must
+    be an int >= 1.
     """
+    if type(workers) is not int or workers < 1:
+        raise DomainError("workers must be an int >= 1")
     check_range(omega, "omega")
     acts = profile.activity.annual_acts * profile.peak_prob * omega
     if spec.act_process == "poisson_thinning" and not 0 < acts <= MAX_ACTS_PER_COURSE:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,27 +42,33 @@ LN10 = math.log(10.0)
 
 @dataclass(frozen=True)
 class ViralLoadParams:
-    """Shape parameters of the log10 viral-load trajectory.
+    """Shape parameters of the log10 viral-load trajectory; ``KEYS`` maps
+    each field to its scenario key.
 
     Attributes
     ----------
     peak_time : float
-        Infective age of the first peak, years (scenario key ``ia1``).
+        Infective age of the first peak, years.
     peak_log_vl : float
-        log10 viral load at the first peak (``M1``).
+        log10 viral load at the first peak.
     plateau_log_vl : float
-        log10 viral load during the asymptomatic stage (``m``).
+        log10 viral load during the asymptomatic stage.
     terminal_lead : float
-        Time before death at which the terminal peak occurs, years (``tau1``).
+        Time before death at which the terminal peak occurs, years.
     terminal_log_vl : float
-        log10 viral load at the terminal peak (``M2``).
+        log10 viral load at the terminal peak.
     rise_shape : float
-        Shape of the early peak's rise/decay, > 1 (``alpha1``).
+        Shape of the early peak's rise/decay, > 1.
     warp_rate : float
-        Rate constant of the age warp (``alpha2``).
+        Rate constant of the age warp.
     terminal_width : float
-        Inverse-width parameter of the terminal peak, > 0 (``alpha3``).
+        Inverse-width parameter of the terminal peak, > 0.
     """
+
+    KEYS: ClassVar[dict] = dict(
+        peak_time="ia1", peak_log_vl="M1", plateau_log_vl="m", terminal_lead="tau1",
+        terminal_log_vl="M2", rise_shape="alpha1", warp_rate="alpha2", terminal_width="alpha3",
+    )
 
     peak_time: float
     peak_log_vl: float
@@ -73,8 +80,7 @@ class ViralLoadParams:
     terminal_width: float
 
     def __post_init__(self):
-        check_ranges(self, peak_time="ia1", peak_log_vl="M1", plateau_log_vl="m", terminal_lead="tau1",
-                     terminal_log_vl="M2", rise_shape="alpha1", warp_rate="alpha2", terminal_width="alpha3")
+        check_ranges(self)
         if not self.plateau_log_vl < min(self.peak_log_vl, self.terminal_log_vl):
             raise DomainError("need peak_log_vl (M1) and terminal_log_vl (M2) > plateau_log_vl (m)")
 

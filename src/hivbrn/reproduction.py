@@ -293,7 +293,8 @@ def link_integrals(
 ) -> float:
     """:func:`sex_integral` of ``profile`` under ``link``, which may be a
     scaled variant of its own: only the cloglog pass of
-    :func:`inner_integrals` reads it.
+    :func:`inner_integrals` reads it.  ``omega`` is not checked here: the
+    package passes a config's, and :func:`sex_integral` checks its own.
 
     ``memo`` (``PopulationConfig._levels[sex]``, else a throwaway dict) keeps
     per level each link's total, keyed by the link, and, up to
@@ -303,7 +304,6 @@ def link_integrals(
     """
     quad = quad or QuadratureSpec()
     memo = {} if memo is None else memo
-    check_range(omega, "omega")
     tau = profile.activity.terminal_lead
     if omega <= tau:
         return 0.0
@@ -349,8 +349,9 @@ def sex_integral(
     consecutive levels agree to ``quad.tol`` relative to the newer total,
     which must be positive; raises :class:`QuadratureFailure` if the budget
     runs out.  :func:`link_integrals` under the profile's own link, keeping
-    nothing.
+    nothing, once ``omega`` is checked.
     """
+    check_range(omega, "omega")
     return link_integrals(profile, profile.transmission, omega, quad)
 
 

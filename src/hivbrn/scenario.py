@@ -65,31 +65,13 @@ def default_values() -> dict[str, dict]:
 
 
 def _build_profile(label: str, v: dict) -> SexProfile:
-    viral = ViralLoadParams(
-        peak_time=v["ia1"],
-        peak_log_vl=v["M1"],
-        plateau_log_vl=v["m"],
-        terminal_lead=v["tau1"],
-        terminal_log_vl=v["M2"],
-        rise_shape=v["alpha1"],
-        warp_rate=v["alpha2"],
-        terminal_width=v["alpha3"],
-    )
-    transmission = TransmissionParams.from_anchors(
-        v["ptr_hi"], v["ptr_lo"], v["M1"], v["m"]
-    )
-    activity = ActivityParams(
-        annual_acts=v["delta"],
-        residual_fraction=v["phi"],
-        terminal_lead=v["tau1"],
-    )
-    return SexProfile(
-        label=label,
-        viral=viral,
-        transmission=transmission,
-        activity=activity,
-        survival=SurvivalParams(median=v["median"], shape=v["beta"]),
-    )
+    def record(cls):
+        return cls(**{name: v[key] for name, key in cls.KEYS.items()})
+
+    # the viral-load checks come before the link's, as in the field order
+    viral = record(ViralLoadParams)
+    transmission = TransmissionParams.from_anchors(v["ptr_hi"], v["ptr_lo"], v["M1"], v["m"])
+    return SexProfile(label, viral, transmission, record(ActivityParams), record(SurvivalParams))
 
 
 def baseline_population() -> PopulationConfig:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -20,16 +21,16 @@ __all__ = ["SurvivalParams", "survival_density", "tail_mass"]
 
 @dataclass(frozen=True)
 class SurvivalParams:
-    """Median (years) and shape of the infective-age-at-death distribution.
+    """Median (years) and shape of the infective-age-at-death distribution;
+    ``KEYS`` maps each field to its scenario key."""
 
-    ``shape`` is the scenario key ``beta``.
-    """
+    KEYS: ClassVar[dict] = dict(median="median", shape="beta")
 
     median: float
     shape: float
 
     def __post_init__(self):
-        check_ranges(self, median="median", shape="beta")
+        check_ranges(self)
 
     @cached_property
     def scale(self) -> float:

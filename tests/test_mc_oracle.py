@@ -450,6 +450,13 @@ class TestEstimateSexIntegral:
             with pytest.raises(DomainError, match="must be an int"):
                 SimulationSpec(samples=samples, seed=seed)
 
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, True])
+    def test_workers_validation(self, male, workers):
+        # unchecked, a float fails deep in the pool sizing, and 0, -3 and
+        # True run serially without a word
+        with pytest.raises(DomainError, match="workers must be an int >= 1"):
+            estimate_sex_integral(male, SimulationSpec(samples=10, seed=1), workers)
+
     # recorded from the committed SFC64 substreams at 20,000 samples, seed
     # 20260810: thinning counts are exact, so any change to the stream, to
     # its draw order or to the kernels' accept/reject decisions shows here

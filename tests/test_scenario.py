@@ -8,15 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hivbrn import (
+    ActivityParams,
     PopulationConfig,
     QuadratureSpec,
     Scenario,
     ScenarioError,
     SimulationSpec,
+    SurvivalParams,
+    ViralLoadParams,
     load_scenario,
     parse_scenario,
 )
-from hivbrn.errors import DomainError, check_range
+from hivbrn.errors import RANGES, DomainError, check_range
 from hivbrn.scenario import default_values
 
 
@@ -48,6 +51,53 @@ class TestDefaults:
         assert scn.quadrature == QuadratureSpec()
         assert scn.population.omega == PopulationConfig.omega
         assert scn.simulation.act_process == SimulationSpec.act_process
+
+
+class TestSchema:
+    """Each record's ``KEYS`` names the scenario key behind each field; the
+    scenario builder and the range checks both read it."""
+
+    RECORDS = {"viral": ViralLoadParams, "activity": ActivityParams, "survival": SurvivalParams}
+
+    def test_keys_are_the_per_sex_keys(self):
+        # in field order, so the first bad field is the one reported
+        for cls in self.RECORDS.values():
+            assert list(cls.KEYS) == [f.name for f in dataclasses.fields(cls)]
+        keys = {key for cls in self.RECORDS.values() for key in cls.KEYS.values()}
+        # the two anchors feed the link's closed form, not a record field
+        assert not keys & {"ptr_hi", "ptr_lo"}
+        values = default_values()
+        assert keys | {"ptr_hi", "ptr_lo"} == set(values["female"]) == set(values["male"])
+
+    def test_each_key_lands_on_its_field(self):
+        # every per-sex key moved off its baseline by a distinct share, so a
+        # value read from the wrong key lands on a field it does not match
+        values = default_values()
+        text = []
+        for s, sex in enumerate(("female", "male")):
+            scaled = {
+                key: value * (1 + (1 + i + 20 * s) / 100)
+                for i, (key, value) in enumerate(values[sex].items())
+            }
+            values[sex] = scaled
+            text += [f"[{sex}]", *(f"{key} = {value!r}" for key, value in scaled.items())]
+        per_sex = [*values["female"].values(), *values["male"].values()]
+        assert len(set(per_sex)) == len(per_sex)
+        pop = parse_scenario("\n".join(text)).population
+        for prof in (pop.female, pop.male):
+            v = values[prof.label]
+            for attr, cls in self.RECORDS.items():
+                record = getattr(prof, attr)
+                assert {name: getattr(record, name) for name in cls.KEYS} == {
+                    name: v[key] for name, key in cls.KEYS.items()
+                }
+            link = prof.transmission
+            assert (link.prob_at_peak, link.prob_at_plateau) == (v["ptr_hi"], v["ptr_lo"])
+
+    def test_every_ranged_model_key_is_per_sex(self):
+        # the ages of the public kernels and the population's horizon are
+        # the only ranges outside a sex section
+        assert set(RANGES) - {"age", "omega"} == set(default_values()["female"])
 
 
 class TestOverrides:
