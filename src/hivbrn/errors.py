@@ -48,8 +48,9 @@ def check_range(value, key: str, name: str | None = None) -> None:
     above = value > low if brackets[0] == "(" else value >= low
     below = value < high if brackets[1] == ")" else value <= high
     inside = above & below
-    # a float's comparisons give a bool, which np.all would only wrap
-    if not (inside if isinstance(value, float) else np.all(inside)):
+    # a float's or an int's comparisons give a bool, which np.all would only wrap
+    scalar = isinstance(value, (float, int)) and not isinstance(value, bool)
+    if not (inside if scalar else np.all(inside)):
         label = key if name in (None, key) else f"{name} ({key})"
         raise DomainError(f"{label} must be in {brackets[0]}{low:g}, {high:g}{brackets[1]}")
 

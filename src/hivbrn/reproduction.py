@@ -21,9 +21,9 @@ decline, never on the contact rates, so the R0 = 1 locus in the
 Transmission variants of one sex profile, such as the endpoint factors of a
 sensitivity sweep, differ only in the cloglog link, and each is integrated
 on its own (:func:`link_integrals`).  A population keeps, per sex and level,
-every such link's total and the first levels' link-free blocks (``G``, the
-viral load and the survival density): at any tolerance it integrates each
-link on a level once, and its endpoint factors share those blocks.
+every such link's total and the link-free blocks (``G``, the viral load and
+the survival density): at any tolerance it integrates each link on a level
+once, and its endpoint factors share those blocks.
 """
 
 from __future__ import annotations
@@ -85,12 +85,6 @@ ORDER = 24
 
 # each graded level adds panels in both directions: a cap that bounds time
 MAX_REFINE = 16
-
-# a config keeps its link-free blocks up to this level: (15 + 40 + 77) * 576
-# nodes x 2 arrays x 8 B, about 1.2 MB per sex, where levels 0 to 8 would
-# hold 19 MB; no case of the benchmark's box refines past level 2.  Past it,
-# each endpoint factor rebuilds the blocks of every level it reaches
-MAX_KEPT_LEVEL = 2
 
 
 @dataclass(frozen=True)
@@ -297,10 +291,10 @@ def link_integrals(
     package passes a config's, and :func:`sex_integral` checks its own.
 
     ``memo`` (``PopulationConfig._levels[sex]``, else a throwaway dict) keeps
-    per level each link's total, keyed by the link, and, up to
-    ``MAX_KEPT_LEVEL``, under ``"blocks"`` the survival density and
-    :func:`inner_blocks` on the outer nodes.  A level's kept work is read and
-    its missing work stored, even when the integral then fails.
+    per level each link's total, keyed by the link, and under ``"blocks"``
+    the survival density and :func:`inner_blocks` on the outer nodes.  A
+    level's kept work is read and its missing work stored, even when the
+    integral then fails.
     """
     quad = quad or QuadratureSpec()
     memo = {} if memo is None else memo
@@ -314,14 +308,15 @@ def link_integrals(
         y = (tau + (omega - tau) * nodes).ravel()
         kept = memo.setdefault(level, {})
         if link not in kept:
-            density, panels = kept.get("blocks") or (
-                survival_density_core(y, profile.survival), inner_blocks(y, profile, level)
-            )
-            if level <= MAX_KEPT_LEVEL:
-                kept["blocks"] = density, panels
+            if "blocks" not in kept:
+                kept["blocks"] = survival_density_core(y, profile.survival), inner_blocks(y, profile, level)
+            density, panels = kept["blocks"]
             inner = inner_integrals(y, panels, link, level)
             kept[link] = (omega - tau) * float(weights.ravel() @ (density * inner))
         total = kept[link]
+        if total == 0 and tail_mass(tau, profile.survival) == 0.0:
+            # the integral is below the survival mass past tau1, which is 0
+            raise QuadratureFailure(f"no course outlives tau1 {tau:g}, so none carries activity")
         # the integrand is positive past tau1: a zero total missed the mass or underflowed
         if level and total > 0:
             err = abs(total - prev) / total
@@ -329,11 +324,8 @@ def link_integrals(
                 return total
         prev = total
     reason = f"relative error {err:.2e} above target {quad.tol:g}"
-    if not math.isfinite(err) and tail_mass(tau, profile.survival) == 0.0:
-        # the integral is below the survival mass past tau1, which is 0
-        reason = f"no course outlives tau1 {tau:g}, so none carries activity and every level's total was 0"
-    elif not math.isfinite(err):
-        reached = survival_density_core(y, profile.survival).any()
+    if not math.isfinite(err):
+        reached = kept["blocks"][0].any()
         cause = "the integrand underflows to 0 at every node with" if reached else "the mesh never reached the"
         reason = f"no level's total was positive: {cause} survival mass below omega {omega:g}"
     raise QuadratureFailure(f"{reason} after {quad.max_refine} graded levels")
@@ -504,8 +496,8 @@ def sensitivity_sweep(
     stops at the first failure: the first failing female factor's, else the
     first failing male factor's, so a female failure leaves the male
     integrals unrun.  Every call reads and fills the config's levels, which
-    :func:`sex_integrals` shares: the blocks up to ``MAX_KEPT_LEVEL`` are
-    built once per sex, and each link's total once per level.
+    :func:`sex_integrals` shares: each level's blocks are built once per
+    sex, and each link's total once per level.
     """
     links = scaled_links(config, scale_factors, mode)
     if not scale_factors:

@@ -397,6 +397,25 @@ class TestParamValidation:
         assert late.peak_time < x_plateau < math.inf
         assert 0 < (1.0 + math.exp(late.warp_rate)) / x_plateau < math.inf
 
+    def test_whole_numbers_check_as_floats(self):
+        # an int field takes the float's direct comparison: the record
+        # equals the float-built one, and an int out of range gets the
+        # float's message
+        whole = dict(
+            peak_time=1, peak_log_vl=5, plateau_log_vl=3, terminal_lead=1,
+            terminal_log_vl=4, rise_shape=2, warp_rate=0, terminal_width=1,
+        )
+        floats = {key: float(value) for key, value in whole.items()}
+        assert ViralLoadParams(**whole) == ViralLoadParams(**floats)
+        for key, bad in [("peak_log_vl", 11), ("terminal_lead", 0), ("warp_rate", -51)]:
+            messages = set()
+            for form in (bad, float(bad)):
+                with pytest.raises(DomainError) as err:
+                    ViralLoadParams(**{**whole, key: form})
+                messages.add(str(err.value))
+            assert len(messages) == 1
+            assert messages.pop().startswith(f"{key} (")
+
     def test_transmission_invariants(self):
         TransmissionParams.from_anchors(0.008, 0.001, 5.0, 3.0)
         flat = TransmissionParams.from_anchors(0.001, 0.001, 5.0, 3.0)

@@ -171,15 +171,12 @@ class TestSexIntegral:
 
     def test_mesh_missing_the_survival_mass_says_so(self):
         # the whole survival mass lies before tau1, so every course is too
-        # short to carry activity, every total is 0 and no relative error
-        # exists: the message says so instead of blaming the mesh
+        # short to carry activity and the first total is 0: the message says
+        # so at once instead of blaming the mesh
         female = parse_scenario(UNREACHED).population.female
         with pytest.raises(QuadratureFailure) as err:
             sex_integral(female, 40.0)
-        assert str(err.value) == (
-            "no course outlives tau1 5, so none carries activity and every "
-            "level's total was 0 after 8 graded levels"
-        )
+        assert str(err.value) == "no course outlives tau1 5, so none carries activity"
 
     def test_underflowing_integrand_says_so(self, female):
         # scaled by 1e-320 the per-act probability underflows to 0 at every
@@ -645,9 +642,9 @@ class TestSensitivity:
 
 class TestBlockMemo:
     """A config keeps, per sex and level, the total of every link integrated
-    on it and, up to ``MAX_KEPT_LEVEL``, the link-free blocks ``G`` and the
-    viral load: its pair, at any quadrature, and its endpoint sweeps compute
-    each once, and every value keeps a fresh config's bits."""
+    on it and the link-free blocks ``G`` and the viral load: its pair, at any
+    quadrature, and its endpoint sweeps compute each once, and every value
+    keeps a fresh config's bits."""
 
     FACTORS = [0.5, 2.0]
     HARD = "[quadrature]\ntol = 1e-16\nmax_refine = 1\n"
@@ -852,17 +849,33 @@ class TestBlockMemo:
         assert sex_integral(population.female, population.omega) == first
         assert len(calls) == 2 * once
 
-    def test_deep_levels_are_not_kept(self):
-        # this shape refines to level 8: every level keeps its total, only
-        # levels 0 to 2 their blocks
+    def test_deep_levels_are_kept(self):
+        # this shape refines to level 8: every level keeps its total and its
+        # blocks, and the male stops at level 2 at most
         pop = parse_scenario("[female]\nbeta = 20\n").population
         result = evaluate_brn(pop)
         female = pop._levels["female"]
         assert sorted(female) == list(range(9))
-        assert {level for level, kept in female.items() if "blocks" in kept} == {0, 1, 2}
+        assert {level for level, kept in female.items() if "blocks" in kept} == set(range(9))
         assert all(pop.female.transmission in kept for kept in female.values())
-        assert max(pop._levels["male"]) <= reproduction.MAX_KEPT_LEVEL
+        assert max(pop._levels["male"]) <= 2
         assert result.integral_f == sex_integral(pop.female, pop.omega)
+
+    def test_deep_levels_share_their_blocks(self, monkeypatch):
+        # at tol 1e-12 the links refine past level 2, and the pair and the
+        # endpoint factors still build each (sex, level) block once
+        deep = "[quadrature]\ntol = 1e-12\n"
+        factors = [0.5, 0.7, 2.0]
+        scenario = parse_scenario(deep)
+        quad = scenario.quadrature
+        reference = sensitivity_sweep(parse_scenario(deep).population, factors, "scale_endpoints", quad)
+        work = self.record_work(monkeypatch)
+        pop = scenario.population
+        evaluate_brn(pop, quad)
+        swept = sensitivity_sweep(pop, factors, "scale_endpoints", quad)
+        assert max(level for _, level in work["blocks"]) > 2
+        assert sorted(work["blocks"]) == sorted((sex, level) for sex, levels in pop._levels.items() for level in levels)
+        assert swept == reference
 
     def test_blocks_are_no_part_of_the_config(self):
         scenario = parse_scenario("")
