@@ -18,15 +18,17 @@ own SFC64 generator, seeded by ``SeedSequence(seed, spawn_key=(c,))``, the
 state numpy's ``spawn`` gives the ``c``-th child of ``SeedSequence(seed)``.
 Its stream depends on (seed, c) alone, so blocks can be computed in any
 order or process and reduced by index.  Blocks go to the workers in
-contiguous batches, and the parent writes each block's values into one
-sample array in index order.  The parent builds the ``J`` table and hands
+contiguous batches, and the parent writes each batch's values into one
+sample array in index order.  A run of blocks (the serial loop or one
+batch) owns one set of per-act buffers, which its blocks draw into and
+which is dropped when the run returns; the kernel cores compute in place
+on the arrays they allocate.  The parent builds the ``J`` table and hands
 the same copy to every block.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 
@@ -51,10 +53,10 @@ CHUNK_SAMPLES = 4096
 # 10^7 samples simulate peaked at 115 MB RSS, 276 MB with three such arrays)
 MAX_SAMPLES = 10_000_000
 
-# poisson_thinning holds about 72 B per candidate act in a block (its
-# traced peak over 0.6 to 1.5 million acts), and a course averages at most
+# poisson_thinning holds about 56 B per candidate act in a block (its
+# traced peak over 0.52 to 0.58 million acts), and a course averages at most
 # delta * peak_prob * omega of them: this caps a block of CHUNK_SAMPLES
-# courses near 300 MB (65 to 71 MB under the baseline survival laws); the
+# courses near 230 MB (52 to 56 MB under the baseline survival laws); the
 # baseline's bound is 26 acts
 MAX_ACTS_PER_COURSE = 1000
 
@@ -199,12 +201,16 @@ def _chunk_values(
     omega: float,
     table: tuple[np.ndarray, np.ndarray] | None,
     chunk: int,
+    buffers: list[np.ndarray],
 ) -> np.ndarray:
     """Per-sample integral estimates up to ``omega`` for one block of samples;
     ``table`` is the :func:`_inner_table` of ``expected_value`` mode.
 
     All randomness for block ``chunk`` comes from its own spawned
-    substream, making the result independent of scheduling.
+    substream, making the result independent of scheduling.  ``buffers``
+    holds one array of shape (3, capacity) whose rows take the block's
+    per-act floats; it is replaced by a larger one when a block has more
+    acts.  The returned values never share its memory.
     """
     size = min(spec.samples - chunk * CHUNK_SAMPLES, CHUNK_SAMPLES)
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(spec.seed, spawn_key=(chunk,))))
@@ -228,9 +234,14 @@ def _chunk_values(
     acts = rng.poisson(lam)
     total = int(acts.sum())
     seg = np.repeat(np.arange(size), acts)
-    iad_rep = iad[seg]
-    t = rng.random(total) * iad_rep
-    u_act = rng.random(total) * p_max
+    if buffers[0].shape[1] < total:
+        buffers[0] = np.empty((3, total))
+    iad_rep, t, u_act = buffers[0][:, :total]
+    np.take(iad, seg, out=iad_rep)
+    rng.random(out=t)
+    t *= iad_rep
+    rng.random(out=u_act)
+    u_act *= p_max
     # 0 <= t <= iad_rep by construction: the unchecked cores apply; an act
     # whose transmission uniform fails can never infect, so its activity
     # uniform is never drawn and the activity kernel runs only on the acts
@@ -243,6 +254,29 @@ def _chunk_values(
     infected = keep[rng.random(keep.size) < g]
     counts = np.bincount(seg[infected], minlength=size)
     return counts / delta
+
+
+def _run_values(
+    profile: SexProfile,
+    spec: SimulationSpec,
+    omega: float,
+    table: tuple[np.ndarray, np.ndarray] | None,
+    chunks: range,
+) -> np.ndarray:
+    """Per-sample values of the contiguous blocks ``chunks``, in order.
+
+    The blocks draw their per-act arrays into one buffer set, made here and
+    dropped on return: a run is the serial loop or one pool batch, so no
+    two threads share a set and no caller keeps one after its call.
+    """
+    start = chunks.start * CHUNK_SAMPLES
+    values = np.empty(min(chunks.stop * CHUNK_SAMPLES, spec.samples) - start)
+    buffers = [np.empty((3, 0))]
+    for chunk in chunks:
+        block = _chunk_values(profile, spec, omega, table, chunk, buffers)
+        offset = chunk * CHUNK_SAMPLES - start
+        values[offset : offset + block.size] = block
+    return values
 
 
 def _pool_size(workers: int, n_chunks: int) -> int:
@@ -279,21 +313,21 @@ def estimate_sex_integral(
         )
     n_chunks = -(-spec.samples // CHUNK_SAMPLES)
     table = _inner_table(profile, omega) if spec.act_process == "expected_value" else None
-    work = partial(_chunk_values, profile, spec, omega, table)
+    work = partial(_run_values, profile, spec, omega, table)
     workers = _pool_size(workers, n_chunks)
     n = spec.samples
-    values = np.empty(n)
-    with ExitStack() as stack:
-        blocks = map(work, range(n_chunks))
-        if workers > 1:
-            # imported here so that `import hivbrn` does not load the pool machinery
-            from concurrent.futures import ProcessPoolExecutor
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            # about eight contiguous batches of blocks per worker
-            batch = max(1, n_chunks // (8 * workers))
-            blocks = pool.map(work, range(n_chunks), chunksize=batch)
-        for c, block in enumerate(blocks):
-            values[c * CHUNK_SAMPLES : c * CHUNK_SAMPLES + block.size] = block
+    if workers > 1:
+        # imported here so that `import hivbrn` does not load the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+        # about eight contiguous batches of blocks per worker
+        batch = max(1, n_chunks // (8 * workers))
+        runs = [range(c, min(c + batch, n_chunks)) for c in range(0, n_chunks, batch)]
+        values = np.empty(n)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for run, part in zip(runs, pool.map(work, runs)):
+                values[run.start * CHUNK_SAMPLES : run.start * CHUNK_SAMPLES + part.size] = part
+    else:
+        values = work(range(n_chunks))
     mean = float(values.sum() / n)
     values -= mean
     squares = np.square(values, out=values).sum()

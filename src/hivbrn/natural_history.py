@@ -17,6 +17,12 @@ from three closed-form pieces:
 Per-act transmission probability is a complementary log-log function of the
 (linear-scale) viral load, anchored so that it equals ``prob_at_peak`` at
 the early peak and ``prob_at_plateau`` on the plateau.
+
+The unchecked ``*_core`` kernels compute in place on the one or two arrays
+each allocates, with the floating-point operations of their formulas in the
+formulas' order, and never write into their inputs.  Each allocates its
+first result through ``out=``, so that a 0-d input gives an array the later
+steps can write to, not a numpy scalar.
 """
 
 from __future__ import annotations
@@ -139,10 +145,15 @@ def early_peak_core(x: np.ndarray, p: ViralLoadParams) -> np.ndarray:
     with ``r = x/peak_time``, as one exponential
     ``exp((rise_shape-1) * (log r - r + 1))``, whose exponent is never
     positive, and exactly the limit 0 at x = 0 through ``log 0 = -inf``."""
-    r = x / p.peak_time
+    r = np.divide(x, p.peak_time, out=np.empty(np.shape(x)))
     with np.errstate(divide="ignore"):
-        log_r = np.log(r)
-        return p.peak_log_vl * np.exp((p.rise_shape - 1.0) * (log_r - r + 1.0))
+        v = np.log(r, out=np.empty_like(r))
+        v -= r
+        v += 1.0
+        v *= p.rise_shape - 1.0
+        np.exp(v, out=v)
+        v *= p.peak_log_vl
+        return v
 
 
 def solve_plateau_point(p: ViralLoadParams) -> float:
@@ -179,8 +190,14 @@ def age_warp_core(ia: np.ndarray, warp_rate: float, x_plateau: float) -> np.ndar
     most 1e3, so the exponent cannot overflow.  Once ``t`` falls below half
     an ulp the map rounds to ``x_plateau`` itself."""
     e = math.exp(warp_rate)
-    t = np.exp(ia * -((1.0 + e) / x_plateau))
-    return x_plateau * (1.0 - t) / (1.0 + e * t)
+    t = np.multiply(ia, -((1.0 + e) / x_plateau), out=np.empty(np.shape(ia)))
+    np.exp(t, out=t)
+    v = np.subtract(1.0, t, out=np.empty_like(t))
+    v *= x_plateau
+    t *= e
+    t += 1.0
+    v /= t
+    return v
 
 
 def terminal_peak_core(ia, iad, width: float, lead: float) -> np.ndarray:
@@ -188,7 +205,11 @@ def terminal_peak_core(ia, iad, width: float, lead: float) -> np.ndarray:
     equal to 1 exactly at ia = iad - lead.  Inside the parameter box the
     exponent is at least -1e10 (width 1e4, at most 1e3 years from the
     peak), so it cannot overflow."""
-    return np.exp(-width * (ia - iad + lead) ** 2)
+    d = np.subtract(ia, iad, out=np.empty(np.broadcast_shapes(np.shape(ia), np.shape(iad))))
+    d += lead
+    np.square(d, out=d)
+    d *= -width
+    return np.exp(d, out=d)
 
 
 def log_viral_load_core(ia, iad, p: ViralLoadParams, x_plateau: float) -> np.ndarray:
@@ -202,7 +223,9 @@ def log_viral_load_core(ia, iad, p: ViralLoadParams, x_plateau: float) -> np.nda
     """
     base = early_peak_core(age_warp_core(ia, p.warp_rate, x_plateau), p)
     bump = terminal_peak_core(ia, iad, p.terminal_width, p.terminal_lead)
-    return base + (p.terminal_log_vl - base) * bump
+    bump *= np.subtract(p.terminal_log_vl, base)
+    bump += base
+    return bump
 
 
 def transmission_prob(
@@ -228,13 +251,19 @@ def transmission_prob_core(
 def linear_load_core(lvl):
     """Linear viral load ``10**lvl``, taken as ``exp(LN10 * lvl)``, which
     vectorizes where ``pow`` does not."""
-    return np.exp(LN10 * lvl)
+    v = np.multiply(LN10, lvl, out=np.empty(np.shape(lvl)))
+    return np.exp(v, out=v)
 
 
 def cloglog_core(load, link: TransmissionParams):
     """Per-act probability ``1 - exp(-exp(intercept + slope * load))`` at
     linear viral load ``load``."""
-    return -np.expm1(-np.exp(link.intercept + link.slope * load))
+    v = np.multiply(link.slope, load, out=np.empty(np.shape(load)))
+    v += link.intercept
+    np.exp(v, out=v)
+    np.negative(v, out=v)
+    np.expm1(v, out=v)
+    return np.negative(v, out=v)
 
 
 def peak_transmission_prob(

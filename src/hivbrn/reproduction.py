@@ -290,14 +290,13 @@ def link_integrals(
     :func:`inner_integrals` reads it.  ``omega`` is not checked here: the
     package passes a config's, and :func:`sex_integral` checks its own.
 
-    ``memo`` (``PopulationConfig._levels[sex]``, else a throwaway dict) keeps
-    per level each link's total, keyed by the link, and under ``"blocks"``
-    the survival density and :func:`inner_blocks` on the outer nodes.  A
-    level's kept work is read and its missing work stored, even when the
-    integral then fails.
+    ``memo`` (``PopulationConfig._levels[sex]``) keeps per level each
+    link's total, keyed by the link, and under ``"blocks"`` the survival
+    density and :func:`inner_blocks` on the outer nodes.  A level's kept
+    work is read and its missing work stored, even when the integral then
+    fails.  Without a memo only the level in use is held.
     """
     quad = quad or QuadratureSpec()
-    memo = {} if memo is None else memo
     tau = profile.activity.terminal_lead
     if omega <= tau:
         return 0.0
@@ -306,13 +305,15 @@ def link_integrals(
         # the integrand vanishes for y <= tau1: outer panels span [tau1, omega]
         nodes, weights = _graded_rule(level, both_ends=False)
         y = (tau + (omega - tau) * nodes).ravel()
-        kept = memo.setdefault(level, {})
+        kept = {} if memo is None else memo.setdefault(level, {})
         if link not in kept:
             if "blocks" not in kept:
                 kept["blocks"] = survival_density_core(y, profile.survival), inner_blocks(y, profile, level)
             density, panels = kept["blocks"]
             inner = inner_integrals(y, panels, link, level)
             kept[link] = (omega - tau) * float(weights.ravel() @ (density * inner))
+            # without a memo, the next level is built with these freed
+            del density, panels
         total = kept[link]
         if total == 0 and tail_mass(tau, profile.survival) == 0.0:
             # the integral is below the survival mass past tau1, which is 0

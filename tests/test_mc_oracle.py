@@ -323,14 +323,17 @@ class TestEstimateSexIntegral:
     def test_worker_count_invariance(self, male, monkeypatch):
         # 20,000 samples are 5 blocks, one per task; 200,705 are 49 blocks,
         # the last one ragged, sent in batches of 3 at 2 workers and 2 at 3
-        # (the CPU cap is lifted so that 3 workers run on any host)
+        # (the CPU cap is lifted so that 3 workers run on any host). The
+        # alpha3 = 200, M2 = 5.4 profile's act counts vary widely from block
+        # to block, so the serial loop's buffers grow and shrink in use
         monkeypatch.setattr(mc, "_pool_size", lambda workers, n_chunks: workers)
-        for samples in (20_000, 200_705):
+        peak = parse_scenario("[male]\nalpha3 = 200\nM2 = 5.4\n").population.male
+        for profile, samples in ((male, 20_000), (male, 200_705), (peak, 20_000)):
             for process in mc.ACT_PROCESSES:
                 spec = SimulationSpec(samples=samples, seed=99, act_process=process)
-                single = estimate_sex_integral(male, spec, workers=1)
-                double = estimate_sex_integral(male, spec, workers=2)
-                triple = estimate_sex_integral(male, spec, workers=3)
+                single = estimate_sex_integral(profile, spec, workers=1)
+                double = estimate_sex_integral(profile, spec, workers=2)
+                triple = estimate_sex_integral(profile, spec, workers=3)
                 assert single == double == triple
 
     def test_pool_size_is_capped(self, monkeypatch):
@@ -359,15 +362,19 @@ class TestEstimateSexIntegral:
     )
     def test_thinning_counts_match_every_act_reference(self, text):
         # the activity kernel runs only on acts that pass the transmission
-        # test; every count must equal the one from both kernels on every act
+        # test; every count must equal the one from both kernels on every act.
+        # The three blocks share one buffer set, as in the serial loop: the
+        # first block sizes it, the CSW female's second grows it, and the
+        # ragged 1000-sample block fills only the start of rows written before
         pop = parse_scenario(text).population
         spec = SimulationSpec(samples=2 * mc.CHUNK_SAMPLES + 1000, seed=20260810)
         for profile in (pop.female, pop.male):
+            got = mc._run_values(profile, spec, pop.omega, None, range(3))
+            assert got.size == spec.samples
             for chunk in range(3):
-                got = mc._chunk_values(profile, spec, pop.omega, None, chunk)
                 want = thinning_block(profile, spec, pop.omega, chunk)
-                assert got.size == (1000 if chunk == 2 else mc.CHUNK_SAMPLES)
-                assert np.array_equal(got, want)
+                assert want.size == (1000 if chunk == 2 else mc.CHUNK_SAMPLES)
+                assert np.array_equal(got[chunk * mc.CHUNK_SAMPLES :][: want.size], want)
                 assert want.any()
 
     def test_seed_changes_result(self, male):

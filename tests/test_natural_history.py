@@ -14,10 +14,14 @@ from hivbrn import (
     transmission_prob,
 )
 from hivbrn.natural_history import (
+    LN10,
     age_warp_core,
+    cloglog_core,
     early_peak_core,
+    linear_load_core,
     log_viral_load_core,
     terminal_peak_core,
+    transmission_prob_core,
 )
 
 # Frozen oracle values, computed by 50-digit mpmath evaluation of the same
@@ -439,3 +443,57 @@ class TestParamValidation:
         for field in dataclasses.fields(TransmissionParams):
             with pytest.raises(DomainError, match=field.name):
                 dataclasses.replace(link, **{field.name: bad})
+
+
+class TestInPlaceCores:
+    """Each core computes in place on the arrays it allocates: its values
+    must equal, bit for bit, the plain expression kept here as the
+    reference, and its inputs must be left alone (they are read-only here)."""
+
+    @staticmethod
+    def reference(ia, iad, p, link, x_plateau):
+        e = math.exp(p.warp_rate)
+        t = np.exp(ia * -((1.0 + e) / x_plateau))
+        warped = x_plateau * (1.0 - t) / (1.0 + e * t)
+        r = warped / p.peak_time
+        with np.errstate(divide="ignore"):
+            base = p.peak_log_vl * np.exp((p.rise_shape - 1.0) * (np.log(r) - r + 1.0))
+        bump = np.exp(-p.terminal_width * (ia - iad + p.terminal_lead) ** 2)
+        lvl = base + (p.terminal_log_vl - base) * bump
+        load = np.exp(LN10 * lvl)
+        ptr = -np.expm1(-np.exp(link.intercept + link.slope * load))
+        return dict(warped=warped, base=base, bump=bump, lvl=lvl, load=load, ptr=ptr)
+
+    @staticmethod
+    def shapes():
+        g = np.random.default_rng(5)
+        iad = 1.0 + 59.0 * g.random(64)
+        # an inner block's nodes against their course's column, with x = 0
+        col = iad[:, None]
+        block = col * np.concatenate((np.zeros((64, 1)), g.random((64, 23))), axis=1)
+        # flat act arrays, as the thinning block draws them
+        acts = np.repeat(iad, 3)
+        times = acts * g.random(acts.size)
+        yield block, col
+        yield times, acts
+        yield np.array(0.4), np.array(7.0)
+        yield np.array(6.0), np.array(7.0)
+
+    def test_bit_equal_to_reference_and_inputs_untouched(self, viral, link, xp):
+        def frozen(a):
+            a.setflags(write=False)
+            return a
+
+        for ia, iad in self.shapes():
+            ia, iad = frozen(ia), frozen(iad)
+            want = self.reference(ia, iad, viral, link, xp)
+            got = dict(warped=frozen(age_warp_core(ia, viral.warp_rate, xp)))
+            got["base"] = early_peak_core(got["warped"], viral)
+            got["bump"] = terminal_peak_core(ia, iad, viral.terminal_width, viral.terminal_lead)
+            got["lvl"] = frozen(log_viral_load_core(ia, iad, viral, xp))
+            got["load"] = frozen(linear_load_core(got["lvl"]))
+            got["ptr"] = cloglog_core(got["load"], link)
+            for name, value in got.items():
+                assert np.shape(value) == np.shape(want[name]), name
+                assert np.array_equal(value, want[name]), name
+            assert np.array_equal(transmission_prob_core(ia, iad, viral, link, xp), want["ptr"])

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -860,6 +861,22 @@ class TestBlockMemo:
         assert all(pop.female.transmission in kept for kept in female.values())
         assert max(pop._levels["male"]) <= 2
         assert result.integral_f == sex_integral(pop.female, pop.omega)
+
+    def test_sex_integral_holds_one_level(self):
+        # with no config to keep them, sex_integral holds only the level in
+        # use: its peak stays near the last level's blocks, where this
+        # profile's nine kept levels hold almost four times as much
+        pop = parse_scenario("[female]\nbeta = 20\n").population
+        evaluate_brn(pop)
+        density, panels = pop._levels["female"][8]["blocks"]
+        last = density.nbytes + sum(a.nbytes for block in panels for a in block)
+        tracemalloc.start()
+        try:
+            sex_integral(pop.female, pop.omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * last
 
     def test_deep_levels_share_their_blocks(self, monkeypatch):
         # at tol 1e-12 the links refine past level 2, and the pair and the
