@@ -220,19 +220,20 @@ def cmd_simulate(scenario: Scenario, args) -> str:
         raise ScenarioError("--workers must be >= 1")
     pop = scenario.population
     spec = scenario.simulation
-    labels = ("female", "male") if args.sex == "both" else (args.sex,)
+    profiles = [pop.female, pop.male] if args.sex == "both" else [getattr(pop, args.sex)]
     columns = [
         "sex", "mean", "std_error", "samples", "seed", "act_process",
         "quadrature", "abs_diff_over_se",
     ]
+    # every quadrature column first, so one that cannot converge fails
+    # before any Monte Carlo run
+    quad_values = [sex_integral(prof, pop.omega, scenario.quadrature) for prof in profiles]
     rows = []
-    for label in labels:
-        profile = getattr(pop, label)
+    for profile, quad_value in zip(profiles, quad_values):
         est = estimate_sex_integral(profile, spec, args.workers, pop.omega)
-        quad_value = sex_integral(profile, pop.omega, scenario.quadrature)
         ratio = abs(est.mean - quad_value) / est.std_error if est.std_error else None
         rows.append([
-            label, est.mean, est.std_error, est.samples, est.seed,
+            profile.label, est.mean, est.std_error, est.samples, est.seed,
             spec.act_process, quad_value, ratio,
         ])
     result = {row[0]: dict(zip(columns[1:], row[1:])) for row in rows}

@@ -16,7 +16,9 @@ from three closed-form pieces:
 
 Per-act transmission probability is a complementary log-log function of the
 (linear-scale) viral load, anchored so that it equals ``prob_at_peak`` at
-the early peak and ``prob_at_plateau`` on the plateau.
+the early peak and ``prob_at_plateau`` on the plateau.  Both records are
+built from their scenario keys through ``KEYS``; :class:`TransmissionParams`
+keeps its two anchor loads and derives the link's coefficients from them.
 
 The unchecked ``*_core`` kernels compute in place on the one or two arrays
 each allocates, with the floating-point operations of their formulas in the
@@ -28,12 +30,12 @@ steps can write to, not a numpy scalar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, check_range, check_ranges, checked_call
+from .errors import DomainError, check_ranges, checked_call
 
 __all__ = [
     "ViralLoadParams",
@@ -93,50 +95,39 @@ class ViralLoadParams:
 
 @dataclass(frozen=True)
 class TransmissionParams:
-    """Complementary log-log link for the per-act transmission probability.
+    """Complementary log-log link for the per-act transmission probability,
+    through ``prob_at_peak`` at ``10**peak_log_vl`` and ``prob_at_plateau``
+    at ``10**plateau_log_vl``; ``KEYS`` maps each field to its scenario key.
 
     ``prob = 1 - exp(-exp(intercept + slope * vl))`` where ``vl`` is the
     linear-scale viral load.  ``intercept`` and ``slope`` are derived from
-    the two anchor probabilities; use :meth:`from_anchors`.
+    the four fields on construction, so ``dataclasses.replace`` re-derives
+    them; equal anchors give slope = 0 (flat infectivity).
     """
+
+    KEYS: ClassVar[dict] = dict(
+        prob_at_peak="ptr_hi", prob_at_plateau="ptr_lo", peak_log_vl="M1", plateau_log_vl="m",
+    )
 
     prob_at_peak: float
     prob_at_plateau: float
-    intercept: float
-    slope: float
+    peak_log_vl: float
+    plateau_log_vl: float
+    intercept: float = field(init=False, compare=False)
+    slope: float = field(init=False, compare=False)
 
     def __post_init__(self):
-        _check_anchors(self.prob_at_peak, self.prob_at_plateau)
-        if not (math.isfinite(self.intercept) and 0 <= self.slope < math.inf):
-            raise DomainError("need a finite intercept and a finite slope >= 0")
-
-    @classmethod
-    def from_anchors(
-        cls,
-        prob_at_peak: float,
-        prob_at_plateau: float,
-        peak_log_vl: float,
-        plateau_log_vl: float,
-    ) -> "TransmissionParams":
-        """Closed-form link through ``prob_at_peak`` at ``10**peak_log_vl`` and
-        ``prob_at_plateau`` at ``10**plateau_log_vl``; equal anchors give
-        slope = 0 (flat infectivity)."""
-        _check_anchors(prob_at_peak, prob_at_plateau)
-        vl_hi, vl_lo = 10.0**peak_log_vl, 10.0**plateau_log_vl
+        check_ranges(self)
+        if not self.prob_at_plateau <= self.prob_at_peak:
+            raise DomainError("need prob_at_plateau (ptr_lo) <= prob_at_peak (ptr_hi)")
+        vl_hi, vl_lo = 10.0**self.peak_log_vl, 10.0**self.plateau_log_vl
         if not vl_hi > vl_lo:
             raise DomainError("need 10**peak_log_vl (M1) > 10**plateau_log_vl (m)")
-        a_hi = np.log(-np.log1p(-prob_at_peak))
-        a_lo = np.log(-np.log1p(-prob_at_plateau))
+        a_hi = np.log(-np.log1p(-self.prob_at_peak))
+        a_lo = np.log(-np.log1p(-self.prob_at_plateau))
         slope = (a_hi - a_lo) / (vl_hi - vl_lo)
-        intercept = a_lo - slope * vl_lo
-        return cls(prob_at_peak, prob_at_plateau, float(intercept), float(slope))
-
-
-def _check_anchors(prob_at_peak: float, prob_at_plateau: float) -> None:
-    check_range(prob_at_peak, "ptr_hi", "prob_at_peak")
-    check_range(prob_at_plateau, "ptr_lo", "prob_at_plateau")
-    if not prob_at_plateau <= prob_at_peak:
-        raise DomainError("need prob_at_plateau (ptr_lo) <= prob_at_peak (ptr_hi)")
+        object.__setattr__(self, "intercept", float(a_lo - slope * vl_lo))
+        object.__setattr__(self, "slope", float(slope))
 
 
 def early_peak_core(x: np.ndarray, p: ViralLoadParams) -> np.ndarray:

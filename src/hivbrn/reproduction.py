@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 
 import numpy as np
@@ -446,8 +446,9 @@ def scaled_links(
     factor and female before male.  A factor must be > 0 and keep the
     scaled peak probability below 1.  ``scale_function`` scales the
     probability pointwise, so the link stays the profile's own and the peak
-    is ``factor * peak_prob``; ``scale_endpoints`` scales both anchors,
-    ``prob_at_peak`` first, and re-derives the link, whose own peak
+    is ``factor * peak_prob``; ``scale_endpoints`` scales both anchor
+    probabilities, ``prob_at_peak`` first, by ``dataclasses.replace``, which
+    re-derives the link at its own anchor loads; its peak
     (:func:`peak_transmission_prob`) must stay below 1 too."""
     if mode not in ("scale_function", "scale_endpoints"):
         raise DomainError(f"unknown sweep mode {mode!r}")
@@ -463,11 +464,8 @@ def scaled_links(
                 peak = factor * link.prob_at_peak
                 if peak < 1.0:
                     try:
-                        link = TransmissionParams.from_anchors(
-                            peak,
-                            factor * link.prob_at_plateau,
-                            prof.viral.peak_log_vl,
-                            prof.viral.plateau_log_vl,
+                        link = replace(
+                            link, prob_at_peak=peak, prob_at_plateau=factor * link.prob_at_plateau
                         )
                     except DomainError as exc:
                         # such as a plateau anchor that underflows to 0

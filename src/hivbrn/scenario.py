@@ -68,10 +68,9 @@ def _build_profile(label: str, v: dict) -> SexProfile:
     def record(cls):
         return cls(**{name: v[key] for name, key in cls.KEYS.items()})
 
-    # the viral-load checks come before the link's, as in the field order
-    viral = record(ViralLoadParams)
-    transmission = TransmissionParams.from_anchors(v["ptr_hi"], v["ptr_lo"], v["M1"], v["m"])
-    return SexProfile(label, viral, transmission, record(ActivityParams), record(SurvivalParams))
+    # in the profile's field order, so the viral-load checks come first
+    records = (ViralLoadParams, TransmissionParams, ActivityParams, SurvivalParams)
+    return SexProfile(label, *map(record, records))
 
 
 def baseline_population() -> PopulationConfig:

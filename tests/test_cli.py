@@ -603,6 +603,39 @@ class TestSweep:
         assert row["mode"] == "scale_endpoints"
         assert float(row["i0"]) == pytest.approx(163.2, rel=0.025)
 
+    @pytest.mark.parametrize(
+        "loads",
+        [{}, {"female": {"M1": 5.5, "m": 2.8}, "male": {"M1": 4.6, "m": 3.3}}],
+        ids=["baseline", "anchor_loads"],
+    )
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_endpoint_factor_is_the_scaled_scenario(self, capsys, tmp_path, loads, factor):
+        # the paper halves and doubles both anchors: scaling a double by 0.5
+        # or 2 is exact, so an endpoint row is the I0 of the scenario whose
+        # ptr_hi and ptr_lo are scaled in both sexes, to the last bit
+        def scenario(name, scale):
+            text = ""
+            for sex in ("female", "male"):
+                keys = {**loads.get(sex, {}), "ptr_hi": scale * 0.008, "ptr_lo": scale * 0.001}
+                text += f"[{sex}]\n" + "".join(f"{key} = {value!r}\n" for key, value in keys.items())
+            path = tmp_path / name
+            path.write_text(text)
+            return str(path)
+
+        code, out, _ = run(
+            capsys, "sweep", "--mode", "scale_endpoints", "--factors", repr(factor),
+            "--config", scenario("base.ini", 1.0),
+        )
+        assert code == 0
+        (row,) = rows_of(out)
+        code, out, _ = run(capsys, "eval", "--format", "csv", "--config", scenario("scaled.ini", factor))
+        assert code == 0
+        cells = {r["key"]: r["value"] for r in rows_of(out)}
+        assert row["i0"] == cells["i0"]
+        if not loads:
+            golden = {0.5: 163.15676711977636, 2.0: 40.770277997352295}[factor]
+            assert float(row["i0"]) == pytest.approx(golden, rel=1e-9)
+
     def test_excessive_factor_exits_3(self, capsys):
         code, _, err = run(capsys, "sweep", "--factors", "200")
         assert code == 3
@@ -768,6 +801,22 @@ class TestSimulate:
             assert (row["std_error"] == "") is blank
             assert (row["abs_diff_over_se"] == "") is blank
 
+    @pytest.mark.parametrize("sex", ["male", "both"])
+    def test_failing_quadrature_stops_before_any_estimate(self, capsys, monkeypatch, tmp_path, sex):
+        # every listed sex's quadrature column is integrated first, so one
+        # that cannot converge ends the command before any Monte Carlo run
+        path = tmp_path / "hard.ini"
+        path.write_text("[quadrature]\ntol = 1e-16\nmax_refine = 1\n")
+
+        def no_estimate(*args):
+            raise AssertionError("Monte Carlo run before a failing quadrature")
+
+        monkeypatch.setattr(cli, "estimate_sex_integral", no_estimate)
+        code, out, err = run(capsys, "simulate", "--sex", sex, "--config", str(path))
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1
+        assert err.startswith("hivbrn: numerical failure: ")
+
     def test_long_horizon_matches_quadrature(self, capsys, tmp_path):
         # omega 2e7, where the coarse outer panels missed the survival mass,
         # is refused; the box's longest horizon matches the quadrature
@@ -864,6 +913,11 @@ class TestScenarioEquivalence:
             cfg = ROOT / "scenarios" / source
         code, out, err = run(capsys, "eval", "--config", str(cfg))
         assert code == 0, err
+
+    def test_readme_library_example_runs(self):
+        # the README's Library block runs as given, its assert included
+        block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+        exec(compile(block.group(1), "README.md", "exec"), {})
 
     def test_config_hash_matches_library(self, capsys, tmp_path):
         cfg = tmp_path / "s.ini"

@@ -178,7 +178,7 @@ class TestSimulateLifeCourse:
         # constant per-act probability and full activity: the infection
         # count is Poisson with mean delta * p * T
         p_const = 0.004
-        flat = TransmissionParams.from_anchors(p_const, p_const, 5.0, 3.0)
+        flat = TransmissionParams(p_const, p_const, 5.0, 3.0)
         prof = dataclasses.replace(female, transmission=flat)
         monkeypatch.setitem(
             globals(),

@@ -302,7 +302,7 @@ class TestDeriveLink:
 
         sol = optimize.root(system, [-7.0, 2e-5], tol=1e-14)
         assert sol.success
-        fit = TransmissionParams.from_anchors(0.008, 0.001, 5.0, 3.0)
+        fit = TransmissionParams(0.008, 0.001, 5.0, 3.0)
         intercept, slope = fit.intercept, fit.slope
         assert intercept == pytest.approx(sol.x[0], rel=1e-9)
         assert slope == pytest.approx(sol.x[1], rel=1e-9)
@@ -310,7 +310,7 @@ class TestDeriveLink:
         assert slope == pytest.approx(2.10e-5, rel=1e-2)
 
     def test_flat_link(self):
-        fit = TransmissionParams.from_anchors(0.001, 0.001, 5.0, 3.0)
+        fit = TransmissionParams(0.001, 0.001, 5.0, 3.0)
         intercept, slope = fit.intercept, fit.slope
         assert slope == 0.0
         assert intercept == pytest.approx(np.log(np.log(1 / 0.999)), rel=1e-14)
@@ -326,14 +326,30 @@ class TestDeriveLink:
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
-            TransmissionParams.from_anchors(0.001, 0.008, 5.0, 3.0)
+            TransmissionParams(0.001, 0.008, 5.0, 3.0)
         with pytest.raises(DomainError):
-            TransmissionParams.from_anchors(0.008, 0.001, 3.0, 3.0)
-        # M1 > m, but 10**M1 == 10**m in double precision
-        with pytest.raises(DomainError, match="M1.*m"):
-            TransmissionParams.from_anchors(0.008, 0.001, 1e-17, 5e-18)
+            TransmissionParams(0.008, 0.001, 3.0, 3.0)
+        # M1 > m, both in range, but 10**M1 == 10**m in double precision
+        high, low = 0.0010000000000000002, 0.001
+        assert high > low and 10.0**high == 10.0**low
+        with pytest.raises(DomainError, match=r"10\*\*peak_log_vl \(M1\) > 10\*\*plateau_log_vl \(m\)"):
+            TransmissionParams(0.008, 0.001, high, low)
         with pytest.raises(DomainError):
-            TransmissionParams.from_anchors(1.0, 0.001, 5.0, 3.0)
+            TransmissionParams(1.0, 0.001, 5.0, 3.0)
+
+    def test_replace_rederives_the_link(self, link):
+        # scaling both anchors by replace gives the link built from the
+        # scaled anchors, coefficients and all, not the old coefficients
+        scaled = dataclasses.replace(link, prob_at_peak=0.016, prob_at_plateau=0.002)
+        built = TransmissionParams(0.016, 0.002, 5.0, 3.0)
+        assert scaled == built
+        assert (scaled.intercept, scaled.slope) == (built.intercept, built.slope)
+        assert cloglog_core(1e5, scaled) == pytest.approx(0.016, rel=1e-12)
+        assert cloglog_core(1e3, scaled) == pytest.approx(0.002, rel=1e-12)
+        # the coefficients are derived, never given
+        for name in ("intercept", "slope"):
+            with pytest.raises(ValueError, match=name):
+                dataclasses.replace(link, **{name: 0.0})
 
 
 class TestTransmissionProb:
@@ -421,16 +437,25 @@ class TestParamValidation:
             assert messages.pop().startswith(f"{key} (")
 
     def test_transmission_invariants(self):
-        TransmissionParams.from_anchors(0.008, 0.001, 5.0, 3.0)
-        flat = TransmissionParams.from_anchors(0.001, 0.001, 5.0, 3.0)
+        TransmissionParams(0.008, 0.001, 5.0, 3.0)
+        flat = TransmissionParams(0.001, 0.001, 5.0, 3.0)
         assert flat.slope == 0.0
-        with pytest.raises(DomainError):
-            TransmissionParams.from_anchors(0.001, 0.008, 5.0, 3.0)
-        with pytest.raises(DomainError):
-            TransmissionParams(0.008, 0.001, -6.9, -1e-9)
-        # the record built directly checks the anchors as from_anchors does
+        # the ordering check names the plateau anchor
         with pytest.raises(DomainError, match="prob_at_plateau"):
-            TransmissionParams(0.001, 0.008, -6.9, 1e-6)
+            TransmissionParams(0.001, 0.008, 5.0, 3.0)
+        # a negative slope cannot be written: the coefficients are not
+        # arguments, and ordered anchors in range, equal ones and the
+        # extremes included, derive a finite slope >= 0, also where the two
+        # anchor loads are neighbouring doubles
+        with pytest.raises(TypeError):
+            TransmissionParams(0.008, 0.001, 5.0, 3.0, -6.9, -1e-9)
+        probs = [5e-324, 1e-300, 1e-9, 0.001, 0.001 + 1e-18, 0.5, 1.0 - 1e-16]
+        loads = [(5.0, 3.0), (10.0, 0.001), (10.0, 9.999999999999998), (0.001000000000000025, 0.001)]
+        for lo in probs:
+            for hi in (p for p in probs if p >= lo):
+                for peak, plateau in loads:
+                    fit = TransmissionParams(hi, lo, peak, plateau)
+                    assert 0 <= fit.slope < math.inf and math.isfinite(fit.intercept)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_viral_rejects_non_finite(self, viral, bad):
@@ -440,9 +465,9 @@ class TestParamValidation:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_transmission_rejects_non_finite(self, link, bad):
-        for field in dataclasses.fields(TransmissionParams):
-            with pytest.raises(DomainError, match=field.name):
-                dataclasses.replace(link, **{field.name: bad})
+        for name in TransmissionParams.KEYS:
+            with pytest.raises(DomainError, match=name):
+                dataclasses.replace(link, **{name: bad})
 
 
 class TestInPlaceCores:

@@ -53,7 +53,7 @@ CSW_CLIENTS = (Path(__file__).parents[1] / "scenarios" / "csw_clients.ini").read
 
 def scaled_profile(profile, factor):
     link = profile.transmission
-    scaled = TransmissionParams.from_anchors(
+    scaled = TransmissionParams(
         factor * link.prob_at_peak,
         factor * link.prob_at_plateau,
         profile.viral.peak_log_vl,
@@ -130,13 +130,13 @@ class TestSexIntegral:
     def test_monotone_in_anchor_probs(self, female, population):
         values = []
         for hi in np.linspace(0.004, 0.012, 5):
-            link = TransmissionParams.from_anchors(hi, 0.001, 5.0, 3.0)
+            link = TransmissionParams(hi, 0.001, 5.0, 3.0)
             prof = dataclasses.replace(female, transmission=link)
             values.append(sex_integral(prof, population.omega))
         assert np.all(np.diff(values) > 0)
         values = []
         for lo in np.linspace(0.0005, 0.002, 5):
-            link = TransmissionParams.from_anchors(0.008, lo, 5.0, 3.0)
+            link = TransmissionParams(0.008, lo, 5.0, 3.0)
             prof = dataclasses.replace(female, transmission=link)
             values.append(sex_integral(prof, population.omega))
         assert np.all(np.diff(values) > 0)

@@ -15,6 +15,7 @@ from hivbrn import (
     ScenarioError,
     SimulationSpec,
     SurvivalParams,
+    TransmissionParams,
     ViralLoadParams,
     load_scenario,
     parse_scenario,
@@ -57,17 +58,22 @@ class TestSchema:
     """Each record's ``KEYS`` names the scenario key behind each field; the
     scenario builder and the range checks both read it."""
 
-    RECORDS = {"viral": ViralLoadParams, "activity": ActivityParams, "survival": SurvivalParams}
+    RECORDS = {
+        "viral": ViralLoadParams, "transmission": TransmissionParams,
+        "activity": ActivityParams, "survival": SurvivalParams,
+    }
 
     def test_keys_are_the_per_sex_keys(self):
-        # in field order, so the first bad field is the one reported
+        # in field order, so the first bad field is the one reported; the
+        # link's derived coefficients are not init fields
         for cls in self.RECORDS.values():
-            assert list(cls.KEYS) == [f.name for f in dataclasses.fields(cls)]
-        keys = {key for cls in self.RECORDS.values() for key in cls.KEYS.values()}
-        # the two anchors feed the link's closed form, not a record field
-        assert not keys & {"ptr_hi", "ptr_lo"}
+            assert list(cls.KEYS) == [f.name for f in dataclasses.fields(cls) if f.init]
+        # the two anchors are fields of the link record, which also reads
+        # the viral record's M1 and m
         values = default_values()
-        assert keys | {"ptr_hi", "ptr_lo"} == set(values["female"]) == set(values["male"])
+        keys = {key for cls in self.RECORDS.values() for key in cls.KEYS.values()}
+        assert keys == set(values["female"]) == set(values["male"])
+        assert {"ptr_hi", "ptr_lo"} <= set(TransmissionParams.KEYS.values())
 
     def test_each_key_lands_on_its_field(self):
         # every per-sex key moved off its baseline by a distinct share, so a
@@ -91,8 +97,6 @@ class TestSchema:
                 assert {name: getattr(record, name) for name in cls.KEYS} == {
                     name: v[key] for name, key in cls.KEYS.items()
                 }
-            link = prof.transmission
-            assert (link.prob_at_peak, link.prob_at_plateau) == (v["ptr_hi"], v["ptr_lo"])
 
     def test_every_ranged_model_key_is_per_sex(self):
         # the ages of the public kernels and the population's horizon are
