@@ -133,7 +133,7 @@ def test_kernels_on_level1_mesh(keys):
     assert ((ptr >= 0) & (ptr <= 1)).all()
 
 
-@settings(database=None, derandomize=True, deadline=None, max_examples=50)
+@settings(database=None, derandomize=True, deadline=None, max_examples=100)
 @given(
     box_keys(),
     st.one_of(
@@ -145,15 +145,20 @@ def test_kernels_on_level1_mesh(keys):
             max_size=3,
         ),
     ),
-    st.sampled_from(
-        (["eval"], ["trajectory"], ["simulate", "--sex", "female", "--samples", "512"])
-    ),
+    st.sampled_from((
+        (["eval"], ""),
+        (["trajectory"], ""),
+        (["simulate", "--sex", "female", "--samples", "512"], ""),
+        (["simulate", "--sex", "female", "--samples", "512"], "[simulation]\nact_process = expected_value\n"),
+    )),
 )
-def test_cli_ends_in_one_line(keys, anywhere, argv):
+def test_cli_ends_in_one_line(keys, anywhere, command):
     # some female keys or omega drawn over the whole double range: the first
     # of them in the text that leaves its range is refused, by name, before
-    # any integral
-    text = scenario_text(keys, anywhere)
+    # any integral; simulate runs each act process, and at 100 examples a
+    # dozen or more draws of each reach the Monte Carlo
+    argv, simulation = command
+    text = scenario_text(keys, anywhere) + simulation
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.ini"

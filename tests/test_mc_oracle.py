@@ -2,14 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import hivbrn.mc_oracle as mc
 from hivbrn import (
     DomainError,
-    ScenarioError,
     SexProfile,
     SimulationSpec,
     TransmissionParams,
@@ -21,10 +18,7 @@ from hivbrn import (
 )
 from hivbrn.behavior import activity_fraction_core
 from hivbrn.natural_history import transmission_prob_core
-from hivbrn.reproduction import inner_blocks, inner_integrals
 from hivbrn.survival import SurvivalParams, survival_quantile_core
-
-from conftest import PARAM_BOX
 
 
 def rng(seed=123):
@@ -212,107 +206,20 @@ class TestSimulateLifeCourse:
         se = counts.std(ddof=1) / np.sqrt(n)
         assert abs(counts.mean() - target) < 3 * se
 
-    def test_expected_value_mode_matches_quad(self, population, female):
-        # the expected_value mode reads the inner integral from its table,
-        # which ends at omega; tau1 gives exactly 0, and the last two ages
-        # lie in the first graded panel next to tau1 (direct rule)
+    def test_expected_value_mode_matches_quad(self, female):
+        # each course's inner integral is estimated from stratified ages with
+        # one uniform offset: exactly 0 up to tau1, and unbiased past it, so
+        # the mean over many offsets lies within a few SE of the integral;
+        # tau1 * (1 + 1e-9) holds the activity boundary layer at x = 0
         tau = female.activity.terminal_lead
-        edges, coefs = mc._inner_table(female, population.omega)
-        ages = np.array(
-            [0.5, 2.0, 7.0, 15.0, 35.0, tau, tau * (1 + 1e-9), 0.5 * (tau + edges[0])]
-        )
-        assert ages[4] <= edges[-1] == population.omega
-        assert np.all((tau < ages[6:]) & (ages[6:] <= edges[0]))
-        got = mc._tabulated_inner(ages, female, (edges, coefs))
-        assert got[5] == 0.0
-        for iad, value in zip(ages, got):
-            ref = quad_inner(iad, female)
-            assert value == pytest.approx(ref, rel=1e-7, abs=1e-15)
-
-
-class TestInnerTable:
-    """The expected-value table matches the finest inner rule across the
-    valid box, not only at the baseline."""
-
-    # the threshold_box benchmark's parameter box, with beta down to 1
-    BOX = {**PARAM_BOX, "beta": (1.0, 3.5)}
-
-    @staticmethod
-    def check(profile, omega, table=None):
-        # 1000 ages from the survival law, made empty past omega as in the
-        # estimator (their mean of J is the integral), and 1000 spread over
-        # [0, omega]
-        if table is None:
-            table = mc._inner_table(profile, omega)
-        g = np.random.default_rng(20261018)
-        ages = np.concatenate((
-            survival_quantile_core(g.random(1000), profile.survival),
-            g.uniform(0.0, omega, 1000),
-        ))
-        ages[ages > omega] = 0.0
-        # level 10, well above TABLE_LEVEL, so that the fill's own error shows
-        ref = inner_integrals(ages, inner_blocks(ages, profile, 10), profile.transmission, 10)
-        err = np.abs(mc._tabulated_inner(ages, profile, table) - ref)
-        assert err.max() <= 1e-7 * ref[:1000].mean()
-
-    def test_baseline_and_alpha1_corner(self, population, female):
-        self.check(female, population.omega)
-        corner = dataclasses.replace(
-            female, viral=dataclasses.replace(female.viral, rise_shape=1.02)
-        )
-        self.check(corner, population.omega)
-
-    def test_fill_level(self):
-        # a box draw on which a level-4 fill was 8.6e-7 of the mean of J off
-        keys = dict(
-            ia1=0.498, M1=4.598, m=3.013, tau1=1.291, M2=5.198, alpha1=1.486,
-            alpha2=0.189, alpha3=0.864, ptr_hi=0.00697, ptr_lo=0.000676,
-            phi=0.610, median=10.2, beta=3.23,
-        )
-        text = "[female]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
-        pop = parse_scenario(text).population
-        self.check(pop.female, pop.omega)
-
-    def test_long_horizon_interpolant(self):
-        # a box draw at omega 400 whose long panels' interpolant was 1.1e-7 of
-        # the mean of J off at TABLE_TOL 1e-10
-        keys = dict(
-            ia1=0.7741, M1=5.116, m=2.773, tau1=0.9503, M2=5.095, alpha1=1.608,
-            alpha2=0.309, alpha3=0.96, ptr_hi=0.01185, ptr_lo=0.001483,
-            phi=0.4433, median=9.022, beta=3.306,
-        )
-        text = "".join(f"{k} = {v}\n" for k, v in keys.items())
-        pop = parse_scenario(f"[population]\nomega = 400\n[female]\n{text}").population
-        self.check(pop.female, pop.omega)
-
-    @settings(database=None, derandomize=True, deadline=None, max_examples=12)
-    @given(st.fixed_dictionaries({k: st.floats(*r) for k, r in BOX.items()}))
-    def test_whole_box(self, values):
-        # omega = 400 leaves the survival tail below its bound down to beta = 1
-        keys = "".join(f"{k} = {v!r}\n" for k, v in values.items())
-        try:
-            pop = parse_scenario(f"[population]\nomega = 400\n[female]\n{keys}").population
-        except ScenarioError:
-            assume(False)
-        self.check(pop.female, pop.omega)
-
-    def test_split_budget(self, population, female, monkeypatch):
-        # a table that runs out of splits still pairs each panel with its
-        # own coefficients: here every panel is halved once, then no more
-        monkeypatch.setattr(mc, "TABLE_TOL", 0.0)
-        monkeypatch.setattr(mc, "MAX_SPLITS", 1)
-        edges, coefs = mc._inner_table(female, population.omega)
-        assert coefs.shape == (mc.TABLE_NODES, edges.size - 1) == (24, 28)
-        self.check(female, population.omega, (edges, coefs))
-
-    def test_span_below_tau1(self, female):
-        # omega <= tau1: the table is empty, and J is exactly 0 up to omega
-        tau = female.activity.terminal_lead
-        for omega in (tau, 0.5 * tau):
-            edges, coefs = mc._inner_table(female, omega)
-            assert np.all(edges == tau)
-            ages = np.linspace(0.0, omega, 7)
-            assert np.all(mc._tabulated_inner(ages, female, (edges, coefs)) == 0.0)
+        u = rng(20261021).random(2**14)
+        for iad in (0.5, tau):
+            assert np.all(mc._inner_estimates(np.full(u.size, iad), u, female) == 0.0)
+        for iad in (tau * (1 + 1e-9), 2.0, 7.0, 15.0, 35.0):
+            got = mc._inner_estimates(np.full(u.size, iad), u, female)
+            se = got.std(ddof=1) / np.sqrt(u.size)
+            assert se > 0
+            assert abs(got.mean() - quad_inner(iad, female)) < 5 * se
 
 
 class TestEstimateSexIntegral:
@@ -369,7 +276,7 @@ class TestEstimateSexIntegral:
         pop = parse_scenario(text).population
         spec = SimulationSpec(samples=2 * mc.CHUNK_SAMPLES + 1000, seed=20260810)
         for profile in (pop.female, pop.male):
-            got = mc._run_values(profile, spec, pop.omega, None, range(3))
+            got = mc._run_values(profile, spec, pop.omega, range(3))
             assert got.size == spec.samples
             for chunk in range(3):
                 want = thinning_block(profile, spec, pop.omega, chunk)
@@ -401,6 +308,37 @@ class TestEstimateSexIntegral:
                 z.append((est.mean - ref) / est.std_error)
         assert 0.75 <= np.std(z, ddof=1) <= 1.3
         assert np.abs(z).max() < 4.5
+
+    @pytest.mark.parametrize("text", ["", "[female]\nM2 = 5.6\n"], ids=["baseline", "M2-5.6"])
+    def test_expected_value_calibrated_over_seeds(self, text):
+        # 100 seeded estimates of one female integral: if each course's
+        # stratified estimate of its inner integral is unbiased, each z
+        # against the quadrature is about N(0, 1). M2 = 5.6 is a profile
+        # whose candidate acts thinning refuses
+        pop = parse_scenario(text).population
+        ref = sex_integral(pop.female, pop.omega)
+        z = []
+        for seed in range(100):
+            spec = SimulationSpec(2 * mc.CHUNK_SAMPLES, seed, "expected_value")
+            est = estimate_sex_integral(pop.female, spec, omega=pop.omega)
+            z.append((est.mean - ref) / est.std_error)
+        assert 0.8 <= np.std(z, ddof=1) <= 1.35
+        assert np.abs(z).max() <= 5
+
+    def test_tiny_values_keep_their_standard_error(self):
+        # a flat link of 1e-170 gives values near 1e-172 whose centred squares
+        # fall below the least subnormal unless scaled; the values are those of
+        # the 1e-10 link times 1e-160, and so is the standard error
+        spec = SimulationSpec(20_000, 20260810, "expected_value")
+        ests = []
+        for ptr in ("1e-10", "1e-170"):
+            pop = parse_scenario(f"[female]\nptr_hi = {ptr}\nptr_lo = {ptr}\n").population
+            ests.append(estimate_sex_integral(pop.female, spec))
+        ref = sex_integral(pop.female, pop.omega)
+        plain, tiny = ests
+        assert tiny.std_error > 0
+        assert abs(tiny.mean - ref) < 5 * tiny.std_error
+        assert tiny.std_error / tiny.mean == pytest.approx(plain.std_error / plain.mean, rel=1e-12)
 
     def test_fast_path_matches_literal_mechanism(self, male):
         # the chunked estimator and a plain per-course loop over
@@ -471,7 +409,7 @@ class TestEstimateSexIntegral:
         "female": (0.011984756097560976, 8.922904861748797e-05),
         "male": (0.012753048780487806, 9.234994272646092e-05),
     }
-    PINNED_EXPECTED = {"female": 0.011891291786632507, "male": 0.012692846171462265}
+    PINNED_EXPECTED = {"female": 0.011901953339856223, "male": 0.012703900663267641}
 
     @pytest.mark.parametrize("sex", ["female", "male"])
     def test_pinned_stream(self, population, sex):
