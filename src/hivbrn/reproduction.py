@@ -23,7 +23,9 @@ sensitivity sweep, differ only in the cloglog link, and each is integrated
 on its own (:func:`link_integrals`).  A population keeps, per sex and level,
 every such link's total and the link-free blocks (``G``, the viral load and
 the survival density): at any tolerance it integrates each link on a level
-once, and its endpoint factors share those blocks.
+once, and its endpoint factors share those blocks.  A level's inner nodes
+are computed as row blocks of whole ages, at most ``BLOCK_NODES`` nodes
+each, one kernel call per block rather than one per inner panel.
 """
 
 from __future__ import annotations
@@ -85,6 +87,10 @@ ORDER = 24
 
 # each graded level adds panels in both directions: a cap that bounds time
 MAX_REFINE = 16
+
+# inner nodes per kernel call of a level's blocks, which bounds the
+# transient arrays of one call as CHUNK_SAMPLES does for the Monte Carlo
+BLOCK_NODES = 2**15
 
 
 @dataclass(frozen=True)
@@ -247,14 +253,22 @@ def _graded_rule(level: int, both_ends: bool) -> tuple[np.ndarray, np.ndarray]:
 def inner_blocks(
     iad: np.ndarray, profile: SexProfile, level: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per inner panel of the level-``level`` mesh, ``G`` and the linear
-    viral load on its ``iad.size * ORDER`` nodes ``x``, placed as fractions
-    of each age at death ``iad``: the link-free part of
-    :func:`inner_integrals`.  The nodes satisfy 0 <= x <= iad, so the
-    unchecked cores are called."""
-    col = iad[:, None]
+    """``G`` and the linear viral load on every inner node ``x`` of the
+    level-``level`` mesh, placed as fractions of each age at death ``iad``:
+    the link-free part of :func:`inner_integrals`.  Row blocks of
+    consecutive ages, each of shape (ages, panels * ORDER) with the inner
+    panels side by side in order: a block holds as many ages, in whole
+    groups of 8, as fit in ``BLOCK_NODES`` nodes, and one kernel call
+    computes it.  The nodes satisfy 0 <= x <= iad, so the unchecked cores
+    are called."""
+    nodes = _graded_rule(level, both_ends=True)[0].ravel()
+    # a row's sum can depend on its place in gemv's groups of rows (OpenBLAS
+    # takes 4 at a time, then a remainder): whole groups of 8 keep each row
+    # where the level's 24 * (2 * level + 3) ages put it
+    rows = BLOCK_NODES // nodes.size // 8 * 8
     blocks = []
-    for nodes in _graded_rule(level, both_ends=True)[0]:
+    for start in range(0, iad.size, rows):
+        col = iad[start : start + rows, None]
         x = nodes * col
         g = activity_fraction_core(x, col, profile.activity)
         load = linear_load_core(log_viral_load_core(x, col, profile.viral, profile.x_plateau))
@@ -271,11 +285,19 @@ def inner_integrals(
     """``int_0^iad G(x, iad) * ptr(x, iad) dx`` for each age at death under
     ``link``, by ``ORDER``-node Gauss-Legendre on the level-``level`` panels
     as fractions of ``iad``, from that level's :func:`inner_blocks`: one
-    cloglog pass per panel."""
-    out = np.zeros(iad.size)
-    for (g, load), weights in zip(blocks, _graded_rule(level, both_ends=True)[1]):
-        out += (g * cloglog_core(load, link)) @ weights
-    return out * iad
+    cloglog pass and one product with ``G`` per row block.  Each age's
+    panel sums are added in panel order, as a pass per panel adds them, so
+    the totals keep those bits."""
+    weights = _graded_rule(level, both_ends=True)[1]
+    out = []
+    for g, load in blocks:
+        prod = cloglog_core(load, link)
+        prod *= g
+        acc = np.zeros(len(g))
+        for k, w in enumerate(weights):
+            acc += prod[:, k * ORDER : (k + 1) * ORDER] @ w
+        out.append(acc)
+    return np.concatenate(out) * iad
 
 
 def link_integrals(
@@ -286,13 +308,13 @@ def link_integrals(
     memo: dict | None = None,
 ) -> float:
     """:func:`sex_integral` of ``profile`` under ``link``, which may be a
-    scaled variant of its own: only the cloglog pass of
-    :func:`inner_integrals` reads it.  ``omega`` is not checked here: the
+    scaled variant of its own: only the cloglog passes of
+    :func:`inner_integrals` read it.  ``omega`` is not checked here: the
     package passes a config's, and :func:`sex_integral` checks its own.
 
     ``memo`` (``PopulationConfig._levels[sex]``) keeps per level each
     link's total, keyed by the link, and under ``"blocks"`` the survival
-    density and :func:`inner_blocks` on the outer nodes.  A level's kept
+    density and the :func:`inner_blocks` row blocks on the outer nodes.  A level's kept
     work is read and its missing work stored, even when the integral then
     fails.  Without a memo only the level in use is held.
     """

@@ -33,9 +33,15 @@ from hivbrn import (
     sex_integrals,
 )
 from hivbrn.behavior import activity_fraction, activity_fraction_core
-from hivbrn.natural_history import transmission_prob, transmission_prob_core
+from hivbrn.natural_history import (
+    cloglog_core,
+    linear_load_core,
+    log_viral_load_core,
+    transmission_prob,
+    transmission_prob_core,
+)
 from hivbrn.survival import survival_density
-from hivbrn.reproduction import CRITICAL_BAND, MAX_REFINE, scaled_links
+from hivbrn.reproduction import BLOCK_NODES, CRITICAL_BAND, MAX_REFINE, ORDER, _graded_rule, scaled_links
 
 from conftest import HUGE, LONG, PARAM_BOX, UNREACHED
 
@@ -905,6 +911,86 @@ class TestBlockMemo:
         copy = dataclasses.replace(pop)
         assert copy == pop
         assert copy._levels == {"female": {}, "male": {}}
+
+
+class TestRowBlocks:
+    """A level's inner nodes are computed in row blocks of whole ages, one
+    kernel pass each, and sum, bit for bit, to the totals of a pass per
+    inner panel, the loop kept here as the reference."""
+
+    @staticmethod
+    def reference(iad, profile, link, level):
+        col = iad[:, None]
+        out = np.zeros(iad.size)
+        for nodes, weights in zip(*_graded_rule(level, both_ends=True)):
+            x = nodes * col
+            g = activity_fraction_core(x, col, profile.activity)
+            load = linear_load_core(log_viral_load_core(x, col, profile.viral, profile.x_plateau))
+            out += (g * cloglog_core(load, link)) @ weights
+        return out * iad
+
+    @staticmethod
+    def outer_nodes(profile, omega, level):
+        tau = profile.activity.terminal_lead
+        nodes, _ = _graded_rule(level, both_ends=False)
+        return (tau + (omega - tau) * nodes).ravel()
+
+    @staticmethod
+    def count_kernel_calls(monkeypatch):
+        """The node count of each call of the two kernels, by name."""
+        calls = {"activity_fraction_core": [], "cloglog_core": []}
+        for name, sizes in calls.items():
+            original = getattr(reproduction, name)
+
+            def counted(first, *args, original=original, sizes=sizes):
+                sizes.append(np.size(first))
+                return original(first, *args)
+
+            monkeypatch.setattr(reproduction, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 8])
+    def test_bit_equal_to_per_panel_passes(self, population, level):
+        scaled = scaled_links(population, [0.5, 2.0], "scale_endpoints")
+        for prof, links in zip((population.female, population.male), scaled):
+            iad = self.outer_nodes(prof, population.omega, level)
+            blocks = reproduction.inner_blocks(iad, prof, level)
+            assert sum(len(g) for g, _ in blocks) == iad.size
+            for link in (prof.transmission, *links):
+                got = reproduction.inner_integrals(iad, blocks, link, level)
+                assert np.array_equal(got, self.reference(iad, prof, link, level))
+        # premise: levels 0 and 1 take one block, levels 2 and 8 several, and
+        # at level 8 a block ends inside an outer panel of ORDER ages
+        ends = np.cumsum([len(g) for g, _ in blocks])
+        assert (len(blocks) == 1) == (level < 2)
+        assert (level == 8) == any(ends % ORDER)
+
+    def test_one_pass_per_sex_level_and_link(self, monkeypatch):
+        # the baseline converges at level 1 in both sexes, and levels 0 and 1
+        # are one block each: the pair and a 2-factor endpoint sweep make one
+        # cloglog pass per sex, level and link, and one G per sex and level
+        calls = self.count_kernel_calls(monkeypatch)
+        pop = parse_scenario("").population
+        evaluate_brn(pop)
+        sensitivity_sweep(pop, [0.5, 2.0], "scale_endpoints")
+        assert all(sorted(levels) == [0, 1] for levels in pop._levels.values())
+        assert len(calls["cloglog_core"]) == 2 * 2 * 3
+        assert len(calls["activity_fraction_core"]) == 2 * 2
+
+    def test_calls_are_bounded_by_block_nodes(self, monkeypatch):
+        # this shape refines to level 8, whose 456 ages of 696 inner nodes
+        # each are 317,376 nodes: every call covers at most BLOCK_NODES
+        calls = self.count_kernel_calls(monkeypatch)
+        pop = parse_scenario("[female]\nbeta = 20\n").population
+        sex_integral(pop.female, pop.omega)
+        sizes = calls["cloglog_core"]
+        assert calls["activity_fraction_core"] == sizes
+        assert max(sizes) <= BLOCK_NODES
+        assert sum(sizes) == sum(ORDER**2 * (2 * level + 3) * (3 * level + 5) for level in range(9))
+        # 44 calls, where a pass per inner panel makes 153
+        assert len(sizes) == 44
+        # a block holds 8 ages at least, which fit at every level
+        assert 8 * ORDER * (3 * MAX_REFINE + 5) <= BLOCK_NODES
 
 
 class TestBalance:
