@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .behavior import activity_fraction_core
 from .errors import RANGES, DomainError, QuadratureFailure, ScenarioError
-from .mc_oracle import estimate_sex_integral
+from .mc_oracle import estimate_sex_integral, process_pool
 from .natural_history import cloglog_core, linear_load_core, log_viral_load_core
 from .reproduction import (
     composite_r0,
@@ -229,13 +229,15 @@ def cmd_simulate(scenario: Scenario, args) -> str:
     # before any Monte Carlo run
     quad_values = [sex_integral(prof, pop.omega, scenario.quadrature) for prof in profiles]
     rows = []
-    for profile, quad_value in zip(profiles, quad_values):
-        est = estimate_sex_integral(profile, spec, args.workers, pop.omega)
-        ratio = abs(est.mean - quad_value) / est.std_error if est.std_error else None
-        rows.append([
-            profile.label, est.mean, est.std_error, est.samples, est.seed,
-            spec.act_process, quad_value, ratio,
-        ])
+    # both sexes' blocks go through one process pool
+    with process_pool(args.workers, spec.samples) as pool:
+        for profile, quad_value in zip(profiles, quad_values):
+            est = estimate_sex_integral(profile, spec, args.workers, pop.omega, pool)
+            ratio = abs(est.mean - quad_value) / est.std_error if est.std_error else None
+            rows.append([
+                profile.label, est.mean, est.std_error, est.samples, est.seed,
+                spec.act_process, quad_value, ratio,
+            ])
     result = {row[0]: dict(zip(columns[1:], row[1:])) for row in rows}
     if args.format == "table":
         # the table leaves out samples, seed and act_process

@@ -4,7 +4,9 @@ Simulates individual infective life courses: the age at death is drawn from
 the Weibull law by inverse transform, coital acts arrive as an inhomogeneous
 Poisson process with rate ``delta * G(ia, iad)``, and each act
 independently transmits with probability ``ptr(ia, iad)``; both are
-thinned from candidates at the constant rate ``delta * peak_prob``.  A
+thinned from candidates at the rate ``delta * cap``, where ``cap`` bounds
+``ptr`` on one of two pieces of the course: a window around the viral-load
+peak, the same length on every course, and the rest (see ``_envelope``).  A
 course that outlives the horizon ``omega`` counts as empty, so the mean
 infection count divided by ``delta`` estimates the integral the quadrature
 computes, ``int_0^omega s(y) J(y) dy``, with a standard error that shrinks
@@ -20,15 +22,18 @@ state numpy's ``spawn`` gives the ``c``-th child of ``SeedSequence(seed)``.
 Its stream depends on (seed, c) alone, so blocks can be computed in any
 order or process and reduced by index.  Blocks go to the workers in
 contiguous batches, and the parent writes each batch's values into one
-sample array in index order.  A run of blocks (the serial loop or one
-batch) owns one set of per-act buffers, which its blocks draw into and
-which is dropped when the run returns; the kernel cores compute in place
-on the arrays they allocate.
+sample array in index order; the calls of one command can share one
+pool (``process_pool``).  A run of blocks (the serial loop or one batch)
+owns one set of per-act buffers, which its blocks draw into and which is
+dropped when the run returns; the kernel cores compute in place on the
+arrays they allocate.
 """
 
 from __future__ import annotations
 
+import math
 import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -39,7 +44,13 @@ from .behavior import activity_fraction, activity_fraction_core
 from .errors import DomainError, check_range
 from .reproduction import PopulationConfig, SexProfile
 from .survival import survival_quantile_core
-from .natural_history import transmission_prob, transmission_prob_core
+from .natural_history import (
+    cloglog_core,
+    linear_load_core,
+    solve_plateau_point,
+    transmission_prob,
+    transmission_prob_core,
+)
 
 __all__ = [
     "SimulationSpec",
@@ -53,12 +64,17 @@ CHUNK_SAMPLES = 4096
 # 10^7 samples simulate peaked at 115 MB RSS, 276 MB with three such arrays)
 MAX_SAMPLES = 10_000_000
 
-# poisson_thinning holds about 56 B per candidate act in a block (its
-# traced peak over 0.52 to 0.58 million acts), and a course averages at most
-# delta * peak_prob * omega of them: this caps a block of CHUNK_SAMPLES
-# courses near 230 MB (52 to 56 MB under the baseline survival laws); the
-# baseline's bound is 26 acts
+# poisson_thinning holds about 64 B per candidate act in a block (its
+# traced peak over 0.11 to 2.0 million acts), and a course draws at most
+# the envelope's mass, delta * (cap_w * w + cap_rest * (omega - w)), of
+# them on average: this caps a block of CHUNK_SAMPLES courses near 260 MB.
+# The baseline's mass is 12.3 acts; M2 = 5.6's is 513, and its blocks of
+# 2.0 million acts peak at 127 MB
 MAX_ACTS_PER_COURSE = 1000
+
+# the terminal window reaches back this many standard deviations of the
+# terminal bump before its peak; before it the bump is below exp(-K**2 / 2)
+TERMINAL_SDS = 6.0
 
 ACT_PROCESSES = ("poisson_thinning", "expected_value")
 
@@ -124,10 +140,64 @@ def _inner_estimates(iad: np.ndarray, u: np.ndarray, profile: SexProfile) -> np.
     return g.mean(axis=0) * iad
 
 
+def _envelope(profile: SexProfile, omega: float) -> tuple[float, float, float, bool]:
+    """Two-piece bound on the per-act probability over a course no longer
+    than ``omega``: ``(w, cap_w, cap_rest, at_end)``.  On a window of length
+    ``w`` at the course's start, or its end if ``at_end``, the probability
+    is at most ``cap_w``; on the rest of the course at most ``cap_rest``.
+
+    The log load is the mix ``(1 - b) * base + b * M2`` of the early curve
+    ``base <= M1`` and the terminal bump ``b`` in (0, 1].  Where M1 > M2,
+    the window runs from infection to the age at which the decaying early
+    curve falls to ``L* = max(M2, (M1 + m) / 2)``, past which the load is
+    at most ``L*``: :func:`solve_plateau_point` gives the curve's argument
+    there, and the age warp is inverted in closed form.  Where M2 > M1, the
+    window is the last ``tau1 + K * sd`` of the course, ``sd = 1 / sqrt(2 *
+    alpha3)`` and K = ``TERMINAL_SDS``; before it ``b < exp(-K**2 / 2)``
+    and the load is at most ``M1 + (M2 - M1) * exp(-K**2 / 2)``.  M1 = M2,
+    or an L* that rounds to M1, gives one piece, ``w = 0``.  Each cap is
+    the probability at its load plus ``1e-9 * (max(M1, M2) - m)``, a margin
+    over the rounding of the computed load, and a window longer than
+    ``omega`` is cut to ``omega``, which still covers every course it
+    covered.
+    """
+    v = profile.viral
+    top = max(v.peak_log_vl, v.terminal_log_vl)
+    margin = 1e-9 * (top - v.plateau_log_vl)
+
+    def cap(level: float) -> float:
+        # an overflowing link saturates at 1, as in peak_transmission_prob
+        with np.errstate(over="ignore"):
+            return float(cloglog_core(linear_load_core(level + margin), profile.transmission))
+
+    at_end = v.terminal_log_vl > v.peak_log_vl
+    if at_end:
+        w = v.terminal_lead + TERMINAL_SDS / math.sqrt(2.0 * v.terminal_width)
+        rest = v.peak_log_vl + (v.terminal_log_vl - v.peak_log_vl) * math.exp(-(TERMINAL_SDS**2) / 2)
+    else:
+        rest = max(v.terminal_log_vl, (v.peak_log_vl + v.plateau_log_vl) / 2)
+        w = 0.0
+        if rest < v.peak_log_vl:
+            x = solve_plateau_point(v, rest)
+            xp, e = profile.x_plateau, math.exp(v.warp_rate)
+            # a root that rounds onto the plateau point takes the whole course
+            ratio = (xp - x) / (xp + e * x)
+            w = -math.log(ratio) * xp / (1.0 + e) if ratio > 0 else omega
+    return min(w, omega), cap(top), cap(rest), at_end
+
+
+def _envelope_mass(profile: SexProfile, envelope: tuple, omega: float) -> float:
+    """Mean candidate acts of a course of length ``omega``, the most any
+    course draws on average: ``delta * (cap_w * w + cap_rest * (omega - w))``."""
+    w, cap_w, cap_rest, _ = envelope
+    return profile.activity.annual_acts * (cap_w * w + cap_rest * (omega - w))
+
+
 def _chunk_values(
     profile: SexProfile,
     spec: SimulationSpec,
     omega: float,
+    envelope: tuple | None,
     chunk: int,
     buffers: list[np.ndarray],
 ) -> np.ndarray:
@@ -135,9 +205,11 @@ def _chunk_values(
 
     All randomness for block ``chunk`` comes from its own spawned
     substream, making the result independent of scheduling.  ``buffers``
-    holds one array of shape (3, capacity) whose rows take the block's
-    per-act floats; it is replaced by a larger one when a block has more
-    acts.  The returned values never share its memory.
+    holds an array of shape (3, capacity) whose rows take the block's
+    per-act floats and one of ``capacity`` course indices; both are
+    replaced by larger ones when a block has more acts.  The returned
+    values never share the buffers' memory.  ``envelope`` is
+    ``_envelope``'s, or None for ``expected_value``.
     """
     size = min(spec.samples - chunk * CHUNK_SAMPLES, CHUNK_SAMPLES)
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(spec.seed, spawn_key=(chunk,))))
@@ -150,29 +222,62 @@ def _chunk_values(
         return _inner_estimates(iad, rng.random(size), profile)
 
     delta = profile.activity.annual_acts
-    tau = profile.activity.terminal_lead
-    p_max = profile.peak_prob
-    # Only candidate acts whose transmission uniform falls below the global
-    # per-act bound can ever infect; by the thinning theorem they arrive at
-    # rate delta * p_max with that uniform ~ U(0, p_max), so the infection
+    w, cap_w, cap_rest, at_end = envelope
+    live = np.flatnonzero(iad > profile.activity.terminal_lead)
+    # Only candidate acts whose transmission uniform falls below their
+    # piece's cap can ever infect; by the thinning theorem they arrive at
+    # rate delta * cap with that uniform ~ U(0, cap), so the infection
     # count below is distributed exactly as for envelope-delta thinning
-    # followed by per-act Bernoulli marking.
-    lam = np.where(iad > tau, delta * p_max * iad, 0.0)
+    # followed by per-act Bernoulli marking.  The acts off the window come
+    # first, one Poisson count per course.  Every live course's window is
+    # w long, so the window's acts are one Poisson count for the block,
+    # each put on a uniform live course at a uniform place in its window:
+    # by Poisson splitting each course's count is an independent Poisson.
+    # A window act outside [0, iad] is dropped.
+    lam = np.zeros(size)
+    lam[live] = np.maximum(iad[live] - w, 0.0) * (delta * cap_rest)
     acts = rng.poisson(lam)
-    total = int(acts.sum())
-    seg = np.repeat(np.arange(size), acts)
-    if buffers[0].shape[1] < total:
-        buffers[0] = np.empty((3, total))
+    rest = int(acts.sum())
+    windowed = int(rng.poisson(delta * cap_w * w * live.size))
+    total = rest + windowed
+    if buffers[1].size < total:
+        buffers[:] = [np.empty((3, total)), np.empty(total, dtype=np.intp)]
     iad_rep, t, u_act = buffers[0][:, :total]
-    np.take(iad, seg, out=iad_rep)
+    seg = buffers[1][:total]
+    seg[:rest] = np.repeat(np.arange(size), acts)
+    # every index is in range: "clip" skips the copy that "raise" buffers
+    if windowed:
+        np.take(live, rng.integers(live.size, size=windowed), out=seg[rest:], mode="clip")
+    np.take(iad, seg, out=iad_rep, mode="clip")
     rng.random(out=t)
-    t *= iad_rep
+    # each act's age, by its uniform: off the window, iad - U * (iad - w)
+    # after an early window and U * (iad - w) before a terminal one; in it,
+    # U * w and iad - U * w.  No age exceeds its iad after rounding, and
+    # none after an early window falls below w, where a steep age warp
+    # would lift the load past the rest cap within an ulp
+    np.subtract(iad_rep[:rest], w, out=u_act[:rest])
+    t[:rest] *= u_act[:rest]
+    t[rest:] *= w
+    if at_end:
+        np.subtract(iad_rep[rest:], t[rest:], out=t[rest:])
+        inside = t[rest:] >= 0.0
+    else:
+        np.subtract(iad_rep[:rest], t[:rest], out=t[:rest])
+        np.maximum(t[:rest], w, out=t[:rest])
+        inside = t[rest:] <= iad_rep[rest:]
+    if not inside.all():
+        kept = np.flatnonzero(inside) + rest
+        total = rest + kept.size
+        for row in (iad_rep, t, seg):
+            row[rest:total] = row[kept]
+        iad_rep, t, u_act, seg = iad_rep[:total], t[:total], u_act[:total], seg[:total]
     rng.random(out=u_act)
-    u_act *= p_max
+    u_act[:rest] *= cap_rest
+    u_act[rest:] *= cap_w
     # 0 <= t <= iad_rep by construction: the unchecked cores apply; an act
     # whose transmission uniform fails can never infect, so its activity
     # uniform is never drawn and the activity kernel runs only on the acts
-    # that pass (about a fifth at baseline)
+    # that pass (about two in five at baseline)
     p = transmission_prob_core(
         t, iad_rep, profile.viral, profile.transmission, profile.x_plateau
     )
@@ -187,6 +292,7 @@ def _run_values(
     profile: SexProfile,
     spec: SimulationSpec,
     omega: float,
+    envelope: tuple | None,
     chunks: range,
 ) -> np.ndarray:
     """Per-sample values of the contiguous blocks ``chunks``, in order.
@@ -197,9 +303,9 @@ def _run_values(
     """
     start = chunks.start * CHUNK_SAMPLES
     values = np.empty(min(chunks.stop * CHUNK_SAMPLES, spec.samples) - start)
-    buffers = [np.empty((3, 0))]
+    buffers = [np.empty((3, 0)), np.empty(0, dtype=np.intp)]
     for chunk in chunks:
-        block = _chunk_values(profile, spec, omega, chunk, buffers)
+        block = _chunk_values(profile, spec, omega, envelope, chunk, buffers)
         offset = chunk * CHUNK_SAMPLES - start
         values[offset : offset + block.size] = block
     return values
@@ -213,11 +319,28 @@ def _pool_size(workers: int, n_chunks: int) -> int:
     return min(workers, n_chunks, os.cpu_count() or 1)
 
 
+@contextmanager
+def process_pool(workers: int, samples: int):
+    """A process pool that ``estimate_sex_integral`` calls of ``samples``
+    samples at ``workers`` workers can share, shut down on exit; None where
+    they would start no pool.  ``simulate`` runs both sexes in one."""
+    size = _pool_size(workers, -(-samples // CHUNK_SAMPLES))
+    if size < 2:
+        yield None
+        return
+    # imported here so that `import hivbrn` does not load the pool machinery
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        yield pool
+
+
 def estimate_sex_integral(
     profile: SexProfile,
     spec: SimulationSpec,
     workers: int = 1,
     omega: float = PopulationConfig.omega,
+    pool=None,
 ) -> EstimateResult:
     """Monte Carlo estimate of the expected-infection integral for one sex.
 
@@ -226,30 +349,32 @@ def estimate_sex_integral(
     empty, and the act rate ``delta`` is divided out, so the estimate
     targets exactly ``sex_integral(profile, omega)``.  ``workers`` > 1
     distributes blocks over processes without changing the result; it must
-    be an int >= 1.
+    be an int >= 1.  They run in ``pool``, one of :func:`process_pool`'s
+    for the same workers and samples, if given, else in a pool of their own.
     """
     if type(workers) is not int or workers < 1:
         raise DomainError("workers must be an int >= 1")
     check_range(omega, "omega")
-    acts = profile.activity.annual_acts * profile.peak_prob * omega
-    if spec.act_process == "poisson_thinning" and not 0 < acts <= MAX_ACTS_PER_COURSE:
-        raise DomainError(
-            f"poisson_thinning needs 0 < delta * peak_prob * omega <= "
-            f"{MAX_ACTS_PER_COURSE}; use expected_value instead"
-        )
+    envelope = None
+    if spec.act_process == "poisson_thinning":
+        envelope = _envelope(profile, omega)
+        acts = _envelope_mass(profile, envelope, omega)
+        if not 0 < acts <= MAX_ACTS_PER_COURSE:
+            raise DomainError(
+                f"poisson_thinning needs 0 < candidate acts per course <= "
+                f"{MAX_ACTS_PER_COURSE}, not {acts:.4g}; use expected_value instead"
+            )
     n_chunks = -(-spec.samples // CHUNK_SAMPLES)
-    work = partial(_run_values, profile, spec, omega)
+    work = partial(_run_values, profile, spec, omega, envelope)
     workers = _pool_size(workers, n_chunks)
     n = spec.samples
     if workers > 1:
-        # imported here so that `import hivbrn` does not load the pool machinery
-        from concurrent.futures import ProcessPoolExecutor
         # about eight contiguous batches of blocks per worker
         batch = max(1, n_chunks // (8 * workers))
         runs = [range(c, min(c + batch, n_chunks)) for c in range(0, n_chunks, batch)]
         values = np.empty(n)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for run, part in zip(runs, pool.map(work, runs)):
+        with process_pool(workers, n) if pool is None else nullcontext(pool) as executor:
+            for run, part in zip(runs, executor.map(work, runs)):
                 values[run.start * CHUNK_SAMPLES : run.start * CHUNK_SAMPLES + part.size] = part
     else:
         values = work(range(n_chunks))

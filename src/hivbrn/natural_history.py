@@ -147,11 +147,13 @@ def early_peak_core(x: np.ndarray, p: ViralLoadParams) -> np.ndarray:
         return v
 
 
-def solve_plateau_point(p: ViralLoadParams) -> float:
-    """Largest x at which :func:`early_peak_core` equals ``plateau_log_vl``.
+def solve_plateau_point(p: ViralLoadParams, level: float | None = None) -> float:
+    """Largest x at which :func:`early_peak_core` equals ``level``, by default
+    ``plateau_log_vl``; any level in (0, ``peak_log_vl``) has one such root.
 
-    With ``r = x / peak_time`` and ``d = ln(peak_log_vl / plateau_log_vl) /
-    (rise_shape - 1)``, positive by the checks in :class:`ViralLoadParams`,
+    With ``r = x / peak_time`` and ``d = ln(peak_log_vl / level) /
+    (rise_shape - 1)``, positive for such a level (at the plateau by the
+    checks in :class:`ViralLoadParams`),
     the root right of the peak solves ``r - ln r = 1 + d``,
     i.e. ``x = -peak_time * W_{-1}(-exp(-1 - d))``.  In ``s = r - 1`` this is
     ``s - log1p(s) = d``; from the branch-point series (d < 1) or the
@@ -159,7 +161,8 @@ def solve_plateau_point(p: ViralLoadParams) -> float:
     1e-15 to 1e12 (Corless et al., "On the Lambert W function", Adv. Comput.
     Math. 5, 1996).
     """
-    d = math.log(p.peak_log_vl / p.plateau_log_vl) / (p.rise_shape - 1.0)
+    level = p.plateau_log_vl if level is None else level
+    d = math.log(p.peak_log_vl / level) / (p.rise_shape - 1.0)
     s = math.sqrt(2.0 * d) + 2.0 * d / 3.0 if d < 1.0 else d + math.log1p(d)
     for _ in range(3):
         g = s - math.log1p(s) - d

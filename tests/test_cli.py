@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hivbrn
-from hivbrn import cli, evaluate_brn, parse_scenario, reproduction
+from hivbrn import cli, evaluate_brn, mc_oracle, parse_scenario, reproduction
 from hivbrn.cli import main
 from hivbrn.mc_oracle import MAX_SAMPLES
 from hivbrn.reproduction import MAX_REFINE
@@ -741,6 +741,28 @@ class TestSimulate:
         _, one, _ = run(capsys, *base, "--workers", "1")
         _, three, _ = run(capsys, *base, "--workers", "3")
         assert one == three
+
+    def test_one_pool_for_both_sexes(self, capsys, monkeypatch):
+        # --workers 2 sends both sexes' blocks through one process pool and
+        # prints the bytes of --workers 1; the CPU cap is lifted so that the
+        # pool starts on any host
+        import concurrent.futures
+
+        started = []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, **kwargs):
+                started.append(kwargs)
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(mc_oracle, "_pool_size", lambda workers, n_chunks: min(workers, n_chunks))
+        base = ("simulate", "--samples", "20000", "--seed", "31")
+        _, one, _ = run(capsys, *base, "--workers", "1")
+        assert started == []
+        _, two, _ = run(capsys, *base, "--workers", "2")
+        assert started == [{"max_workers": 2}]
+        assert one == two != ""
 
     def test_close_to_quadrature(self, capsys):
         code, out, _ = run(capsys, "simulate", "--samples", "50000")

@@ -2,11 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import hivbrn.mc_oracle as mc
 from hivbrn import (
     DomainError,
+    QuadratureSpec,
     SexProfile,
     SimulationSpec,
     TransmissionParams,
@@ -19,6 +22,8 @@ from hivbrn import (
 from hivbrn.behavior import activity_fraction_core
 from hivbrn.natural_history import transmission_prob_core
 from hivbrn.survival import SurvivalParams, survival_quantile_core
+
+from test_accepted_box import accepted, box_keys, scenario_text
 
 
 def rng(seed=123):
@@ -80,29 +85,54 @@ def simulate_life_course(
     return float(np.count_nonzero(rng.random(times.size) < probs))
 
 
-def thinning_block(profile, spec, omega, chunk):
-    """Per-sample values of one ``poisson_thinning`` block, from the same
-    SFC64 substream as the estimator, with both kernels run on every
-    candidate act; the activity uniforms are drawn last, one per act that
-    passes the transmission test, in act order."""
+def block_acts(profile, spec, omega, chunk):
+    """The candidate acts of one ``poisson_thinning`` block, from the same
+    SFC64 substream as the estimator, in plain arrays: the generator, left
+    after the transmission uniforms, and each act's course, age at death,
+    age, piece cap and transmission uniform.  The acts off the window come
+    first, one Poisson count per course; then the window's, one count for
+    the block, each on a uniform live course at a uniform place in its
+    window, those outside [0, iad] dropped."""
     size = min(spec.samples - chunk * mc.CHUNK_SAMPLES, mc.CHUNK_SAMPLES)
     seq = np.random.SeedSequence(spec.seed, spawn_key=(chunk,))
     g = np.random.Generator(np.random.SFC64(seq))
     iad = survival_quantile_core(g.random(size), profile.survival)
     iad[iad > omega] = 0.0
-    delta, p_max = profile.activity.annual_acts, profile.peak_prob
-    acts = g.poisson(np.where(iad > profile.activity.terminal_lead, delta * p_max * iad, 0.0))
-    seg = np.repeat(np.arange(size), acts)
-    iad_rep = np.repeat(iad, acts)
-    t = g.random(acts.sum()) * iad_rep
-    u_act = g.random(acts.sum()) * p_max
+    delta, tau = profile.activity.annual_acts, profile.activity.terminal_lead
+    w, cap_w, cap_rest, at_end = mc._envelope(profile, omega)
+    live = np.flatnonzero(iad > tau)
+    acts = g.poisson(np.where(iad > tau, np.maximum(iad - w, 0.0) * (delta * cap_rest), 0.0))
+    windowed = g.poisson(delta * cap_w * w * live.size)
+    window = live[g.integers(live.size, size=windowed)] if windowed else []
+    course = np.concatenate([np.repeat(np.arange(size), acts), window]).astype(int)
+    iad_rep = iad[course]
+    v = g.random(course.size)
+    rest = np.arange(course.size) < acts.sum()
+    if at_end:
+        t = np.where(rest, v * (iad_rep - w), iad_rep - v * w)
+    else:
+        t = np.where(rest, np.maximum(iad_rep - v * (iad_rep - w), w), v * w)
+    inside = (t >= 0.0) & (t <= iad_rep)
+    assert inside[rest].all()
+    course, iad_rep, t, rest = course[inside], iad_rep[inside], t[inside], rest[inside]
+    cap = np.where(rest, cap_rest, cap_w)
+    return g, course, iad_rep, t, cap, g.random(course.size) * cap
+
+
+def thinning_block(profile, spec, omega, chunk):
+    """Per-sample values of one ``poisson_thinning`` block, from
+    :func:`block_acts`, with both kernels run on every candidate act; the
+    activity uniforms are drawn last, one per act that passes the
+    transmission test, in act order."""
+    g, course, iad_rep, t, _, u_act = block_acts(profile, spec, omega, chunk)
     activity = activity_fraction_core(t, iad_rep, profile.activity)
     transmits = u_act < transmission_prob_core(
         t, iad_rep, profile.viral, profile.transmission, profile.x_plateau
     )
     active = np.zeros_like(transmits)
     active[transmits] = g.random(transmits.sum()) < activity[transmits]
-    return np.bincount(seg[active], minlength=size) / delta
+    size = min(spec.samples - chunk * mc.CHUNK_SAMPLES, mc.CHUNK_SAMPLES)
+    return np.bincount(course[active], minlength=size) / profile.activity.annual_acts
 
 
 class TestSampleIad:
@@ -264,19 +294,22 @@ class TestEstimateSexIntegral:
         [
             "[female]\ndelta = 208\n[male]\ndelta = 26\n",
             "[female]\nalpha3 = 200\nM2 = 5.4\n[male]\nalpha3 = 200\nM2 = 5.4\n",
+            "[female]\nM2 = 5.0\n[male]\nM2 = 5.0\n",
         ],
-        ids=["csw_clients", "alpha3-M2"],
+        ids=["csw_clients", "alpha3-M2", "one_piece"],
     )
     def test_thinning_counts_match_every_act_reference(self, text):
         # the activity kernel runs only on acts that pass the transmission
         # test; every count must equal the one from both kernels on every act.
         # The three blocks share one buffer set, as in the serial loop: the
         # first block sizes it, the CSW female's second grows it, and the
-        # ragged 1000-sample block fills only the start of rows written before
+        # ragged 1000-sample block fills only the start of rows written before.
+        # The profiles take an early window, a terminal one and none (M1 = M2)
         pop = parse_scenario(text).population
         spec = SimulationSpec(samples=2 * mc.CHUNK_SAMPLES + 1000, seed=20260810)
         for profile in (pop.female, pop.male):
-            got = mc._run_values(profile, spec, pop.omega, range(3))
+            envelope = mc._envelope(profile, pop.omega)
+            got = mc._run_values(profile, spec, pop.omega, envelope, range(3))
             assert got.size == spec.samples
             for chunk in range(3):
                 want = thinning_block(profile, spec, pop.omega, chunk)
@@ -308,6 +341,21 @@ class TestEstimateSexIntegral:
                 z.append((est.mean - ref) / est.std_error)
         assert 0.75 <= np.std(z, ddof=1) <= 1.3
         assert np.abs(z).max() < 4.5
+
+    def test_terminal_window_calibrated_over_seeds(self):
+        # 100 seeded thinning estimates of one female integral whose window
+        # is the last 1.6 years of each course (M2 = 5.4 > M1, alpha3 = 50):
+        # if the two pieces' acts are drawn from the right law, each z
+        # against the quadrature is about N(0, 1). The quadrature takes 16
+        # levels here: at 8 it stops at 5.8e-5 relative, above tol 1e-6
+        pop = parse_scenario("[female]\nM2 = 5.4\nalpha3 = 50\n").population
+        ref = sex_integral(pop.female, pop.omega, QuadratureSpec(max_refine=16))
+        z = []
+        for seed in range(100):
+            est = estimate_sex_integral(pop.female, SimulationSpec(2 * mc.CHUNK_SAMPLES, seed))
+            z.append((est.mean - ref) / est.std_error)
+        assert 0.8 <= np.std(z, ddof=1) <= 1.35
+        assert np.abs(z).max() <= 5
 
     @pytest.mark.parametrize("text", ["", "[female]\nM2 = 5.6\n"], ids=["baseline", "M2-5.6"])
     def test_expected_value_calibrated_over_seeds(self, text):
@@ -404,10 +452,11 @@ class TestEstimateSexIntegral:
 
     # recorded from the committed SFC64 substreams at 20,000 samples, seed
     # 20260810: thinning counts are exact, so any change to the stream, to
-    # its draw order or to the kernels' accept/reject decisions shows here
+    # its draw order, to the envelope or to the kernels' accept/reject
+    # decisions shows here
     PINNED_THINNING = {
-        "female": (0.011984756097560976, 8.922904861748797e-05),
-        "male": (0.012753048780487806, 9.234994272646092e-05),
+        "female": (0.011957317073170732, 8.923602032533164e-05),
+        "male": (0.01275, 9.256601115710033e-05),
     }
     PINNED_EXPECTED = {"female": 0.011901953339856223, "male": 0.012703900663267641}
 
@@ -476,16 +525,82 @@ class TestEstimateSexIntegral:
 
     def test_thinning_act_bound(self, female, population):
         # refused before any draw: twice the bound on the candidate acts per
-        # course, and the box's largest delta; expected_value still runs.
+        # course, and the box's largest delta; expected_value still runs. At
+        # twice the baseline horizon the envelope's mass is 0.295 acts per
+        # unit of delta, so that twice the bound is a delta inside the box.
         # A delta of 1e300, whose bound overflowed, is refused with its key
         with pytest.raises(DomainError, match=r"annual_acts \(delta\) must be in \[0, 10000\]"):
             dataclasses.replace(female.activity, annual_acts=1e300)
-        twice = 2 * mc.MAX_ACTS_PER_COURSE / (female.peak_prob * population.omega)
+        omega = 2 * population.omega
+        mass = mc._envelope_mass(female, mc._envelope(female, omega), omega)
+        twice = 2 * mc.MAX_ACTS_PER_COURSE / (mass / female.activity.annual_acts)
         for delta in (twice, 1e4):
             heavy = dataclasses.replace(
                 female, activity=dataclasses.replace(female.activity, annual_acts=delta)
             )
             with pytest.raises(DomainError, match=f"<= {mc.MAX_ACTS_PER_COURSE}"):
-                estimate_sex_integral(heavy, SimulationSpec(samples=10, seed=1))
+                estimate_sex_integral(heavy, SimulationSpec(samples=10, seed=1), omega=omega)
             spec = SimulationSpec(samples=64, seed=1, act_process="expected_value")
-            assert 0 < estimate_sex_integral(heavy, spec, omega=population.omega).mean
+            assert 0 < estimate_sex_integral(heavy, spec, omega=omega).mean
+
+    def test_act_bound_follows_the_envelope(self):
+        # the bound is the envelope's mass, not delta * peak_prob * omega: M2
+        # 5.6 (peak_prob 0.986, 3233 acts by that product) draws 513 and
+        # runs; with alpha3 0.1 its window is 14.4 years long, and 1182 acts
+        # are refused
+        for text, mass in (("", 12.33), ("[female]\nM2 = 5.6\n", 513.0)):
+            pop = parse_scenario(text).population
+            envelope = mc._envelope(pop.female, pop.omega)
+            assert mc._envelope_mass(pop.female, envelope, pop.omega) == pytest.approx(mass, abs=0.01)
+            est = estimate_sex_integral(pop.female, SimulationSpec(samples=64, seed=1))
+            assert est.mean >= 0
+        wide = parse_scenario("[female]\nM2 = 5.6\nalpha3 = 0.1\n").population.female
+        with pytest.raises(DomainError, match=r"not 1182; use expected_value instead$"):
+            estimate_sex_integral(wide, SimulationSpec(samples=64, seed=1))
+
+
+def assert_acts_within_caps(profile, omega, seed):
+    """Every candidate act of a 64-course block, and ages at the rest
+    piece's edge and across it on up to 64 courses up to ``omega``, have a
+    per-act probability at most their piece's cap."""
+    _, _, iad, t, cap, _ = block_acts(profile, SimulationSpec(64, seed), omega, 0)
+    args = profile.viral, profile.transmission, profile.x_plateau
+    assert (transmission_prob_core(t, iad, *args) <= cap).all()
+    w, _, cap_rest, at_end = mc._envelope(profile, omega)
+    # a course draws acts off the window only if it is longer than w
+    courses = np.linspace(w, omega, 65)
+    courses = courses[courses > w][:, None]
+    span = np.linspace(0.0, 1.0, 33)
+    rest = span * (courses - w) if at_end else np.maximum(courses - span * (courses - w), w)
+    assert (transmission_prob_core(rest, courses, *args) <= cap_rest).all()
+
+
+ENVELOPE_CASES = {
+    "baseline": "",
+    "csw_clients": "[female]\ndelta = 208\n[male]\ndelta = 26\n",
+    "terminal": "[female]\nM2 = 5.4\nalpha3 = 50\n[male]\nM2 = 5.4\nalpha3 = 50\n",
+    "one_piece": "[female]\nM2 = 5.0\n[male]\nM2 = 5.0\n",
+}
+
+
+@pytest.mark.parametrize("text", ENVELOPE_CASES.values(), ids=ENVELOPE_CASES.keys())
+def test_envelope_bounds_every_act(text):
+    pop = parse_scenario(text).population
+    for profile in (pop.female, pop.male):
+        for seed in range(4):
+            assert_acts_within_caps(profile, pop.omega, seed)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(box_keys(), st.one_of(st.none(), st.floats(0.0, 1.0)))
+def test_envelope_bounds_every_act_over_box(keys, lift):
+    # both orders, M1 >= M2 and M2 > M1, over the valid box: M2 as drawn, or
+    # lifted by the fraction ``lift`` of the way from M1 to the box's top; a
+    # profile whose acts thinning refuses draws none
+    if lift is not None:
+        keys = {**keys, "M2": keys["M1"] + (10.0 - keys["M1"]) * lift}
+    pop = accepted(scenario_text(keys)).population
+    profile = pop.female
+    envelope = mc._envelope(profile, pop.omega)
+    assume(0 < mc._envelope_mass(profile, envelope, pop.omega) <= mc.MAX_ACTS_PER_COURSE)
+    assert_acts_within_caps(profile, pop.omega, 20261021)
