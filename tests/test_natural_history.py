@@ -88,6 +88,15 @@ class TestSolvePlateauPoint:
         assert solve_plateau_point(viral) == pytest.approx(1.647, abs=1e-3)
         assert solve_plateau_point(viral) == pytest.approx(XP_BASELINE, abs=1e-9)
 
+    def test_any_level(self, viral):
+        # the same solver gives the decay point of any level below the peak,
+        # as the Monte Carlo envelope's early window uses
+        for level in (4.8, 4.0, 3.5):
+            x = solve_plateau_point(viral, level)
+            assert x > viral.peak_time
+            assert early_peak_core(x, viral) == pytest.approx(level, rel=1e-12)
+        assert solve_plateau_point(viral, viral.plateau_log_vl) == solve_plateau_point(viral)
+
     def test_is_root_and_right_of_peak(self, viral, xp):
         assert early_peak_core(xp, viral) == pytest.approx(
             viral.plateau_log_vl, abs=1e-9
