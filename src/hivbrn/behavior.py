@@ -55,12 +55,20 @@ def activity_fraction(ia, iad, p: ActivityParams):
 
 
 def activity_fraction_core(ia: np.ndarray, iad: np.ndarray, p: ActivityParams):
-    """Unchecked :func:`activity_fraction` for 0 <= ia <= iad; divides only
-    on live courses, iad > terminal_lead.  There, inside the parameter
-    box, ``A`` is 0 or between about 1e-44 and 1e6 and ``B`` at most 1e6:
-    neither overflows, and a ``B`` that underflows is negligible beside
-    ``A``."""
+    """Unchecked :func:`activity_fraction` for 0 <= ia <= iad, computed in
+    place on two arrays of the broadcast shape.  Where every course is
+    live, iad > terminal_lead (every quadrature node and thinning act),
+    ``A`` is divided by ``A + B`` in place; else only the live courses are
+    divided and the rest are exactly 0.  Inside the parameter box, ``A``
+    is 0 or between about 1e-44 and 1e6 and ``B`` at most 1e6: neither
+    overflows, and a ``B`` that underflows is negligible beside ``A``."""
     tau, phi = p.terminal_lead, p.residual_fraction
-    a = phi * (iad - ia) * (iad - tau)
-    b = (1.0 - phi) * tau * ia
-    return np.divide(a, a + b, out=np.zeros(np.shape(a)), where=iad > tau)
+    a = np.subtract(iad, ia, out=np.empty(np.broadcast(ia, iad).shape))
+    a *= phi
+    a *= iad - tau
+    total = np.multiply((1.0 - phi) * tau, ia, out=np.empty_like(a))
+    total += a
+    live = iad > tau
+    if np.all(live):
+        return np.divide(a, total, out=a)
+    return np.divide(a, total, out=np.zeros_like(a), where=live)

@@ -8,7 +8,9 @@ Subcommands::
     hivbrn sweep       I0 under rescaled transmission probabilities
     hivbrn simulate    Monte Carlo estimate vs quadrature, per sex
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.  Given
+Exit codes: 0 success, 2 configuration error, 3 numerical failure; a
+``simulate`` quadrature column that cannot converge is left blank, and the
+estimates are written before the failure is named (exit 3).  Given
 the same scenario, flags and seed, every command writes byte-identical
 output; JSON and CSV numbers carry full round-trip precision, and a number
 beyond double range is refused (exit 2), never written.
@@ -225,15 +227,23 @@ def cmd_simulate(scenario: Scenario, args) -> str:
         "sex", "mean", "std_error", "samples", "seed", "act_process",
         "quadrature", "abs_diff_over_se",
     ]
-    # every quadrature column first, so one that cannot converge fails
-    # before any Monte Carlo run
-    quad_values = [sex_integral(prof, pop.omega, scenario.quadrature) for prof in profiles]
+    # a quadrature column that cannot converge is left blank: the estimate
+    # does not depend on it, and the failure is named after the output
+    quad_values, failures = [], []
+    for prof in profiles:
+        try:
+            quad_values.append(sex_integral(prof, pop.omega, scenario.quadrature))
+        except QuadratureFailure as exc:
+            quad_values.append(None)
+            failures.append(f"{prof.label} quadrature: {exc}")
     rows = []
     # both sexes' blocks go through one process pool
     with process_pool(args.workers, spec.samples) as pool:
         for profile, quad_value in zip(profiles, quad_values):
             est = estimate_sex_integral(profile, spec, args.workers, pop.omega, pool)
-            ratio = abs(est.mean - quad_value) / est.std_error if est.std_error else None
+            ratio = None
+            if est.std_error and quad_value is not None:
+                ratio = abs(est.mean - quad_value) / est.std_error
             rows.append([
                 profile.label, est.mean, est.std_error, est.samples, est.seed,
                 spec.act_process, quad_value, ratio,
@@ -242,7 +252,11 @@ def cmd_simulate(scenario: Scenario, args) -> str:
     if args.format == "table":
         # the table leaves out samples, seed and act_process
         columns, rows = columns[:3] + columns[6:], [row[:3] + row[6:] for row in rows]
-    return _emit(args, scenario, columns, rows, result=result, seed=spec.seed)
+    text = _emit(args, scenario, columns, rows, result=result, seed=spec.seed)
+    if failures:
+        _write(args, text)
+        raise QuadratureFailure("; ".join(failures))
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,24 +319,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(args, text: str) -> None:
+    """Write a command's output to ``--out``, else to stdout."""
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(args.out, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {args.out}: {exc}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = args.func(load_scenario(args.config), args)
-        if args.out:
-            try:
-                with open(args.out, "w") as handle:
-                    handle.write(text)
-            except OSError as exc:
-                raise ScenarioError(f"cannot write {args.out}: {exc}") from exc
+        _write(args, args.func(load_scenario(args.config), args))
     except ScenarioError as exc:
         print(f"hivbrn: configuration error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, QuadratureFailure) as exc:
         print(f"hivbrn: numerical failure: {exc}", file=sys.stderr)
         return 3
-    if not args.out:
-        sys.stdout.write(text)
     return 0
 
 

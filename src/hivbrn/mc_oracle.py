@@ -78,6 +78,13 @@ TERMINAL_SDS = 6.0
 
 ACT_PROCESSES = ("poisson_thinning", "expected_value")
 
+# a worker gets a process only for this many blocks or more, as starting a
+# pool costs more than small runs save: a fresh `simulate` of both sexes at
+# 2 workers took 1.11-1.24 times the time at 1 worker at 8 to 48 blocks per
+# sex, 0.97-1.09 times at 64, 0.92-0.98 at 96 and 0.82-0.85 at 245 (medians
+# of 6 to 8 alternating runs per act process, 2 vCPUs)
+MIN_WORKER_BLOCKS = 32
+
 # expected_value estimates each course's inner integral J(iad) from this
 # many stratified ages: on the baseline, 16 cut the standard error only from
 # 2.08e-5 to 1.70e-5 at 53,248 samples, for about 4% of the run time
@@ -312,11 +319,11 @@ def _run_values(
 
 
 def _pool_size(workers: int, n_chunks: int) -> int:
-    """Processes to start; a pool forks them all up front, so cap them at the
-    CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return min(workers, n_chunks, len(os.sched_getaffinity(0)))
-    return min(workers, n_chunks, os.cpu_count() or 1)
+    """Processes to start, 1 for none: one per worker that gets at least
+    ``MIN_WORKER_BLOCKS`` blocks.  A pool forks them all up front, so cap
+    them at the CPUs this process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(workers, n_chunks // MIN_WORKER_BLOCKS, cpus))
 
 
 @contextmanager
@@ -348,8 +355,9 @@ def estimate_sex_integral(
     drawn from the Weibull law; a course that outlives ``omega`` counts as
     empty, and the act rate ``delta`` is divided out, so the estimate
     targets exactly ``sex_integral(profile, omega)``.  ``workers`` > 1
-    distributes blocks over processes without changing the result; it must
-    be an int >= 1.  They run in ``pool``, one of :func:`process_pool`'s
+    distributes blocks over processes without changing the result, one
+    process per worker that gets ``MIN_WORKER_BLOCKS`` blocks; it must be
+    an int >= 1.  They run in ``pool``, one of :func:`process_pool`'s
     for the same workers and samples, if given, else in a pool of their own.
     """
     if type(workers) is not int or workers < 1:

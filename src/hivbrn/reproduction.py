@@ -25,7 +25,9 @@ every such link's total and the link-free blocks (``G``, the viral load and
 the survival density): at any tolerance it integrates each link on a level
 once, and its endpoint factors share those blocks.  A level's inner nodes
 are computed as row blocks of whole ages, at most ``BLOCK_NODES`` nodes
-each, one kernel call per block rather than one per inner panel.
+each, one kernel call per block rather than one per inner panel; a link
+then takes one cloglog pass and one batched product over the inner panels
+per block, whose totals keep the bits of a pass per panel.
 """
 
 from __future__ import annotations
@@ -285,18 +287,17 @@ def inner_integrals(
     """``int_0^iad G(x, iad) * ptr(x, iad) dx`` for each age at death under
     ``link``, by ``ORDER``-node Gauss-Legendre on the level-``level`` panels
     as fractions of ``iad``, from that level's :func:`inner_blocks`: one
-    cloglog pass and one product with ``G`` per row block.  Each age's
-    panel sums are added in panel order, as a pass per panel adds them, so
-    the totals keep those bits."""
-    weights = _graded_rule(level, both_ends=True)[1]
+    cloglog pass and one batched product per row block.  The product
+    weighs each panel's strided rows by that panel's weights, one gemv per
+    panel as a pass per panel makes, and each age's panel sums are added
+    in panel order, so the totals keep those bits."""
+    weights = _graded_rule(level, both_ends=True)[1][:, :, None]
     out = []
     for g, load in blocks:
         prod = cloglog_core(load, link)
         prod *= g
-        acc = np.zeros(len(g))
-        for k, w in enumerate(weights):
-            acc += prod[:, k * ORDER : (k + 1) * ORDER] @ w
-        out.append(acc)
+        panels = prod.reshape(len(g), -1, ORDER).transpose(1, 0, 2)
+        out.append(np.add.reduce(np.matmul(panels, weights)[:, :, 0], axis=0))
     return np.concatenate(out) * iad
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hivbrn import ActivityParams, DomainError, activity_fraction
+from hivbrn.behavior import activity_fraction_core
 
 PHI = 0.61
 TAU = 1.0
@@ -161,3 +162,75 @@ class TestValidation:
         good = dict(annual_acts=1.0, residual_fraction=PHI, terminal_lead=TAU)
         with pytest.raises(DomainError, match=field):
             ActivityParams(**{**good, field: bad})
+
+
+class TestActivityCore:
+    """The in-place core against the formula it computes, with the masked
+    divide kept here as the reference: the same bits and shape on live
+    courses, dead ones (exact zeros) and mixed inputs of every layout."""
+
+    @staticmethod
+    def reference(ia, iad, p):
+        tau, phi = p.terminal_lead, p.residual_fraction
+        a = phi * (iad - ia) * (iad - tau)
+        b = (1.0 - phi) * tau * ia
+        return np.divide(a, a + b, out=np.zeros(np.shape(a)), where=iad > tau)
+
+    @staticmethod
+    def check(ia, iad, p):
+        got = activity_fraction_core(ia, iad, p)
+        want = TestActivityCore.reference(ia, iad, p)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+        return got
+
+    @staticmethod
+    def courses(p, n=500):
+        # dead courses (iad 0 and iad == tau1) among live ones, ages in [0, iad]
+        rng = np.random.default_rng(7)
+        tau = p.terminal_lead
+        iad = np.concatenate(([0.0, tau, np.nextafter(tau, np.inf)], rng.uniform(0.0, 40.0, n)))
+        ia = rng.random(iad.size) * iad
+        ia[:3] = (0.0, tau, tau)
+        return ia, iad
+
+    @pytest.mark.parametrize(
+        "phi, tau", [(PHI, TAU), (PHI_MIN, TAU_MIN), (1.0 - 1e-9, 5.0)],
+    )
+    def test_live_dead_and_mixed(self, phi, tau):
+        p = ActivityParams(annual_acts=208.0, residual_fraction=phi, terminal_lead=tau)
+        ia, iad = self.courses(p)
+        live = iad > tau
+        assert not live[:2].any() and live[2]
+        # every course live: the unmasked path
+        got = self.check(ia[live], iad[live], p)
+        assert got.size == live.sum() > 0
+        # mixed: dead courses give exact zeros
+        got = self.check(ia, iad, p)
+        assert not got[~live].any()
+        # every course dead
+        got = self.check(ia[~live], iad[~live], p)
+        assert got.shape == ((~live).sum(),) and not got.any()
+        # no course at all
+        assert self.check(ia[:0], iad[:0], p).shape == (0,)
+
+    def test_broadcast_rows(self, params):
+        # the quadrature's layout: a column of ages at death, a row of nodes
+        ia, iad = self.courses(params, 40)
+        nodes = np.linspace(0.0, 1.0, 24)
+        col = iad[:, None]
+        self.check(nodes * col, col, params)
+        self.check(nodes * col[3:], col[3:], params)
+        # one age broadcast over many courses, and one course over many ages
+        self.check(0.0, iad, params)
+        self.check(ia, 40.0, params)
+        self.check(np.linspace(0.0, TAU, 5), TAU, params)
+
+    @pytest.mark.parametrize("iad", [0.0, TAU, 1.5, 7.0])
+    def test_scalar_and_zero_d(self, params, iad):
+        for ia in (0.0, 0.5 * iad, iad):
+            self.check(ia, iad, params)
+            self.check(np.float64(ia), np.float64(iad), params)
+            got = self.check(np.array(ia), np.array(iad), params)
+            assert got.shape == ()
+            self.check(np.array([ia]), np.array(iad), params)

@@ -249,12 +249,17 @@ class TestEval:
     )
     def test_steep_survival_shape_exits_3(self, capsys, tmp_path, argv):
         # at beta 400, x**(b-1) alone overflows where exp(-(x/a)**b) is 0;
-        # the density stays finite and the quadrature reports its own failure
+        # the density stays finite and the quadrature reports its own failure;
+        # simulate still prints its estimate, with the quadrature null
         cfg = tmp_path / "steep.ini"
         cfg.write_text("[female]\nbeta = 400\n")
         code, out, err = run(capsys, *argv, "--config", str(cfg))
         assert code == 3
-        assert out == ""
+        if argv[0] == "simulate":
+            female = json.loads(out)["result"]["female"]
+            assert female["mean"] >= 0 and female["quadrature"] is None
+        else:
+            assert out == ""
         assert err.count("\n") == 1
         assert "relative error" in err and "above target 1e-06" in err
 
@@ -736,7 +741,9 @@ class TestSimulate:
         _, second, _ = run(capsys, *args)
         assert first == second != ""
 
-    def test_worker_count_invariance(self, capsys):
+    def test_worker_count_invariance(self, capsys, monkeypatch):
+        # the block and CPU caps are lifted so that 3 workers start a pool
+        monkeypatch.setattr(mc_oracle, "_pool_size", lambda workers, n_chunks: min(workers, n_chunks))
         base = ("simulate", "--samples", "20000", "--seed", "31", "--sex", "male")
         _, one, _ = run(capsys, *base, "--workers", "1")
         _, three, _ = run(capsys, *base, "--workers", "3")
@@ -744,8 +751,8 @@ class TestSimulate:
 
     def test_one_pool_for_both_sexes(self, capsys, monkeypatch):
         # --workers 2 sends both sexes' blocks through one process pool and
-        # prints the bytes of --workers 1; the CPU cap is lifted so that the
-        # pool starts on any host
+        # prints the bytes of --workers 1; the block and CPU caps are lifted
+        # so that the pool starts on any host
         import concurrent.futures
 
         started = []
@@ -824,20 +831,51 @@ class TestSimulate:
             assert (row["abs_diff_over_se"] == "") is blank
 
     @pytest.mark.parametrize("sex", ["male", "both"])
-    def test_failing_quadrature_stops_before_any_estimate(self, capsys, monkeypatch, tmp_path, sex):
-        # every listed sex's quadrature column is integrated first, so one
-        # that cannot converge ends the command before any Monte Carlo run
+    def test_failing_quadrature_still_prints_the_estimate(self, capsys, tmp_path, sex):
+        # a quadrature column that cannot converge is left null: the Monte
+        # Carlo estimate, which does not depend on it, is still printed, and
+        # the failure is named on one stderr line with exit 3
         path = tmp_path / "hard.ini"
         path.write_text("[quadrature]\ntol = 1e-16\nmax_refine = 1\n")
-
-        def no_estimate(*args):
-            raise AssertionError("Monte Carlo run before a failing quadrature")
-
-        monkeypatch.setattr(cli, "estimate_sex_integral", no_estimate)
-        code, out, err = run(capsys, "simulate", "--sex", sex, "--config", str(path))
-        assert (code, out) == (3, "")
+        base = ("simulate", "--sex", sex, "--samples", "4096")
+        code, out, err = run(capsys, *base, "--config", str(path))
+        assert code == 3
         assert err.count("\n") == 1
         assert err.startswith("hivbrn: numerical failure: ")
+        sexes = ["female", "male"] if sex == "both" else [sex]
+        assert err.count(" quadrature: relative error ") == len(sexes)
+        result = json.loads(out)["result"]
+        _, converged, _ = run(capsys, *base)
+        expected = json.loads(converged)["result"]
+        assert list(result) == sexes
+        for label in sexes:
+            assert f"{label} quadrature: " in err
+            assert result[label]["quadrature"] is None
+            assert result[label]["abs_diff_over_se"] is None
+            for key in ("mean", "std_error", "samples", "seed", "act_process"):
+                assert result[label][key] == expected[label][key]
+        # --out gets the same output before the failure
+        target = tmp_path / "out.json"
+        code, written, err = run(capsys, *base, "--config", str(path), "--out", str(target))
+        assert (code, written, err.count("\n")) == (3, "", 1)
+        assert target.read_text() == out
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_failing_column_is_blank(self, capsys, tmp_path, fmt):
+        # alpha3 = 200, M2 = 5.4 in the female profile fails its quadrature
+        # at the default max_refine; the male column still converges
+        path = tmp_path / "peak.ini"
+        path.write_text("[female]\nalpha3 = 200\nM2 = 5.4\n")
+        code, out, err = run(
+            capsys, "simulate", "--samples", "4096", "--format", fmt, "--config", str(path)
+        )
+        assert code == 3
+        assert err.count("\n") == 1
+        assert err.startswith("hivbrn: numerical failure: female quadrature: relative error ")
+        female, male = rows_of(out) if fmt == "csv" else table_of(out)[1]
+        assert float(female["mean"]) > 0 and float(male["mean"]) > 0
+        assert female["quadrature"] == female["abs_diff_over_se"] == ""
+        assert float(male["quadrature"]) > 0 and float(male["abs_diff_over_se"]) >= 0
 
     def test_long_horizon_matches_quadrature(self, capsys, tmp_path):
         # omega 2e7, where the coarse outer panels missed the survival mass,
@@ -1006,7 +1044,7 @@ def test_sex_integral_calls_per_command(capsys, monkeypatch, argv, calls, blocks
 
 
 def test_import_loads_no_process_pool():
-    # the pool machinery is imported only when --workers > 1 asks for it
+    # the pool machinery is imported only when a run starts a pool
     script = "import sys, hivbrn; assert 'concurrent.futures' not in sys.modules"
     env = dict(os.environ, PYTHONPATH=str(Path(hivbrn.__file__).parents[1]))
     done = subprocess.run(

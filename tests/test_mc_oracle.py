@@ -260,9 +260,10 @@ class TestEstimateSexIntegral:
     def test_worker_count_invariance(self, male, monkeypatch):
         # 20,000 samples are 5 blocks, one per task; 200,705 are 49 blocks,
         # the last one ragged, sent in batches of 3 at 2 workers and 2 at 3
-        # (the CPU cap is lifted so that 3 workers run on any host). The
-        # alpha3 = 200, M2 = 5.4 profile's act counts vary widely from block
-        # to block, so the serial loop's buffers grow and shrink in use
+        # (the block and CPU caps are lifted so that 3 workers run on any
+        # host). The alpha3 = 200, M2 = 5.4 profile's act counts vary widely
+        # from block to block, so the serial loop's buffers grow and shrink
+        # in use
         monkeypatch.setattr(mc, "_pool_size", lambda workers, n_chunks: workers)
         peak = parse_scenario("[male]\nalpha3 = 200\nM2 = 5.4\n").population.male
         for profile, samples in ((male, 20_000), (male, 200_705), (peak, 20_000)):
@@ -274,20 +275,30 @@ class TestEstimateSexIntegral:
                 assert single == double == triple
 
     def test_pool_size_is_capped(self, monkeypatch):
+        # one process per worker that gets MIN_WORKER_BLOCKS blocks
+        many = 100 * mc.MIN_WORKER_BLOCKS
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
-        assert mc._pool_size(1, 100) == 1
-        assert mc._pool_size(3, 100) == 3
-        assert mc._pool_size(10_000, 3) == 3
-        assert mc._pool_size(10_000, 100) == 4
+        assert mc._pool_size(1, many) == 1
+        assert mc._pool_size(3, many) == 3
+        assert mc._pool_size(10_000, 3 * mc.MIN_WORKER_BLOCKS) == 3
+        assert mc._pool_size(10_000, 4 * mc.MIN_WORKER_BLOCKS - 1) == 3
+        assert mc._pool_size(10_000, many) == 4
+        # too few blocks for two workers start no pool: expected_value.ini's
+        # 13 blocks per sex do not, the 245 of 10^6 samples do
+        assert mc._pool_size(2, 2 * mc.MIN_WORKER_BLOCKS - 1) == 1
+        assert mc._pool_size(2, 2 * mc.MIN_WORKER_BLOCKS) == 2
+        assert mc._pool_size(2, 13) == 1
+        assert mc._pool_size(2, 245) == 2
+        assert mc._pool_size(10_000, 0) == 1
         # a process pinned to one CPU starts no pool at all
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {5})
-        assert mc._pool_size(8, 100) == 1
+        assert mc._pool_size(8, many) == 1
         # without an affinity call, the CPU count caps it, and 1 if unknown
         monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
-        assert mc._pool_size(10_000, 100) == 64
+        assert mc._pool_size(10_000, many) == 64
         monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
-        assert mc._pool_size(8, 100) == 1
+        assert mc._pool_size(8, many) == 1
 
     @pytest.mark.parametrize(
         "text",

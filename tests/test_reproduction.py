@@ -949,7 +949,7 @@ class TestRowBlocks:
             monkeypatch.setattr(reproduction, name, counted)
         return calls
 
-    @pytest.mark.parametrize("level", [0, 1, 2, 8])
+    @pytest.mark.parametrize("level", [0, 1, 2, 4, 8])
     def test_bit_equal_to_per_panel_passes(self, population, level):
         scaled = scaled_links(population, [0.5, 2.0], "scale_endpoints")
         for prof, links in zip((population.female, population.male), scaled):
@@ -959,11 +959,11 @@ class TestRowBlocks:
             for link in (prof.transmission, *links):
                 got = reproduction.inner_integrals(iad, blocks, link, level)
                 assert np.array_equal(got, self.reference(iad, prof, link, level))
-        # premise: levels 0 and 1 take one block, levels 2 and 8 several, and
-        # at level 8 a block ends inside an outer panel of ORDER ages
+        # premise: levels 0 and 1 take one block, levels 2, 4 and 8 several,
+        # and at levels 4 and 8 a block ends inside an outer panel of ORDER ages
         ends = np.cumsum([len(g) for g, _ in blocks])
         assert (len(blocks) == 1) == (level < 2)
-        assert (level == 8) == any(ends % ORDER)
+        assert (level in (4, 8)) == any(ends % ORDER)
 
     def test_one_pass_per_sex_level_and_link(self, monkeypatch):
         # the baseline converges at level 1 in both sexes, and levels 0 and 1
