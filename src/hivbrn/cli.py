@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .behavior import activity_fraction_core
 from .errors import RANGES, DomainError, QuadratureFailure, ScenarioError
-from .mc_oracle import estimate_sex_integral, process_pool
+from .mc_oracle import CHUNK_SAMPLES, estimate_sex_integral, process_pool
 from .natural_history import cloglog_core, linear_load_core, log_viral_load_core
 from .reproduction import (
     composite_r0,
@@ -237,8 +237,9 @@ def cmd_simulate(scenario: Scenario, args) -> str:
             quad_values.append(None)
             failures.append(f"{prof.label} quadrature: {exc}")
     rows = []
-    # both sexes' blocks go through one process pool
-    with process_pool(args.workers, spec.samples) as pool:
+    # every sex's blocks go through one map, sized from all of them
+    blocks = len(profiles) * -(-spec.samples // CHUNK_SAMPLES)
+    with process_pool(args.workers, blocks) as pool:
         for profile, quad_value in zip(profiles, quad_values):
             est = estimate_sex_integral(profile, spec, args.workers, pop.omega, pool)
             ratio = None

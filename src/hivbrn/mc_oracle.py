@@ -20,13 +20,13 @@ in fixed blocks of ``CHUNK_SAMPLES``; block ``c`` draws everything from its
 own SFC64 generator, seeded by ``SeedSequence(seed, spawn_key=(c,))``, the
 state numpy's ``spawn`` gives the ``c``-th child of ``SeedSequence(seed)``.
 Its stream depends on (seed, c) alone, so blocks can be computed in any
-order or process and reduced by index.  Blocks go to the workers in
-contiguous batches, and the parent writes each batch's values into one
-sample array in index order; the calls of one command can share one
-pool (``process_pool``).  A run of blocks (the serial loop or one batch)
-owns one set of per-act buffers, which its blocks draw into and which is
-dropped when the run returns; the kernel cores compute in place on the
-arrays they allocate.
+order or process and reduced by index.  Blocks go out in contiguous
+batches, about eight per process, through the ``map`` that
+``process_pool`` sizes from every block of a command (the built-in one
+below two processes), and the parent writes each batch's values into one
+sample array in index order.  A batch owns one set of per-act buffers,
+which its blocks draw into and which is dropped when it returns; the
+kernel cores compute in place on the arrays they allocate.
 """
 
 from __future__ import annotations
@@ -78,12 +78,12 @@ TERMINAL_SDS = 6.0
 
 ACT_PROCESSES = ("poisson_thinning", "expected_value")
 
-# a worker gets a process only for this many blocks or more, as starting a
-# pool costs more than small runs save: a fresh `simulate` of both sexes at
-# 2 workers took 1.11-1.24 times the time at 1 worker at 8 to 48 blocks per
-# sex, 0.97-1.09 times at 64, 0.92-0.98 at 96 and 0.82-0.85 at 245 (medians
-# of 6 to 8 alternating runs per act process, 2 vCPUs)
-MIN_WORKER_BLOCKS = 32
+# a worker gets a process only for at least this many of the blocks a pool
+# serves, as starting one costs more than small runs save: a fresh `simulate`
+# of both sexes at 2 workers took 1.11-1.24 times the time at 1 worker at 16
+# to 96 blocks, 0.97-1.09 times at 128, 0.92-0.98 at 192 and 0.82-0.85 at
+# 490 (medians of 6 to 8 alternating runs per act process, 2 vCPUs)
+MIN_WORKER_BLOCKS = 64
 
 # expected_value estimates each course's inner integral J(iad) from this
 # many stratified ages: on the baseline, 16 cut the standard error only from
@@ -259,19 +259,18 @@ def _chunk_values(
     rng.random(out=t)
     # each act's age, by its uniform: off the window, iad - U * (iad - w)
     # after an early window and U * (iad - w) before a terminal one; in it,
-    # U * w and iad - U * w.  No age exceeds its iad after rounding, and
-    # none after an early window falls below w, where a steep age warp
-    # would lift the load past the rest cap within an ulp
+    # U * w and iad - U * w, inside [0, iad] exactly when U * w <= iad.  No
+    # age exceeds its iad after rounding, and none after an early window
+    # falls below w, where a steep age warp would lift the load past the
+    # rest cap within an ulp
     np.subtract(iad_rep[:rest], w, out=u_act[:rest])
     t[:rest] *= u_act[:rest]
     t[rest:] *= w
-    if at_end:
-        np.subtract(iad_rep[rest:], t[rest:], out=t[rest:])
-        inside = t[rest:] >= 0.0
-    else:
-        np.subtract(iad_rep[:rest], t[:rest], out=t[:rest])
+    inside = t[rest:] <= iad_rep[rest:]
+    end = slice(rest, total) if at_end else slice(rest)
+    np.subtract(iad_rep[end], t[end], out=t[end])
+    if not at_end:
         np.maximum(t[:rest], w, out=t[:rest])
-        inside = t[rest:] <= iad_rep[rest:]
     if not inside.all():
         kept = np.flatnonzero(inside) + rest
         total = rest + kept.size
@@ -305,8 +304,8 @@ def _run_values(
     """Per-sample values of the contiguous blocks ``chunks``, in order.
 
     The blocks draw their per-act arrays into one buffer set, made here and
-    dropped on return: a run is the serial loop or one pool batch, so no
-    two threads share a set and no caller keeps one after its call.
+    dropped on return: a run is one batch, so no two threads share a set
+    and no caller keeps one after its call.
     """
     start = chunks.start * CHUNK_SAMPLES
     values = np.empty(min(chunks.stop * CHUNK_SAMPLES, spec.samples) - start)
@@ -318,28 +317,29 @@ def _run_values(
     return values
 
 
-def _pool_size(workers: int, n_chunks: int) -> int:
+def _pool_size(workers: int, blocks: int) -> int:
     """Processes to start, 1 for none: one per worker that gets at least
-    ``MIN_WORKER_BLOCKS`` blocks.  A pool forks them all up front, so cap
-    them at the CPUs this process may run on."""
+    ``MIN_WORKER_BLOCKS`` of the ``blocks``.  A pool forks them all up
+    front, so cap them at the CPUs this process may run on."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(workers, n_chunks // MIN_WORKER_BLOCKS, cpus))
+    return max(1, min(workers, blocks // MIN_WORKER_BLOCKS, cpus))
 
 
 @contextmanager
-def process_pool(workers: int, samples: int):
-    """A process pool that ``estimate_sex_integral`` calls of ``samples``
-    samples at ``workers`` workers can share, shut down on exit; None where
-    they would start no pool.  ``simulate`` runs both sexes in one."""
-    size = _pool_size(workers, -(-samples // CHUNK_SAMPLES))
+def process_pool(workers: int, blocks: int):
+    """``(map, processes)`` for ``estimate_sex_integral`` calls of ``blocks``
+    blocks in all at ``workers`` workers, shut down on exit: a process pool's
+    ``map`` with one process per worker that gets ``MIN_WORKER_BLOCKS`` of
+    them, or the built-in ``map`` and 1 below two processes."""
+    size = _pool_size(workers, blocks)
     if size < 2:
-        yield None
+        yield map, 1
         return
     # imported here so that `import hivbrn` does not load the pool machinery
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=size) as pool:
-        yield pool
+        yield pool.map, size
 
 
 def estimate_sex_integral(
@@ -357,8 +357,9 @@ def estimate_sex_integral(
     targets exactly ``sex_integral(profile, omega)``.  ``workers`` > 1
     distributes blocks over processes without changing the result, one
     process per worker that gets ``MIN_WORKER_BLOCKS`` blocks; it must be
-    an int >= 1.  They run in ``pool``, one of :func:`process_pool`'s
-    for the same workers and samples, if given, else in a pool of their own.
+    an int >= 1.  The blocks run through ``pool``, a ``(map, processes)``
+    pair that :func:`process_pool` yields for all the blocks it serves, if
+    given, else through one opened for this call's blocks at ``workers``.
     """
     if type(workers) is not int or workers < 1:
         raise DomainError("workers must be an int >= 1")
@@ -372,20 +373,16 @@ def estimate_sex_integral(
                 f"poisson_thinning needs 0 < candidate acts per course <= "
                 f"{MAX_ACTS_PER_COURSE}, not {acts:.4g}; use expected_value instead"
             )
-    n_chunks = -(-spec.samples // CHUNK_SAMPLES)
-    work = partial(_run_values, profile, spec, omega, envelope)
-    workers = _pool_size(workers, n_chunks)
     n = spec.samples
-    if workers > 1:
-        # about eight contiguous batches of blocks per worker
-        batch = max(1, n_chunks // (8 * workers))
+    n_chunks = -(-n // CHUNK_SAMPLES)
+    work = partial(_run_values, profile, spec, omega, envelope)
+    values = np.empty(n)
+    with process_pool(workers, n_chunks) if pool is None else nullcontext(pool) as (run, processes):
+        # about eight contiguous batches of blocks per process
+        batch = max(1, n_chunks // (8 * processes))
         runs = [range(c, min(c + batch, n_chunks)) for c in range(0, n_chunks, batch)]
-        values = np.empty(n)
-        with process_pool(workers, n) if pool is None else nullcontext(pool) as executor:
-            for run, part in zip(runs, executor.map(work, runs)):
-                values[run.start * CHUNK_SAMPLES : run.start * CHUNK_SAMPLES + part.size] = part
-    else:
-        values = work(range(n_chunks))
+        for chunks, part in zip(runs, run(work, runs)):
+            values[chunks.start * CHUNK_SAMPLES :][: part.size] = part
     mean = float(values.sum() / n)
     values -= mean
     # the centred values scaled by a power of two, which commutes with every

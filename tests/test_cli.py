@@ -771,6 +771,33 @@ class TestSimulate:
         assert started == [{"max_workers": 2}]
         assert one == two != ""
 
+    @pytest.mark.parametrize(
+        "argv, started",
+        [
+            (("--sex", "male", "--samples", "262144"), []),
+            (("--samples", "262144"), [{"max_workers": 2}]),
+            (("--sex", "female", "--samples", "524288"), [{"max_workers": 2}]),
+        ],
+        ids=["male-64", "both-128", "female-128"],
+    )
+    def test_pool_counts_every_sex_blocks(self, capsys, monkeypatch, argv, started):
+        # at 2 workers a pool is sized from the blocks of every sex it
+        # serves: one sex's 64 start none, both sexes' 128 start 2, as do one
+        # sex's 128; four CPUs are offered so that the CPU cap never binds
+        import concurrent.futures
+
+        opened = []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, **kwargs):
+                opened.append(kwargs)
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(mc_oracle.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert run(capsys, "simulate", *argv, "--workers", "2")[0] == 0
+        assert opened == started
+
     def test_close_to_quadrature(self, capsys):
         code, out, _ = run(capsys, "simulate", "--samples", "50000")
         assert code == 0

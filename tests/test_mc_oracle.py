@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -262,8 +263,7 @@ class TestEstimateSexIntegral:
         # the last one ragged, sent in batches of 3 at 2 workers and 2 at 3
         # (the block and CPU caps are lifted so that 3 workers run on any
         # host). The alpha3 = 200, M2 = 5.4 profile's act counts vary widely
-        # from block to block, so the serial loop's buffers grow and shrink
-        # in use
+        # from block to block, so a batch's buffers grow and shrink in use
         monkeypatch.setattr(mc, "_pool_size", lambda workers, n_chunks: workers)
         peak = parse_scenario("[male]\nalpha3 = 200\nM2 = 5.4\n").population.male
         for profile, samples in ((male, 20_000), (male, 200_705), (peak, 20_000)):
@@ -275,7 +275,8 @@ class TestEstimateSexIntegral:
                 assert single == double == triple
 
     def test_pool_size_is_capped(self, monkeypatch):
-        # one process per worker that gets MIN_WORKER_BLOCKS blocks
+        # one process per worker that gets MIN_WORKER_BLOCKS of the blocks
+        # the pool serves
         many = 100 * mc.MIN_WORKER_BLOCKS
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
@@ -285,11 +286,11 @@ class TestEstimateSexIntegral:
         assert mc._pool_size(10_000, 4 * mc.MIN_WORKER_BLOCKS - 1) == 3
         assert mc._pool_size(10_000, many) == 4
         # too few blocks for two workers start no pool: expected_value.ini's
-        # 13 blocks per sex do not, the 245 of 10^6 samples do
+        # 26 blocks of both sexes do not, the 490 of 10^6 samples do
         assert mc._pool_size(2, 2 * mc.MIN_WORKER_BLOCKS - 1) == 1
         assert mc._pool_size(2, 2 * mc.MIN_WORKER_BLOCKS) == 2
-        assert mc._pool_size(2, 13) == 1
-        assert mc._pool_size(2, 245) == 2
+        assert mc._pool_size(2, 26) == 1
+        assert mc._pool_size(2, 490) == 2
         assert mc._pool_size(10_000, 0) == 1
         # a process pinned to one CPU starts no pool at all
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {5})
@@ -299,6 +300,16 @@ class TestEstimateSexIntegral:
         assert mc._pool_size(10_000, many) == 64
         monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
         assert mc._pool_size(8, many) == 1
+
+    def test_serial_pair_imports_no_pool(self, monkeypatch):
+        # below two processes process_pool yields the built-in map and 1,
+        # and never imports the pool machinery, whose import would fail here
+        monkeypatch.setitem(sys.modules, "concurrent.futures", None)
+        few = 2 * mc.MIN_WORKER_BLOCKS - 1
+        for workers, blocks in ((1, 100 * mc.MIN_WORKER_BLOCKS), (2, few), (8, 0)):
+            with mc.process_pool(workers, blocks) as (run, processes):
+                assert run is map
+                assert processes == 1
 
     @pytest.mark.parametrize(
         "text",
@@ -312,7 +323,7 @@ class TestEstimateSexIntegral:
     def test_thinning_counts_match_every_act_reference(self, text):
         # the activity kernel runs only on acts that pass the transmission
         # test; every count must equal the one from both kernels on every act.
-        # The three blocks share one buffer set, as in the serial loop: the
+        # The three blocks share one buffer set, as in one batch: the
         # first block sizes it, the CSW female's second grows it, and the
         # ragged 1000-sample block fills only the start of rows written before.
         # The profiles take an early window, a terminal one and none (M1 = M2)
